@@ -7,11 +7,11 @@ mode), or restricted to one given decomposition per tree ("fixed" mode).
 The dynamic program works on states ``(n1, p1, n2, p2)``: the current nodes
 in both trees plus the start vertices of the branches currently being
 tracked. Because the base costs are pure branch distances, only the start
-*values* matter, so for every node pair ``(n1, n2)`` the costs over all
-``(p1, p2)`` combinations form a small 2-d table indexed by the ancestors of
-``n1`` and ``n2``. Tables are filled bottom-up over node pairs in post-order
-and combined with numpy, which keeps large instances (hundreds of nodes)
-fast. At an inner-inner state the options are, in this fixed order:
+*values* matter, so the states of one tree are the pairs (node, ancestor).
+Free mode numbers them into the rows and columns of one flat table and
+fills it with numpy in anti-diagonal waves of node heights, which keeps
+large instances (hundreds of nodes) fast; fixed mode needs one entry per
+node pair. At an inner-inner state the options are, in this fixed order:
 
 1. continue tree 1's branch through one child, deleting the sibling
    subtrees, leaving tree 2 untouched (one option per child);
@@ -114,7 +114,9 @@ class BranchMapping:
 # ---------------------------------------------------------------------------
 
 class _Side:
-    __slots__ = ("tree", "values", "post", "anc", "anc_low", "children", "is_leaf", "entry")
+    """Traversal orders of one tree, shared by both modes."""
+
+    __slots__ = ("tree", "values", "post", "depth", "children", "is_leaf", "entry")
 
     def __init__(self, tree: MergeTree):
         self.tree = tree
@@ -137,203 +139,401 @@ class _Side:
             for c in reversed(tree.children[v]):
                 stack.append((c, False))
         self.post = post
-        anc = [None] * len(tree)
-        anc[root] = []
-        order = tree.subtree_nodes(root)
-        for v in order:
-            if v == root:
-                continue
-            p = int(tree.parent[v])
-            anc[v] = anc[p] + [p]
-        self.anc = [np.array(a, dtype=np.int64) if a is not None else None for a in anc]
-        self.anc_low = [
-            tree.values[a] if a is not None and len(a) else np.empty(0) for a in self.anc
-        ]
+        # depth[v]: number of strict ancestors of v, i.e. of candidate branch starts
+        depth = [0] * len(tree)
+        depth[self.entry] = 1
+        for v in reversed(post):
+            for c in tree.children[v]:
+                depth[c] = depth[v] + 1
+        self.depth = depth
 
 
 # ---------------------------------------------------------------------------
 # free mode: minimize over all branch decompositions
+#
+# State (v, i) is a non-root node v whose branch starts at v's i-th ancestor
+# (root first). Every tree numbers its states into contiguous rows, so the
+# delete table is one vector and the pair table one (S1+1) x (S2+1) array.
+# A pair-table entry depends only on entries whose heights sum to less, so
+# the table is filled in anti-diagonal waves t = height(v) + height(w); the
+# (h1, t - h1) rectangles of one wave are independent of each other.
 # ---------------------------------------------------------------------------
 
-def _delete_tables(side: _Side, metric: BaseMetric, squared: bool):
-    """D[v][i] = cheapest deletion of the subtree hanging at v, with the
-    branch through v starting at v's i-th ancestor."""
-    n = len(side.tree)
-    D = [None] * n
-    K = [None] * n
-    for v in side.post:
-        lows = side.anc_low[v]
-        if side.is_leaf[v]:
-            d = metric.deletion_vec(lows, float(side.values[v]))
-            if squared:
-                d = d * d
-            D[v] = d
-        else:
-            cs = side.children[v]
-            tips = [D[c][-1] for c in cs]
-            tot = sum(tips)
-            opts = np.stack([D[c][:-1] + (tot - tips[i]) for i, c in enumerate(cs)])
-            K[v] = np.argmin(opts, axis=0)
-            D[v] = np.min(opts, axis=0)
-    return D, K
+# Rectangles of a wave with at least this many states are filled with row and
+# column slices; the smaller ones of a wave are concatenated into one flat
+# index batch. Slices alone cost one batch per rectangle on small trees; flat
+# batches alone need several index arrays per state on large ones. A batch
+# evaluates all its options at once, in pieces of about _CHUNK_VALUES values.
+_SLICE_STATES = 2048
+_CHUNK_VALUES = 1 << 18
 
 
-def _free_tables(s1: _Side, s2: _Side, metric: BaseMetric, squared: bool):
-    D1, KD1 = _delete_tables(s1, metric, squared)
-    D2, KD2 = _delete_tables(s2, metric, squared)
-    n1, n2 = len(s1.tree), len(s2.tree)
-    T = [[None] * n2 for _ in range(n1)]
-    K = [[None] * n2 for _ in range(n1)]
-    for v in s1.post:
-        v_leaf = s1.is_leaf[v]
-        cs = s1.children[v]
-        la1 = s1.anc_low[v]
-        h1 = float(s1.values[v])
-        if not v_leaf:
-            dtip = [D1[c][-1] for c in cs]
-            dtot = sum(dtip)
-        for w in s2.post:
-            w_leaf = s2.is_leaf[w]
-            ds = s2.children[w]
-            la2 = s2.anc_low[w]
-            h2 = float(s2.values[w])
-            if v_leaf and w_leaf:
-                G = metric.pair_grid(la1, h1, la2, h2)
-                if squared:
-                    G = G * G
-                T[v][w] = G
-                continue
-            if not w_leaf:
-                itip = [D2[d][-1] for d in ds]
-                itot = sum(itip)
-            opts = []
-            if v_leaf:
-                for j, d in enumerate(ds):
-                    opts.append(T[v][d][:, :-1] + (itot - itip[j]))
-            elif w_leaf:
-                for i, c in enumerate(cs):
-                    opts.append(T[c][w][:-1, :] + (dtot - dtip[i]))
+def _code_dtype(count):
+    """Smallest unsigned dtype holding the option codes ``0..count-1``."""
+    return np.min_scalar_type(max(count - 1, 0))
+
+
+def _first_min(options, codes):
+    """Minimum over the leading axis and the code of the first option reaching it."""
+    return options.min(axis=0), codes[options.argmin(axis=0)]
+
+
+class _Flat:
+    """Flat state layout of one tree and its delete table.
+
+    Nodes are numbered in (height, id) order -- ``order[k]`` is the k-th and
+    ``first[h]`` the first of height h -- so the states of one height form
+    the contiguous rows ``rows[h]:rows[h + 1]``; row ``S`` is a +inf pad
+    standing in for missing child slots. ``slot[s, r]`` maps state (v, i) to
+    (s-th child of v, i), the child's table without its last ancestor, and
+    ``cost[s, r]`` is the price of deleting v's other children whole. When v
+    is a binary saddle, ``other[s, r]`` is the tip row of the child not in
+    slot s and ``odel[s, r]`` its deletion cost. ``D[r]`` is the cheapest
+    deletion of the subtree of state r and ``KD[r]`` the child slot its
+    branch continues through.
+    """
+
+    __slots__ = (
+        "children", "values", "entry", "S", "H", "order", "first", "rows", "dmax", "degmax",
+        "off", "last", "ancrow", "lows", "highs", "slot", "cost", "other", "odel", "D", "KD",
+    )
+
+    def __init__(self, side: _Side, metric: BaseMetric, squared: bool):
+        self.children = children = side.children
+        self.values = values = side.values
+        self.entry = side.entry
+        post, depth = side.post, side.depth
+        n = len(values)
+        height = [0] * n
+        for v in post:
+            cs = children[v]
+            if cs:
+                height[v] = 1 + max([height[c] for c in cs])
+        self.H = H = height[side.entry]
+        self.order = order = sorted(post, key=lambda v: (height[v], v))
+        off = [0] * n
+        rows = [0] * (H + 2)
+        first = [0] * (H + 2)
+        dmax = [0] * (H + 1)
+        S = 0
+        for k, v in enumerate(order):
+            h = height[v]
+            if not first[h + 1]:
+                rows[h], first[h] = S, k
+            off[v] = S
+            S += depth[v]
+            rows[h + 1], first[h + 1] = S, k + 1
+            dmax[h] = max(dmax[h], len(children[v]))
+        self.S, self.rows, self.first, self.dmax = S, rows, first, dmax
+        self.degmax = degmax = max(dmax)
+        self.off = off
+        self.last = last = [d - 1 for d in depth]
+        # per node, by layout position: the tip row of every child slot
+        # (S + 1, a zero delete cost, if none), the shift from a state to the
+        # child's state of the same start (S if none, clipped to the pad row),
+        # and for binary saddles the other child's tip row (S if none)
+        ctip = [[S + 1] * len(order) for _ in range(degmax)]
+        shift = [[S] * len(order) for _ in range(degmax)]
+        other = [[S] * len(order) for _ in range(2)]
+        for k, v in enumerate(order):
+            cs = children[v]
+            for s, c in enumerate(cs):
+                ctip[s][k] = off[c] + last[c]
+                shift[s][k] = off[c] - off[v]
+            if len(cs) == 2:
+                other[0][k], other[1][k] = ctip[1][k], ctip[0][k]
+        layout = np.array(
+            [order, [depth[v] for v in order]] + ctip + shift + other, dtype=np.int64
+        )
+        ctip = layout[2:2 + degmax]
+        rowl = np.arange(len(order)).repeat(layout[1])  # layout position of every row
+
+        ancrow = np.empty(S, dtype=np.int64)  # start node of every row
+        parent = side.tree.parent
+        for v in reversed(post):
+            o, k = off[v], depth[v] - 1
+            p = int(parent[v])
+            if k:
+                ancrow[o:o + k] = ancrow[off[p]:off[p] + k]
+            ancrow[o + k] = p
+        self.ancrow = ancrow
+        # leaf states: the inputs of the delete table and of the pair table's wave 0
+        self.lows = values[ancrow[:rows[1]]]
+        self.highs = values[layout[0].take(rowl[:rows[1]])]
+        self.slot = slot = np.empty((degmax, S + 1), dtype=np.int64)
+        slot[:, S] = S
+        shift = layout[2 + degmax:2 + 2 * degmax].take(rowl, axis=1)
+        np.minimum(np.arange(S) + shift, S, out=slot[:, :S])
+
+        # delete table, one height at a time
+        D = np.empty(S + 2)
+        D[S:] = np.inf, 0.0
+        d = metric.deletion_vec(self.lows, self.highs)
+        D[:rows[1]] = d * d if squared else d
+        cost = np.zeros((degmax, S + 1))
+        KD = np.zeros(S, dtype=_code_dtype(degmax))
+        for h in range(1, H + 1):
+            a, b = rows[h], rows[h + 1]
+            dm = dmax[h]
+            z = D[ctip[:dm, first[h]:first[h + 1]]]
+            tot = z[0].copy()
+            for s in range(1, dm):
+                tot += z[s]
+            cost[:dm, a:b] = (tot - z).take(rowl[a:b] - first[h], axis=1)
+            X = D[slot[:dm, a:b]] + cost[:dm, a:b]
+            D[a:b] = X.min(axis=0)
+            KD[a:b] = X.argmin(axis=0)
+        self.D, self.KD, self.cost = D, KD, cost
+        self.other = layout[2 + 2 * degmax:].take(rowl, axis=1)
+        self.odel = D[self.other]
+
+    def branch(self, v, i):
+        start = int(self.ancrow[self.off[v] + i])
+        return Branch(start, v, float(self.values[start]), float(self.values[v]))
+
+    def tips(self, nodes):
+        return [self.off[c] + self.last[c] for c in nodes]
+
+
+def _sides(f1: _Flat, f2: _Flat, T, r, c, sc, sd):
+    """``side[i, j, ...]``: cost of matching the children of the state rows
+    ``r`` other than slot i against those of the state columns ``c`` other
+    than slot j, unmatched ones deleted or inserted whole.
+
+    ``r`` and ``c`` index arrays broadcast against each other. For two binary
+    saddles the cost is min(match, delete + insert), exactly what
+    ``min_cost_matching`` returns for a 1x1 instance; wider saddles are
+    filled in by :func:`_wide_sides`.
+    """
+    o1, o2 = f1.other.take(r, axis=1)[:, None], f2.other.take(c, axis=1)[None]
+    binary = np.minimum(
+        T.take(o1 * T.shape[1] + o2),
+        f1.odel.take(r, axis=1)[:, None] + f2.odel.take(c, axis=1)[None],
+    )
+    if sc <= 2 and sd <= 2:
+        return binary
+    side = np.full((sc, sd) + binary.shape[2:], np.inf)
+    side[:2, :2] = binary
+    return side
+
+
+def _wide_sides(f1: _Flat, f2: _Flat, T, h1, h2):
+    """Matching costs of the node pairs of heights (h1, h2) that involve a
+    saddle of degree 3 or more, from ``min_cost_matching``: a list of
+    ``(rows, cols, side)`` with the node pair's row and column ranges."""
+    out = []
+    inner = [w for w in f2.order[f2.first[h2]:f2.first[h2 + 1]] if len(f2.children[w]) > 1]
+    wide = [w for w in inner if len(f2.children[w]) > 2]
+    for v in f1.order[f1.first[h1]:f1.first[h1 + 1]]:
+        cs = f1.children[v]
+        if len(cs) < 2:
+            continue
+        t1 = f1.tips(cs)
+        dels = f1.D[t1].tolist()
+        for w in inner if len(cs) > 2 else wide:
+            ds = f2.children[w]
+            t2 = f2.tips(ds)
+            P = T[np.ix_(t1, t2)].tolist()
+            inss = f2.D[t2].tolist()
+            side = np.empty((len(cs), len(ds)))
+            for i in range(len(cs)):
+                rest = P[:i] + P[i + 1:]
+                rest_dels = dels[:i] + dels[i + 1:]
+                for j in range(len(ds)):
+                    side[i, j] = _assignment(
+                        [r[:j] + r[j + 1:] for r in rest], rest_dels, inss[:j] + inss[j + 1:]
+                    )[0]
+            rows = (f1.off[v], f1.off[v] + f1.last[v] + 1)
+            cols = (f2.off[w], f2.off[w] + f2.last[w] + 1)
+            out.append((rows, cols, side))
+    return out
+
+
+def _codes(NC, ND, sc, sd, dtype):
+    """Codes of the options in their fixed order: tree-1 slots, tree-2 slots,
+    then matched slot pairs."""
+    return np.array(
+        list(range(sc))
+        + [NC + j for j in range(sd)]
+        + [NC + ND + i * ND + j for i in range(sc) for j in range(sd)],
+        dtype=dtype,
+    )
+
+
+def _fill_slices(f1, f2, T, K, h1, h2):
+    """Fill the rectangle of heights (h1, h2) in row chunks."""
+    a, b = f1.rows[h1], f1.rows[h1 + 1]
+    c, d = f2.rows[h2], f2.rows[h2 + 1]
+    sc, sd = f1.dmax[h1], f2.dmax[h2]
+    codes = _codes(f1.degmax, f2.degmax, sc, sd, K.dtype)
+    wide = _wide_sides(f1, f2, T, h1, h2) if sc > 2 or sd > 2 else []
+    s1, s2 = f1.slot[:sc], f2.slot[:sd]
+    step = max(1, _CHUNK_VALUES // ((d - c) * len(codes)))
+    for r0 in range(a, b, step):
+        r1 = min(b, r0 + step)
+        X = np.empty((len(codes), r1 - r0, d - c))
+        X[:sc] = T[s1[:, r0:r1], c:d]
+        X[:sc] += f1.cost[:sc, r0:r1, None]
+        np.add(T[r0:r1, s2[:, c:d]].transpose(1, 0, 2), f2.cost[:sd, None, c:d], out=X[sc:sc + sd])
+        if sc and sd:
+            side = _sides(f1, f2, T, np.arange(r0, r1)[:, None], np.arange(c, d)[None], sc, sd)
+            for (ra, rb), (ca, cb), val in wide:
+                lo, hi = max(ra, r0), min(rb, r1)
+                if lo < hi:
+                    side[:val.shape[0], :val.shape[1], lo - r0:hi - r0, ca - c:cb - c] = val[..., None, None]
+            M = X[sc + sd:].reshape(sc, sd, r1 - r0, d - c)
+            M[...] = T.take(s1[:, None, r0:r1, None] * T.shape[1] + s2[None, :, None, c:d])
+            M += side
+        T[r0:r1, c:d], K[r0:r1, c:d] = _first_min(X, codes)
+
+
+def _fill_flat(f1, f2, T, K, rects):
+    """Fill the small rectangles ``rects`` of one wave as one flat batch."""
+    r1, r2 = f1.rows, f2.rows
+    corners, counts = [], []  # first row, first column, width, first batch position
+    n = 0
+    for h1, h2 in rects:
+        width = r2[h2 + 1] - r2[h2]
+        corners.append((r1[h1], r2[h2], width, n))
+        counts.append((r1[h1 + 1] - r1[h1]) * width)
+        n += counts[-1]
+    a, c, width, start = np.array(corners).T.repeat(counts, axis=1)
+    i, j = np.divmod(np.arange(n) - start, width)
+    rr, cc = a + i, c + j
+    sc = max(f1.dmax[h1] for h1, _ in rects)
+    sd = max(f2.dmax[h2] for _, h2 in rects)
+    codes = _codes(f1.degmax, f2.degmax, sc, sd, K.dtype)
+    if not any(h1 and h2 for h1, h2 in rects):
+        codes = codes[:sc + sd]  # a leaf on one side everywhere: nothing to match
+    # T and K are indexed through their flat views, T.ravel()[r * ncols + c]
+    # being T[r, c]: one flat index array is faster than a pair of them
+    ncols = T.shape[1]
+    s1 = f1.slot[:sc].take(rr, axis=1) * ncols
+    s2 = f2.slot[:sd].take(cc, axis=1)
+    at = rr * ncols + cc
+    X = np.empty((len(codes), len(rr)))
+    X[:sc] = T.take(s1 + cc)
+    X[:sc] += f1.cost[:sc].take(rr, axis=1)
+    X[sc:sc + sd] = T.take(at - cc + s2)
+    X[sc:sc + sd] += f2.cost[:sd].take(cc, axis=1)
+    if len(codes) > sc + sd:
+        side = _sides(f1, f2, T, rr, cc, sc, sd)
+        if sc > 2 or sd > 2:
+            for (h1, h2), (ra, ca, w, s0) in zip(rects, corners):
+                for (va, vb), (wa, wb), val in _wide_sides(f1, f2, T, h1, h2):
+                    pos = s0 + (np.arange(va, vb)[:, None] - ra) * w + np.arange(wa - ca, wb - ca)
+                    side[:val.shape[0], :val.shape[1], pos] = val[..., None, None]
+        M = X[sc + sd:].reshape(sc, sd, len(rr))
+        M[...] = T.take(s1[:, None] + s2[None])
+        M += side
+    T.ravel()[at], K.ravel()[at] = _first_min(X, codes)
+
+
+def _pair_table(f1: _Flat, f2: _Flat, metric: BaseMetric, squared: bool):
+    """T[r1, r2]: cheapest mapping between the subtrees of two states.
+
+    K holds the winning option's code: ``s < NC`` continues tree 1's branch
+    through child slot s, ``NC + s`` tree 2's, and ``NC + ND + i * ND + j``
+    continues both through slots (i, j) and matches the remaining children,
+    where NC and ND are the trees' largest saddle degrees.
+    """
+    S1, S2 = f1.S, f2.S
+    NC, ND = f1.degmax, f2.degmax
+    T = np.empty((S1 + 1, S2 + 1))
+    T[S1, :] = np.inf
+    T[:, S2] = np.inf
+    K = np.zeros((S1 + 1, S2 + 1), dtype=_code_dtype(NC + ND + NC * ND))
+    # wave 0: leaf states against leaf states
+    r1, r2 = f1.rows, f2.rows
+    step = max(1, _CHUNK_VALUES // r2[1])
+    for r0 in range(0, r1[1], step):
+        rs = slice(r0, min(r1[1], r0 + step))
+        G = metric.pair_grid(f1.lows[rs], f1.highs[rs, None], f2.lows, f2.highs)
+        T[rs, :r2[1]] = G * G if squared else G
+    for t in range(1, f1.H + f2.H + 1):
+        small = []
+        for h1 in range(max(0, t - f2.H), min(f1.H, t) + 1):
+            h2 = t - h1
+            if (r1[h1 + 1] - r1[h1]) * (r2[h2 + 1] - r2[h2]) >= _SLICE_STATES:
+                _fill_slices(f1, f2, T, K, h1, h2)
             else:
-                for i, c in enumerate(cs):
-                    opts.append(T[c][w][:-1, :] + (dtot - dtip[i]))
-                for j, d in enumerate(ds):
-                    opts.append(T[v][d][:, :-1] + (itot - itip[j]))
-                for i, c in enumerate(cs):
-                    rest_c = [x for x in cs if x != c]
-                    for j, d in enumerate(ds):
-                        rest_d = [y for y in ds if y != d]
-                        P = [[T[cc][dd][-1, -1] for dd in rest_d] for cc in rest_c]
-                        side_cost, _ = _assignment(
-                            P, [D1[cc][-1] for cc in rest_c], [D2[dd][-1] for dd in rest_d]
-                        )
-                        opts.append(T[c][d][:-1, :-1] + side_cost)
-            stack = np.stack(opts)
-            K[v][w] = np.argmin(stack, axis=0)
-            T[v][w] = np.min(stack, axis=0)
-    return T, K, D1, KD1, D2, KD2
+                small.append((h1, h2))
+        if small:
+            _fill_flat(f1, f2, T, K, small)
+    return T, K
 
 
-def _free_reconstruct(s1, s2, T, K, D1, KD1, D2, KD2, metric):
-    pairs = []
-    pair_costs = []
-    deletions = []
-    insertions = []
+def _walk(f1: _Flat, f2: _Flat | None, T, K, metric: BaseMetric, start):
+    """Pairs, pair costs, deletions and insertions of an optimal mapping.
 
-    def emit_del(v, pi):
-        if s1.is_leaf[v]:
-            start = int(s1.anc[v][pi])
-            deletions.append(Branch(start, v, float(s1.values[start]), float(s1.values[v])))
-            return
-        cs = s1.children[v]
-        k = int(KD1[v][pi])
-        emit_del(cs[k], pi)
-        for i, c in enumerate(cs):
-            if i != k:
-                emit_del(c, len(s1.anc[c]) - 1)
-
-    def emit_ins(w, pj):
-        if s2.is_leaf[w]:
-            start = int(s2.anc[w][pj])
-            insertions.append(Branch(start, w, float(s2.values[start]), float(s2.values[w])))
-            return
-        ds = s2.children[w]
-        k = int(KD2[w][pj])
-        emit_ins(ds[k], pj)
-        for j, d in enumerate(ds):
-            if j != k:
-                emit_ins(d, len(s2.anc[d]) - 1)
-
-    def walk(v, pi, w, pj):
-        v_leaf = s1.is_leaf[v]
-        w_leaf = s2.is_leaf[w]
-        if v_leaf and w_leaf:
-            sa = int(s1.anc[v][pi])
-            sb = int(s2.anc[w][pj])
-            a = Branch(sa, v, float(s1.values[sa]), float(s1.values[v]))
-            b = Branch(sb, w, float(s2.values[sb]), float(s2.values[w]))
+    One explicit stack of work items: ``(v, i, w, j)`` maps the subtrees of
+    the states (v, i) and (w, j); ``(0, v, i)`` deletes tree 1's subtree of
+    state (v, i) and ``(1, w, j)`` inserts tree 2's. ``f2``, ``T`` and ``K``
+    are None for a one-sided mapping. Matched siblings are pushed in
+    reverse, so pairs come out in the order of the recursive definition.
+    """
+    flats = (f1, f2)
+    pairs, pair_costs = [], []
+    out = ([], [])
+    stack = [start]
+    while stack:
+        item = stack.pop()
+        if len(item) == 3:
+            k, v, p = item
+            f = flats[k]
+            cs = f.children[v]
+            if not cs:
+                out[k].append(f.branch(v, p))
+                continue
+            keep = int(f.KD[f.off[v] + p])
+            for x, c in enumerate(cs):
+                stack.append((k, c, p if x == keep else f.last[c]))
+            continue
+        v, pi, w, pj = item
+        cs, ds = f1.children[v], f2.children[w]
+        if not cs and not ds:
+            a, b = f1.branch(v, pi), f2.branch(w, pj)
             pairs.append((a, b))
             pair_costs.append(metric.pair(a.low, a.high, b.low, b.high))
-            return
-        k = int(K[v][w][pi, pj])
-        cs = s1.children[v]
-        ds = s2.children[w]
-        if v_leaf:
-            d = ds[k]
-            for j, dd in enumerate(ds):
-                if j != k:
-                    emit_ins(dd, len(s2.anc[dd]) - 1)
-            walk(v, pi, d, pj)
-            return
-        if w_leaf:
-            c = cs[k]
-            for i, cc in enumerate(cs):
-                if i != k:
-                    emit_del(cc, len(s1.anc[cc]) - 1)
-            walk(c, pi, w, pj)
-            return
-        nc, nd = len(cs), len(ds)
-        if k < nc:
-            c = cs[k]
-            for i, cc in enumerate(cs):
-                if i != k:
-                    emit_del(cc, len(s1.anc[cc]) - 1)
-            walk(c, pi, w, pj)
-            return
-        if k < nc + nd:
-            d = ds[k - nc]
-            for j, dd in enumerate(ds):
-                if j != k - nc:
-                    emit_ins(dd, len(s2.anc[dd]) - 1)
-            walk(v, pi, d, pj)
-            return
-        k -= nc + nd
-        i, j = divmod(k, nd)
-        c, d = cs[i], ds[j]
-        rest_c = [x for x in cs if x != c]
-        rest_d = [y for y in ds if y != d]
-        P = [[T[cc][dd][-1, -1] for dd in rest_d] for cc in rest_c]
+            continue
+        NC, ND = f1.degmax, f2.degmax
+        code = int(K[f1.off[v] + pi, f2.off[w] + pj])
+        if code < NC:
+            for x, c in enumerate(cs):
+                if x != code:
+                    stack.append((0, c, f1.last[c]))
+            stack.append((cs[code], pi, w, pj))
+            continue
+        if code < NC + ND:
+            code -= NC
+            for y, d in enumerate(ds):
+                if y != code:
+                    stack.append((1, d, f2.last[d]))
+            stack.append((v, pi, ds[code], pj))
+            continue
+        i, j = divmod(code - NC - ND, ND)
+        rest_c = cs[:i] + cs[i + 1:]
+        rest_d = ds[:j] + ds[j + 1:]
+        t1, t2 = f1.tips(rest_c), f2.tips(rest_d)
         _, matched = _assignment(
-            P,
-            [D1[cc][-1] for cc in rest_c],
-            [D2[dd][-1] for dd in rest_d],
+            [[T[a, b] for b in t2] for a in t1],
+            [f1.D[a] for a in t1],
+            [f2.D[b] for b in t2],
             want_pairs=True,
         )
-        hit_c = set()
-        hit_d = set()
-        for ii, jj in matched:
-            hit_c.add(ii)
-            hit_d.add(jj)
-            walk(rest_c[ii], len(s1.anc[rest_c[ii]]) - 1, rest_d[jj], len(s2.anc[rest_d[jj]]) - 1)
-        for ii, cc in enumerate(rest_c):
+        hit_c = {ii for ii, _ in matched}
+        hit_d = {jj for _, jj in matched}
+        for ii, c in enumerate(rest_c):
             if ii not in hit_c:
-                emit_del(cc, len(s1.anc[cc]) - 1)
-        for jj, dd in enumerate(rest_d):
+                stack.append((0, c, f1.last[c]))
+        for jj, d in enumerate(rest_d):
             if jj not in hit_d:
-                emit_ins(dd, len(s2.anc[dd]) - 1)
-        walk(c, pi, d, pj)
-
-    walk(s1.entry, 0, s2.entry, 0)
-    return pairs, pair_costs, deletions, insertions
+                stack.append((1, d, f2.last[d]))
+        stack.append((cs[i], pi, ds[j], pj))
+        for ii, jj in reversed(matched):
+            c, d = rest_c[ii], rest_d[jj]
+            stack.append((c, f1.last[c], d, f2.last[d]))
+    return pairs, pair_costs, out[0], out[1]
 
 
 # ---------------------------------------------------------------------------
@@ -521,26 +721,12 @@ def _one_sided(tree, metric, mode, squared, deleting, fixed_dec=None):
         )
         dec = fixed_dec
     else:
-        D, KD = _delete_tables(side, metric, squared)
-        total = float(D[side.entry][0])
-        out = []
-
-        def emit(v, pi):
-            if side.is_leaf[v]:
-                start = int(side.anc[v][pi])
-                out.append(Branch(start, v, float(side.values[start]), float(side.values[v])))
-                return
-            cs = side.children[v]
-            k = int(KD[v][pi])
-            emit(cs[k], pi)
-            for i, c in enumerate(cs):
-                if i != k:
-                    emit(c, len(side.anc[c]) - 1)
-
-        emit(side.entry, 0)
+        flat = _Flat(side, metric, squared)
+        total = float(flat.D[flat.off[side.entry]])
+        _, _, out, _ = _walk(flat, None, None, None, metric, (0, side.entry, 0))
         dec = BranchDecomposition.from_branches(tree, out)
         branches = dec.branches
-    null_keys = sum(len(side.anc[v]) for v in side.post)
+    null_keys = sum(side.depth)
     stats = MemoStats(keys=0, null_keys=null_keys, bound=0)
     distance = finalize(total, mode)
     branches = tuple(sorted(branches))
@@ -566,17 +752,16 @@ def _distance_free(tree1, tree2, metric, mode, squared):
         return _one_sided(tree1, metric, mode, squared, deleting=True)
     if tree1 is None:
         return _one_sided(tree2, metric, mode, squared, deleting=False)
-    s1 = _Side(require_valid(tree1))
-    s2 = _Side(require_valid(tree2))
-    T, K, D1, KD1, D2, KD2 = _free_tables(s1, s2, metric, squared)
-    total = float(T[s1.entry][s2.entry][0, 0])
-    pairs, pair_costs, dels, inss = _free_reconstruct(
-        s1, s2, T, K, D1, KD1, D2, KD2, metric
-    )
+    f1 = _Flat(_Side(require_valid(tree1)), metric, squared)
+    f2 = _Flat(_Side(require_valid(tree2)), metric, squared)
+    T, K = _pair_table(f1, f2, metric, squared)
+    e1, e2 = f1.entry, f2.entry
+    total = float(T[f1.off[e1], f2.off[e2]])
+    pairs, pair_costs, dels, inss = _walk(f1, f2, T, K, metric, (e1, 0, e2, 0))
     dec1 = BranchDecomposition.from_branches(tree1, [a for a, _ in pairs] + dels)
     dec2 = BranchDecomposition.from_branches(tree2, [b for _, b in pairs] + inss)
-    keys = sum(len(s1.anc[v]) for v in s1.post) * sum(len(s2.anc[w]) for w in s2.post)
-    null_keys = sum(len(s1.anc[v]) for v in s1.post) + sum(len(s2.anc[w]) for w in s2.post)
+    keys = f1.S * f2.S
+    null_keys = f1.S + f2.S
     bound = len(tree1) * tree1.depth * len(tree2) * tree2.depth
     stats = MemoStats(keys=keys, null_keys=null_keys, bound=bound)
     distance = finalize(total, mode)

@@ -50,26 +50,31 @@ def min_cost_matching(P, dels, inss, want_pairs=False):
 
 def brute_force_matching(P, dels, inss):
     """Exhaustive reference over all injective partial matchings."""
-    r, s = len(dels), len(inss)
     best = [math.inf, []]
-
-    def rec(i, used, acc, chosen):
-        if acc >= best[0]:
-            return
-        if i == r:
-            total = acc + sum(inss[j] for j in range(s) if j not in used)
-            if total < best[0]:
-                best[0] = total
-                best[1] = list(chosen)
-            return
-        rec(i + 1, used, acc + dels[i], chosen)
-        for j in range(s):
-            if j not in used:
-                used.add(j)
-                chosen.append((i, j))
-                rec(i + 1, used, acc + P[i][j], chosen)
-                chosen.pop()
-                used.remove(j)
-
-    rec(0, set(), 0.0, [])
+    _search(P, dels, inss, 0, set(), 0.0, [], best)
     return float(best[0]), best[1]
+
+
+def _search(P, dels, inss, i, used, acc, chosen, best):
+    """Depth-first step of :func:`brute_force_matching` at row ``i``.
+
+    Row i first stays unmatched, then takes each free column in turn;
+    branches already as expensive as ``best[0]`` are cut. ``best`` holds the
+    cheapest total found so far and its pairs.
+    """
+    if acc >= best[0]:
+        return
+    if i == len(dels):
+        total = acc + sum(inss[j] for j in range(len(inss)) if j not in used)
+        if total < best[0]:
+            best[0] = total
+            best[1] = list(chosen)
+        return
+    _search(P, dels, inss, i + 1, used, acc + dels[i], chosen, best)
+    for j in range(len(inss)):
+        if j not in used:
+            used.add(j)
+            chosen.append((i, j))
+            _search(P, dels, inss, i + 1, used, acc + P[i][j], chosen, best)
+            chosen.pop()
+            used.remove(j)

@@ -111,10 +111,13 @@ def compute_matrix(
     if jobs is None:
         jobs = os.cpu_count() or 1
     if jobs > 1 and len(pairs) > 1:
+        # about four tasks per worker, so that one slow task cannot hold most of the work
+        tasks = 4 * jobs
+        chunksize = (len(pairs) + tasks - 1) // tasks
         with concurrent.futures.ProcessPoolExecutor(
             max_workers=jobs, initializer=_init_worker, initargs=(trees, opts)
         ) as pool:
-            for i, j, d in pool.map(_pair_worker, pairs, chunksize=64):
+            for i, j, d in pool.map(_pair_worker, pairs, chunksize=chunksize):
                 values[i, j] = values[j, i] = d
     else:
         for i, j in pairs:

@@ -65,7 +65,10 @@ class BaseMetric:
         """Costs for one branch-end pair over all start combinations.
 
         ``a_lows``/``b_lows`` are 1-d arrays of candidate start values; the
-        result has shape ``(len(a_lows), len(b_lows))``.
+        result has shape ``(len(a_lows), len(b_lows))``. The leaf values
+        ``a_high``/``b_high`` are scalars, or arrays of shape
+        ``(len(a_lows), 1)`` and ``(len(b_lows),)`` giving each start its own
+        branch end.
         """
         al = np.asarray(a_lows, dtype=np.float64)[:, None]
         bl = np.asarray(b_lows, dtype=np.float64)[None, :]

@@ -1,3 +1,4 @@
+import gc
 import json
 
 import numpy as np
@@ -15,7 +16,7 @@ from mtdist import (
 )
 from mtdist.mapping import BranchMapping
 from mtdist.metrics import BaseMetric, aggregate
-from conftest import nested_tree, random_merge_tree
+from conftest import grow_merge_tree, nested_tree, random_merge_tree
 
 BP = BaseMetric("birth-persistence")
 PERS = BaseMetric("persistence")
@@ -83,6 +84,42 @@ class TestDeleteTree:
             for dec in enumerate_branch_decompositions(t):
                 total = sum(b.persistence for b in dec.branches)
                 assert total == pytest.approx(want, abs=1e-9)
+
+    def test_deep_caterpillar(self):
+        # root, a spine of 1500 saddles with one leaf each, two leaves at the
+        # bottom: 3002 nodes, depth 1501, deeper than the recursion limit
+        values, parent = [0.0], [-1]
+        spine = 0
+        for k in range(1500):
+            values += [1.0 + k, 5000.0 + k]
+            parent += [spine, len(values) - 2]
+            spine = len(values) - 2
+        values.append(9000.0)
+        parent.append(spine)
+        tree = MergeTree(values, parent)
+        assert (len(tree), tree.depth) == (3002, 1501)
+        edges = sum(values[v] - values[parent[v]] for v in range(1, len(values)))
+        assert delete_tree_cost(tree, PERS, "sum") == pytest.approx(edges)
+        d, mapping = branch_mapping_distance(None, tree, PERS, "l2")
+        assert validate_branch_mapping(mapping).ok
+        assert len(mapping.insertions) == len(tree.leaves)
+        assert d == pytest.approx(np.sqrt(sum(b.persistence ** 2 for b in mapping.insertions)))
+
+
+class TestReferenceCycles:
+    def test_free_call_leaves_no_garbage(self):
+        rng = np.random.default_rng(3)
+        t1 = grow_merge_tree(rng, 60, extra_child_prob=0.3)
+        t2 = grow_merge_tree(rng, 60, extra_child_prob=0.3)
+        assert max(map(len, t1.children)) >= 3 and max(map(len, t2.children)) >= 3
+        gc.collect()
+        gc.disable()
+        try:
+            branch_mapping_distance(t1, t2, BaseMetric("euclidean"), "l2")
+            branch_mapping_distance(t1, None, BaseMetric("euclidean"), "l2")
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestValidate:
