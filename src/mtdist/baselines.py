@@ -15,6 +15,7 @@ and support the sum and root-of-squared-sum aggregation modes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 from .branches import build_bdt, elder_rule_decomposition
 from .errors import PreconditionError
@@ -86,15 +87,20 @@ def _costs(metric: BaseMetric, squared: bool):
     return pair, null
 
 
+def _postorder(root, kids):
+    """Nodes reachable from ``root``, every child before its parent."""
+    order = [root]
+    for v in order:
+        order.extend(kids[v])
+    order.reverse()
+    return order
+
+
 def _subtree_null(t: LabeledTree, null):
     kids = t.children
     out = [0.0] * len(t)
-
-    def rec(v):
-        out[v] = null(t.labels[v]) + sum(rec(c) for c in kids[v])
-        return out[v]
-
-    rec(t.root)
+    for v in _postorder(t.root, kids):
+        out[v] = null(t.labels[v]) + sum(out[c] for c in kids[v])
     return out
 
 
@@ -103,25 +109,30 @@ def one_degree_distance(
 ) -> float:
     """Unordered one-degree edit distance: roots are matched, and each child
     subtree is either matched to a child subtree of the partner node or
-    deleted/inserted as a whole."""
+    deleted/inserted as a whole.
+
+    The recurrence needs the root pair and, recursively, every pair of
+    children of a needed pair; no other pair. These are listed from the root
+    pair outward and evaluated in reverse, so every child pair is done
+    before its parent pair.
+    """
     squared = mode == "l2"
     pair, null = _costs(metric, squared)
     sub1 = _subtree_null(t1, null)
     sub2 = _subtree_null(t2, null)
     kids1, kids2 = t1.children, t2.children
-    memo: dict[tuple[int, int], float] = {}
-
-    def dist(i, j):
-        key = (i, j)
-        if key in memo:
-            return memo[key]
+    reached = [(t1.root, t2.root)]
+    for i, j in reached:
+        reached.extend(product(kids1[i], kids2[j]))
+    dist: dict[tuple[int, int], float] = {}
+    for key in reversed(reached):
+        i, j = key
         ca, cb = kids1[i], kids2[j]
-        P = [[dist(c, d) for d in cb] for c in ca]
+        P = [[dist[c, d] for d in cb] for c in ca]
         side, _ = min_cost_matching(P, [sub1[c] for c in ca], [sub2[d] for d in cb])
-        memo[key] = pair(t1.labels[i], t2.labels[j]) + side
-        return memo[key]
+        dist[key] = pair(t1.labels[i], t2.labels[j]) + side
 
-    return finalize(dist(t1.root, t2.root), mode)
+    return finalize(dist[t1.root, t2.root], mode)
 
 
 def constrained_edit_distance(
@@ -129,41 +140,42 @@ def constrained_edit_distance(
 ) -> float:
     """Constrained edit distance: disjoint subtrees map to disjoint subtrees.
 
-    Per node pair the recursion takes the best of relabel-and-match-children
+    Per node pair the recurrence takes the best of relabel-and-match-children
     (a min-cost matching over child subtrees), deleting the first tree's
     root (one child subtree carries on, the siblings are deleted), and the
-    symmetric root insertion.
+    symmetric root insertion. Every node pair is needed; the table is filled
+    bottom-up over both post-orders, so each pair's children pairs, and the
+    pairs of each node with the other node's children, are done first.
     """
     squared = mode == "l2"
     pair, null = _costs(metric, squared)
     sub1 = _subtree_null(t1, null)
     sub2 = _subtree_null(t2, null)
     kids1, kids2 = t1.children, t2.children
-    memo: dict[tuple[int, int], float] = {}
+    post2 = _postorder(t2.root, kids2)
+    dist = [[0.0] * len(t2) for _ in range(len(t1))]
+    for i in _postorder(t1.root, kids1):
+        ca = kids1[i]
+        row = dist[i]
+        for j in post2:
+            cb = kids2[j]
+            P = [[dist[c][d] for d in cb] for c in ca]
+            side, _ = min_cost_matching(P, [sub1[c] for c in ca], [sub2[d] for d in cb])
+            best = pair(t1.labels[i], t2.labels[j]) + side
+            if ca:
+                del_rest = sum(sub1[c] for c in ca)
+                best = min(
+                    best,
+                    null(t1.labels[i])
+                    + min(dist[c][j] + del_rest - sub1[c] for c in ca),
+                )
+            if cb:
+                ins_rest = sum(sub2[d] for d in cb)
+                best = min(
+                    best,
+                    null(t2.labels[j])
+                    + min(row[d] + ins_rest - sub2[d] for d in cb),
+                )
+            row[j] = best
 
-    def dist(i, j):
-        key = (i, j)
-        if key in memo:
-            return memo[key]
-        ca, cb = kids1[i], kids2[j]
-        P = [[dist(c, d) for d in cb] for c in ca]
-        side, _ = min_cost_matching(P, [sub1[c] for c in ca], [sub2[d] for d in cb])
-        best = pair(t1.labels[i], t2.labels[j]) + side
-        if ca:
-            del_rest = sum(sub1[c] for c in ca)
-            best = min(
-                best,
-                null(t1.labels[i])
-                + min(dist(c, j) + del_rest - sub1[c] for c in ca),
-            )
-        if cb:
-            ins_rest = sum(sub2[d] for d in cb)
-            best = min(
-                best,
-                null(t2.labels[j])
-                + min(dist(i, d) + ins_rest - sub2[d] for d in cb),
-            )
-        memo[key] = best
-        return best
-
-    return finalize(dist(t1.root, t2.root), mode)
+    return finalize(dist[t1.root][t2.root], mode)

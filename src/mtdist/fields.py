@@ -11,6 +11,7 @@ child-above-parent inequality holds even on plateaus.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -216,63 +217,75 @@ def simplify(tree: MergeTree, threshold: float) -> MergeTree:
     is below the threshold, never removing the saddle's highest-reaching
     child (elder tie-breaking: the smallest node-id survives). Saddles left
     with a single child are spliced out. The result is a valid tree whose
-    non-main elder branches all have persistence >= threshold.
+    non-main elder branches all have persistence >= threshold; surviving
+    nodes keep their relative id order.
+
+    The greedy is event-driven. ``submax(v)``, the highest leaf value below
+    ``v``, never changes: only non-preferred leaves are removed, so every
+    saddle keeps its highest-reaching child, and a spliced saddle's only
+    child has the saddle's ``submax``. It is computed once, in post-order.
+    A removal at saddle ``s`` changes only ``s`` and, when ``s`` is spliced
+    out, the child list of its parent ``p``; there the child id changes from
+    ``s`` to ``only``, which can flip an id tie-break, so ``preferred(p)``
+    is recomputed and ``only`` and the previously preferred child are
+    offered again. Candidates wait in a heap keyed ``(persistence, id)``,
+    the order in which the greedy picks them; an entry whose leaf is gone,
+    whose parent changed or which has become preferred is skipped when
+    popped. The whole pass costs O(n log n).
     """
     require_valid(tree)
     if threshold < 0:
         raise ValueError("threshold must be >= 0")
-    values = {v: float(tree.values[v]) for v in range(len(tree))}
-    parent = {v: int(tree.parent[v]) for v in range(len(tree))}
-    children = {v: list(tree.children[v]) for v in range(len(tree))}
+    values = tree.values.tolist()
+    parent = tree.parent.tolist()
+    children = [list(c) for c in tree.children]
     root = tree.root
+    gone = -2
 
-    submax: dict[int, float] = {}
-
-    def refresh_submax():
-        submax.clear()
-        order = []
-        stack = [root]
-        while stack:
-            v = stack.pop()
-            order.append(v)
-            stack.extend(children[v])
-        for v in reversed(order):
-            if children[v]:
-                submax[v] = max(submax[c] for c in children[v])
-            else:
-                submax[v] = values[v]
+    submax = values[:]
+    for v in reversed(tree.subtree_nodes(root)):
+        if children[v]:
+            submax[v] = max(submax[c] for c in children[v])
 
     def preferred(s):
         return min(children[s], key=lambda c: (-submax[c], c))
 
-    while True:
-        refresh_submax()
-        candidate = None
-        for v in sorted(parent):
-            if children[v] or v == root:
-                continue
-            s = parent[v]
-            if s == root:
-                continue
-            if preferred(s) == v:
-                continue
-            pers = values[v] - values[s]
-            if pers < threshold:
-                if candidate is None or (pers, v) < candidate[:2]:
-                    candidate = (pers, v, s)
-        if candidate is None:
-            break
-        _, v, s = candidate
-        children[s].remove(v)
-        del values[v], parent[v], children[v]
-        if len(children[s]) == 1 and s != root:
-            (only,) = children[s]
-            p = parent[s]
-            children[p][children[p].index(s)] = only
-            parent[only] = p
-            del values[s], parent[s], children[s]
+    pref = [preferred(s) if children[s] else -1 for s in range(len(values))]
 
-    keep = sorted(values)
+    heap = []
+
+    def offer(v):
+        s = parent[v]
+        if children[v] or s == root or pref[s] == v:
+            return
+        pers = values[v] - values[s]
+        if pers < threshold:
+            heapq.heappush(heap, (pers, v, s))
+
+    for v in range(len(values)):
+        if v != root:
+            offer(v)
+    while heap:
+        _, v, s = heapq.heappop(heap)
+        if parent[v] != s or pref[s] == v:
+            continue
+        kids = children[s]
+        kids.remove(v)
+        parent[v] = gone
+        if len(kids) == 1:
+            (only,) = kids
+            p = parent[s]
+            siblings = children[p]
+            siblings[siblings.index(s)] = only
+            parent[only] = p
+            parent[s] = gone
+            was = pref[p]
+            pref[p] = preferred(p)
+            offer(only)
+            if was != s:
+                offer(was)
+
+    keep = [v for v in range(len(values)) if parent[v] != gone]
     index = {v: i for i, v in enumerate(keep)}
     new_values = [values[v] for v in keep]
     new_parent = [index[parent[v]] if parent[v] != -1 else -1 for v in keep]

@@ -52,11 +52,11 @@ def oracle_distance(
     _check_cap(tree2, max_leaves)
     decs1 = enumerate_branch_decompositions(tree1, max_leaves)
     decs2 = enumerate_branch_decompositions(tree2, max_leaves)
+    views2 = [_BdtView(tree2, d2, del_cost) for d2 in decs2]
     best = float("inf")
     for d1 in decs1:
         b1 = _BdtView(tree1, d1, del_cost)
-        for d2 in decs2:
-            b2 = _BdtView(tree2, d2, del_cost)
+        for b2 in views2:
             best = min(best, _best_mapping(b1, b2, pair_cost))
     return finalize(best, mode)
 

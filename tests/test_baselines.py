@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,9 @@ from mtdist.baselines import (
 )
 from mtdist.errors import PreconditionError
 from mtdist.metrics import BaseMetric
-from conftest import random_merge_tree
+from mtdist.metrics import METRIC_NAMES, MODE_NAMES
+from conftest import grow_merge_tree, random_merge_tree
+from reference_baselines import reference_constrained_edit_distance, reference_one_degree_distance
 
 BP = BaseMetric("birth-persistence")
 
@@ -132,3 +136,77 @@ class TestAgainstBranchFixed:
                 elder_labeled_inputs(t1, "bdt"), elder_labeled_inputs(t2, "bdt"), BP, "sum"
             )
             assert d_fixed == pytest.approx(d1, abs=1e-9)
+
+
+BASELINES = [
+    (constrained_edit_distance, reference_constrained_edit_distance),
+    (one_degree_distance, reference_one_degree_distance),
+]
+
+
+def random_labeled_tree(rng, n):
+    """A random rooted tree on ``n`` nodes with permuted ids and integer
+    labels drawn from a small range, so costs tie often."""
+    perm = rng.permutation(n)
+    parent = [-1] * n
+    labels = [None] * n
+    for v in range(n):
+        p = -1 if v == 0 else int(perm[int(rng.integers(0, v))])
+        low = int(rng.integers(0, 4))
+        parent[perm[v]] = p
+        labels[perm[v]] = (float(low), float(low + rng.integers(1, 4)))
+    return LabeledTree(parent=tuple(parent), labels=tuple(labels), root=int(perm[0]))
+
+
+class TestAgainstReference:
+    @pytest.mark.parametrize("fn, ref", BASELINES, ids=["constrained", "one-degree"])
+    def test_random_labeled_trees(self, fn, ref):
+        rng = np.random.default_rng(66)
+        for _ in range(40):
+            a = random_labeled_tree(rng, int(rng.integers(1, 16)))
+            b = random_labeled_tree(rng, int(rng.integers(1, 16)))
+            for kind in METRIC_NAMES:
+                for mode in MODE_NAMES:
+                    m = BaseMetric(kind)
+                    assert fn(a, b, m, mode) == ref(a, b, m, mode)
+
+    @pytest.mark.parametrize("fn, ref", BASELINES, ids=["constrained", "one-degree"])
+    def test_elder_labeled_merge_trees(self, fn, ref):
+        rng = np.random.default_rng(77)
+        for _ in range(10):
+            t1 = grow_merge_tree(rng, int(rng.integers(10, 40)), extra_child_prob=0.3)
+            t2 = random_merge_tree(rng, max_leaves=8, max_children=4, integer=True)
+            for target in ("bdt", "merge-tree"):
+                a, b = elder_labeled_inputs(t1, target), elder_labeled_inputs(t2, target)
+                for mode in MODE_NAMES:
+                    assert fn(a, b, BP, mode) == ref(a, b, BP, mode)
+                    assert fn(b, a, BP, mode) == ref(b, a, BP, mode)
+
+
+def caterpillar(spine):
+    """Root, ``spine`` saddles with one leaf each, two leaves at the bottom."""
+    values, parent = [0.0], [-1]
+    last = 0
+    for k in range(spine):
+        values += [1.0 + k, 5000.0 + k]
+        parent += [last, len(values) - 2]
+        last = len(values) - 2
+    values.append(9000.0)
+    parent.append(last)
+    return MergeTree(values, parent)
+
+
+@pytest.mark.parametrize("fn, ref", BASELINES, ids=["constrained", "one-degree"])
+def test_deep_caterpillar(fn, ref, fig5a):
+    # depth 601 is deeper than the default recursion limit allows the
+    # recursive reference to go
+    deep = elder_labeled_inputs(caterpillar(600), "merge-tree")
+    small = elder_labeled_inputs(fig5a, "merge-tree")
+    d12, d21 = fn(deep, small, BP, "sum"), fn(small, deep, BP, "l2")
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(20000)
+    try:
+        assert d12 == ref(deep, small, BP, "sum")
+        assert d21 == ref(small, deep, BP, "l2")
+    finally:
+        sys.setrecursionlimit(limit)
