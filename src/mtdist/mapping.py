@@ -836,13 +836,25 @@ def delete_tree_cost(tree: MergeTree | None, metric: BaseMetric, mode: str = "su
 # validation and induced node mappings
 # ---------------------------------------------------------------------------
 
-def _is_weak_descendant(tree: MergeTree, u: int, v: int) -> bool:
-    """True when v lies on the root path of u (including u == v)."""
-    while u != -1:
-        if u == v:
-            return True
-        u = int(tree.parent[u])
-    return False
+def _weak_ancestry(tree: MergeTree, nodes) -> np.ndarray:
+    """``out[i, j]`` is True when ``nodes[j]`` lies on the root path of
+    ``nodes[i]`` (including equality).
+
+    Preorder intervals, computed once, make each test O(1): ``v`` is a weak
+    ancestor of ``u`` when ``enter[v] <= enter[u] < enter[v] + size[v]``,
+    with ``size[v]`` the node count of the subtree under ``v``.
+    """
+    pre = tree.subtree_nodes(tree.root)
+    parent = tree.parent.tolist()
+    size = [1] * len(tree)
+    for v in reversed(pre[1:]):
+        size[parent[v]] += size[v]
+    enter = np.empty(len(tree), dtype=np.int64)
+    enter[pre] = np.arange(len(tree))
+    nodes = np.asarray(nodes, dtype=np.int64)
+    e = enter[nodes]
+    end = e + np.asarray(size, dtype=np.int64)[nodes]
+    return (e[None, :] <= e[:, None]) & (e[:, None] < end[None, :])
 
 
 def validate_branch_mapping(mapping: BranchMapping) -> MappingReport:
@@ -885,17 +897,17 @@ def validate_branch_mapping(mapping: BranchMapping) -> MappingReport:
             bad.append(f"condition 3 (upward closure) violated at ({a.label},{b.label})")
         elif pa is not None and (pa, pb) not in paired:
             bad.append(f"condition 3 (upward closure) violated at ({a.label},{b.label})")
-    for idx, (a, b) in enumerate(m.pairs):
-        for a2, b2 in m.pairs[idx + 1 :]:
-            d1 = _is_weak_descendant(m.tree1, a.start, a2.start)
-            d2 = _is_weak_descendant(m.tree2, b.start, b2.start)
-            u1 = _is_weak_descendant(m.tree1, a2.start, a.start)
-            u2 = _is_weak_descendant(m.tree2, b2.start, b.start)
-            if d1 != d2 or u1 != u2:
-                bad.append(
-                    f"condition 4 (order preservation) violated between "
-                    f"({a.label},{b.label}) and ({a2.label},{b2.label})"
-                )
+    differ = (
+        _weak_ancestry(m.tree1, [a.start for a in left])
+        != _weak_ancestry(m.tree2, [b.start for b in right])
+    )
+    # row-major order of i < j, as a loop over pairs and later pairs
+    for i, j in zip(*np.nonzero(np.triu(differ | differ.T, 1))):
+        (a, b), (a2, b2) = m.pairs[i], m.pairs[j]
+        bad.append(
+            f"condition 4 (order preservation) violated between "
+            f"({a.label},{b.label}) and ({a2.label},{b2.label})"
+        )
     if set(left) | set(m.deletions) != set(m.decomposition1.branches):
         bad.append("pairs plus deletions do not cover decomposition 1")
     if set(right) | set(m.insertions) != set(m.decomposition2.branches):

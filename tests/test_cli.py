@@ -4,7 +4,7 @@ import pytest
 
 from mtdist.cli import main
 from mtdist.fields import read_scalar_field
-from mtdist.trees import read_merge_tree, write_merge_tree
+from mtdist.trees import read_merge_tree, validate_merge_tree, write_merge_tree
 
 
 @pytest.fixture
@@ -89,6 +89,18 @@ class TestTree:
         assert rc == 0
         capsys.readouterr()
         assert len(read_merge_tree(out)) == 2
+
+    def test_large_magnitude_plateau(self, tmp_path, capsys):
+        # the sweep-rank offset is below float resolution at 1e8
+        field = tmp_path / "p.sf2"
+        field.write_text("SF2 1 5\n100000001 100000000 100000000 100000000 100000001\n")
+        out = tmp_path / "p.mt"
+        rc = main(["tree", str(field), "--out", str(out)])
+        assert rc == 0
+        capsys.readouterr()
+        tree = read_merge_tree(out)
+        assert validate_merge_tree(tree).ok
+        assert len(tree.leaves) == 2
 
     def test_malformed_field_is_data_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.sf2"

@@ -1,7 +1,11 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mtdist import MTDistError, ParseError, validate_merge_tree
+from mtdist import InvalidTreeError, MTDistError, ParseError, validate_merge_tree
 from mtdist.fields import (
     ScalarField2D,
     compute_merge_tree,
@@ -11,6 +15,8 @@ from mtdist.fields import (
     simplify,
     write_scalar_field,
 )
+from mtdist.generators import generate_ensemble, outlier_spec
+from reference_merge_tree import reference_compute_merge_tree
 
 
 def bump_field(rows=24, cols=24, centers=((6, 6), (17, 17)), sigma=2.5, amps=None):
@@ -104,6 +110,123 @@ class TestComputeMergeTree:
         assert validate_merge_tree(t_min).ok
         # a two-bump field has a single minimum basin
         assert len(t_min.leaves) >= 1
+
+
+@st.composite
+def plateau_fields(draw):
+    """Small fields of few distinct integer levels, so plateaus and ties are
+    everywhere: 1 x k rows, k x 1 columns and general grids, either
+    connectivity, around 0 or around a magnitude (1e8 and above) at which
+    the sweep-rank offset falls below float resolution."""
+    shape = draw(st.sampled_from(("row", "column", "grid")))
+    k = draw(st.integers(1, 12))
+    if shape == "row":
+        rows, cols = 1, k
+    elif shape == "column":
+        rows, cols = k, 1
+    else:
+        rows, cols = draw(st.integers(2, 6)), draw(st.integers(2, 6))
+    levels = draw(st.integers(1, 4))
+    ints = draw(st.lists(st.integers(0, levels - 1), min_size=rows * cols, max_size=rows * cols))
+    base = draw(st.sampled_from((0.0, -2.0, 1e8, -1e8, 3e15)))
+    return ScalarField2D(
+        rows=rows,
+        cols=cols,
+        values=base + np.array(ints, dtype=np.float64),
+        connectivity=draw(st.sampled_from((4, 8))),
+    )
+
+
+def node_depths(tree):
+    """Edges from each node up to the root."""
+    depth = [0] * len(tree)
+    for v in reversed(range(len(tree))):  # parents have larger ids
+        if v != tree.root:
+            depth[v] = depth[tree.parent[v]] + 1
+    return depth
+
+
+def assert_within_ulp_chain(tree, f, direction):
+    """Every node is at most depth (root: one) ulps away from a field value."""
+    work = np.unique(f.values if direction == "max" else -f.values)
+    ulp = math.ulp(float(np.abs(work).max()))
+    for v, d in enumerate(node_depths(tree)):
+        gap = np.abs(work - tree.values[v]).min()
+        assert gap <= max(d, 1) * ulp + 1e-9, (v, d, gap)
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(plateau_fields())
+def test_equal_to_reference_sweep(f):
+    for direction in ("max", "min"):
+        tree = compute_merge_tree(f, direction)
+        try:
+            want = reference_compute_merge_tree(f, direction)
+        except InvalidTreeError:
+            # large-magnitude plateau the reference cannot label
+            assert validate_merge_tree(tree).ok
+            assert len(tree.leaves) == local_maximum_count(f, direction)
+            assert_within_ulp_chain(tree, f, direction)
+        else:
+            assert tree == want
+
+
+def test_equal_to_reference_sweep_on_noisy_256_field():
+    f = generate_ensemble(outlier_spec(members=1, outlier_index=0, rows=256, cols=256, noise=0.01))[0]
+    tree = compute_merge_tree(f)
+    assert len(tree) == 9085
+    assert tree == reference_compute_merge_tree(f)
+
+
+class TestLargeMagnitudePlateaus:
+    """The offset of at most 1e-9 is below float resolution at 1e8; nodes it
+    cannot separate are raised one ulp above their parent instead."""
+
+    @pytest.mark.parametrize(
+        "rows, cols, values",
+        [(3, 3, np.full(9, 1e8)), (1, 5, np.array([1e8 + 1, 1e8, 1e8, 1e8, 1e8 + 1]))],
+    )
+    def test_valid_where_the_reference_fails(self, rows, cols, values):
+        f = ScalarField2D(rows=rows, cols=cols, values=values)
+        with pytest.raises(InvalidTreeError):
+            reference_compute_merge_tree(f)
+        for direction in ("max", "min"):
+            t = compute_merge_tree(f, direction)
+            assert validate_merge_tree(t).ok
+            assert len(t.leaves) == local_maximum_count(f, direction)
+
+    def test_two_peaks_keep_their_shape(self):
+        f = ScalarField2D(rows=1, cols=5, values=np.array([1e8 + 1, 1e8, 1e8, 1e8, 1e8 + 1]))
+        t = compute_merge_tree(f)
+        # two leaves at 1e8 + 1, their saddle at the middle of the plateau
+        # and the root below it
+        assert len(t) == 4
+        assert sorted(t.values[list(t.leaves)]) == [1e8 + 1, 1e8 + 1]
+        assert t.values[t.root] < 1e8 <= t.values[t.children[t.root][0]]
+
+    @pytest.mark.parametrize("saddles", [2, 5])
+    def test_raises_add_up_along_a_plateau_chain(self, saddles):
+        # at 3e15 an ulp is 0.5: peaks of 3e15 + 1 separated by single
+        # vertices of 3e15 give a chain of saddles that all sit on one
+        # plateau, each raised one ulp above the next
+        base, ulp = 3e15, math.ulp(3e15)
+        values = np.array([base + 1 if i % 2 == 0 else base for i in range(2 * saddles + 1)])
+        f = ScalarField2D(rows=1, cols=len(values), values=values)
+        t = compute_merge_tree(f)
+        assert validate_merge_tree(t).ok
+        assert len(t.leaves) == saddles + 1 == local_maximum_count(f)
+        assert t.values[t.root] == base - ulp
+        leaves = set(t.leaves)
+        for v, d in enumerate(node_depths(t)):
+            if v != t.root:
+                field_value = base + 1 if v in leaves else base
+                assert 0 <= t.values[v] - field_value <= d * ulp
+        # the documented cost: the first two leaves meet at a saddle raised
+        # by saddles - 1 ulps, so their persistence is that much below 1
+        # (and one ulp once the raise reaches the leaves)
+        first = t.parent[0]
+        assert t.values[first] == base + (saddles - 1) * ulp
+        assert t.values[0] - t.values[first] == max(1 - (saddles - 1) * ulp, ulp)
 
 
 class TestSimplify:

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import json
 
@@ -17,6 +18,7 @@ from mtdist import (
 from mtdist.mapping import BranchMapping
 from mtdist.metrics import BaseMetric, aggregate
 from conftest import grow_merge_tree, nested_tree, random_merge_tree
+from reference_validation import reference_validate_branch_mapping
 
 BP = BaseMetric("birth-persistence")
 PERS = BaseMetric("persistence")
@@ -190,6 +192,43 @@ class TestValidate:
         report = validate_branch_mapping(broken)
         assert not report.ok
         assert any("condition 4" in v for v in report.violations)
+
+
+class TestValidateAgainstReference:
+    """Condition 4 by preorder intervals against the parent-chain walks of
+    ``reference_validation.py``: the same violations in the same order."""
+
+    @staticmethod
+    def swap_tree2_sides(mapping, i, j):
+        pairs = list(mapping.pairs)
+        (a, b), (a2, b2) = pairs[i], pairs[j]
+        pairs[i], pairs[j] = (a, b2), (a2, b)
+        costs = tuple(mapping.metric.pair(*x.label, *y.label) for x, y in pairs)
+        broken = dataclasses.replace(mapping, pairs=tuple(pairs), pair_costs=costs)
+        return dataclasses.replace(broken, total_cost=aggregate(broken.edit_costs(), broken.mode))
+
+    def test_same_reports_as_reference(self):
+        rng = np.random.default_rng(23)
+        crossed = 0
+        for _ in range(30):
+            t1 = grow_merge_tree(rng, int(rng.integers(4, 40)))
+            t2 = grow_merge_tree(rng, int(rng.integers(4, 40)))
+            for metric, fixed in ((BP, None), (PERS, None), (BP, "elder")):
+                dec = None
+                if fixed:
+                    dec = (elder_rule_decomposition(t1), elder_rule_decomposition(t2))
+                _, good = branch_mapping_distance(t1, t2, metric, "sum", fixed=dec)
+                report = validate_branch_mapping(good)
+                assert report.ok
+                assert report == reference_validate_branch_mapping(good)
+                k = len(good.pairs)
+                for _ in range(4 if k > 1 else 0):
+                    i, j = sorted(rng.choice(k, 2, replace=False))
+                    broken = self.swap_tree2_sides(good, i, j)
+                    report = validate_branch_mapping(broken)
+                    assert report == reference_validate_branch_mapping(broken)
+                    crossed += any("condition 4" in v for v in report.violations)
+        assert crossed > 20
 
 
 class TestInducedNodeMapping:
