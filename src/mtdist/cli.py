@@ -27,15 +27,14 @@ from .generators import (
 from .matrix import (
     DISTANCE_NAMES,
     DistanceOptions,
+    branch_mapping,
     compute_matrix,
     pairwise_distance,
     single_linkage_order,
     write_csv,
     write_pgm,
 )
-from .mapping import branch_mapping_distance
-from .branches import elder_rule_decomposition
-from .metrics import METRIC_NAMES, MODE_NAMES, BaseMetric
+from .metrics import METRIC_NAMES, MODE_NAMES
 from .tracking import build_tracks
 from .trees import read_merge_tree, write_merge_tree
 
@@ -159,13 +158,7 @@ def cmd_dist(args):
     t2 = _load_tree(args.b, args)
     opts = DistanceOptions(distance=args.distance, metric=args.metric, mode=args.mode)
     if args.mapping:
-        if args.distance not in ("branch", "branch-fixed"):
-            raise MTDistError("--mapping requires the branch or branch-fixed distance")
-        metric = BaseMetric(args.metric)
-        fixed = None
-        if args.distance == "branch-fixed":
-            fixed = (elder_rule_decomposition(t1), elder_rule_decomposition(t2))
-        d, mapping = branch_mapping_distance(t1, t2, metric, args.mode, fixed=fixed)
+        d, mapping = branch_mapping(t1, t2, opts)
         with open(args.mapping, "w", encoding="utf-8") as fh:
             json.dump(mapping.to_json_dict(), fh, indent=2)
             fh.write("\n")

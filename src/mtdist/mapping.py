@@ -10,8 +10,11 @@ tracked. Because the base costs are pure branch distances, only the start
 *values* matter, so the states of one tree are the pairs (node, ancestor).
 Free mode numbers them into the rows and columns of one flat table and
 fills it with numpy in anti-diagonal waves of node heights, which keeps
-large instances (hundreds of nodes) fast; fixed mode needs one entry per
-node pair. At an inner-inner state the options are, in this fixed order:
+large instances (hundreds of nodes) fast. In fixed mode the decompositions
+fix every branch start, so each node has one state and a plain loop over
+node pairs fills the table. Both modes record the winning options in the
+same codes, and one walker reconstructs the mapping from either. At an
+inner-inner state the options are, in this fixed order:
 
 1. continue tree 1's branch through one child, deleting the sibling
    subtrees, leaving tree 2 untouched (one option per child);
@@ -20,6 +23,7 @@ node pair. At an inner-inner state the options are, in this fixed order:
    remaining children against each other, unmatched ones being deleted or
    inserted wholly (one option per continuation pair).
 
+Fixed mode offers only the continuation children of the decompositions.
 The first minimum wins, which makes reported mappings reproducible.
 """
 
@@ -116,13 +120,12 @@ class BranchMapping:
 class _Side:
     """Traversal orders of one tree, shared by both modes."""
 
-    __slots__ = ("tree", "values", "post", "depth", "children", "is_leaf", "entry")
+    __slots__ = ("tree", "values", "post", "depth", "children", "entry")
 
     def __init__(self, tree: MergeTree):
         self.tree = tree
         self.values = tree.values
         self.children = tree.children
-        self.is_leaf = [not c for c in tree.children]
         root = tree.root
         if len(tree.children[root]) != 1:
             raise PreconditionError("root must have exactly one child")
@@ -178,8 +181,28 @@ def _first_min(options, codes):
     return options.min(axis=0), codes[options.argmin(axis=0)]
 
 
-class _Flat:
-    """Flat state layout of one tree and its delete table.
+class _States:
+    """State layout of one tree, as :func:`_walk` reads it.
+
+    State (v, i) is row ``off[v] + i``; ``last[v]`` is v's state when its
+    branch starts at v's parent. ``ancrow[r]`` is the start node of
+    row r's branch, ``D[r]`` the cheapest deletion of its subtree and
+    ``KD[r]`` the child slot that deletion continues the branch through;
+    ``S`` is the number of states and ``degmax`` the largest saddle degree.
+    """
+
+    __slots__ = ()
+
+    def branch(self, v, i):
+        start = int(self.ancrow[self.off[v] + i])
+        return Branch(start, v, float(self.values[start]), float(self.values[v]))
+
+    def tips(self, nodes):
+        return [self.off[c] + self.last[c] for c in nodes]
+
+
+class _Flat(_States):
+    """Flat state layout of one tree and its delete table, for free mode.
 
     Nodes are numbered in (height, id) order -- ``order[k]`` is the k-th and
     ``first[h]`` the first of height h -- so the states of one height form
@@ -188,9 +211,7 @@ class _Flat:
     (s-th child of v, i), the child's table without its last ancestor, and
     ``cost[s, r]`` is the price of deleting v's other children whole. When v
     is a binary saddle, ``other[s, r]`` is the tip row of the child not in
-    slot s and ``odel[s, r]`` its deletion cost. ``D[r]`` is the cheapest
-    deletion of the subtree of state r and ``KD[r]`` the child slot its
-    branch continues through.
+    slot s and ``odel[s, r]`` its deletion cost.
     """
 
     __slots__ = (
@@ -286,13 +307,6 @@ class _Flat:
         self.D, self.KD, self.cost = D, KD, cost
         self.other = layout[2 + 2 * degmax:].take(rowl, axis=1)
         self.odel = D[self.other]
-
-    def branch(self, v, i):
-        start = int(self.ancrow[self.off[v] + i])
-        return Branch(start, v, float(self.values[start]), float(self.values[v]))
-
-    def tips(self, nodes):
-        return [self.off[c] + self.last[c] for c in nodes]
 
 
 def _sides(f1: _Flat, f2: _Flat, T, r, c, sc, sd):
@@ -463,7 +477,7 @@ def _pair_table(f1: _Flat, f2: _Flat, metric: BaseMetric, squared: bool):
     return T, K
 
 
-def _walk(f1: _Flat, f2: _Flat | None, T, K, metric: BaseMetric, start):
+def _walk(f1: _States, f2: _States | None, T, K, metric: BaseMetric, start):
     """Pairs, pair costs, deletions and insertions of an optimal mapping.
 
     One explicit stack of work items: ``(v, i, w, j)`` maps the subtrees of
@@ -541,149 +555,111 @@ def _walk(f1: _Flat, f2: _Flat | None, T, K, metric: BaseMetric, start):
 # the state space collapses to node pairs
 # ---------------------------------------------------------------------------
 
-class _FixedSide:
-    __slots__ = ("side", "dec", "cont", "low", "W", "inner_sides")
+class _Fixed(_States):
+    """One tree under a fixed decomposition, in the layout :func:`_walk` reads.
 
-    def __init__(self, side: _Side, dec: BranchDecomposition, metric, squared):
-        self.side = side
-        self.dec = dec
-        tree = side.tree
-        self.cont = dec.continuation
-        self.low = [0.0] * len(tree)
+    Every non-root node v has the single state ``(v, 0)``, row v (the
+    root's row is unused): ``ancrow[v]`` is the start of the branch through
+    v, ``KD[v]`` the slot of v's continuation child and ``D[v]`` the cost of
+    deleting every branch whose leaf lies under v.
+    """
+
+    __slots__ = ("children", "values", "entry", "post", "S", "degmax", "off", "last", "ancrow", "KD", "D")
+
+    def __init__(self, side: _Side, dec: BranchDecomposition, metric: BaseMetric, squared: bool):
+        self.children = children = side.children
+        self.values = values = side.values
+        self.entry, self.post = side.entry, side.post
+        n = len(children)
+        self.S = len(side.post)
+        self.degmax = max(len(children[v]) for v in side.post)
+        self.off, self.last = range(n), [0] * n
+        self.ancrow = start = [0] * n
+        self.KD = KD = [0] * n
+        start[side.entry] = side.tree.root
+        for v in reversed(side.post):
+            cs = children[v]
+            if cs:
+                KD[v] = k = cs.index(dec.continuation[v])
+                for c in cs:
+                    start[c] = v
+                start[cs[k]] = start[v]
+        self.D = D = [0.0] * n
         for v in side.post:
-            self.low[v] = float(dec.branch_through(v).low)
-        # W[v]: cost of deleting every branch whose leaf lies under v
-        self.W = [0.0] * len(tree)
-        for v in side.post:
-            if side.is_leaf[v]:
-                b = dec.branch_of_leaf(v)
-                c = metric.deletion(b.low, b.high)
-                self.W[v] = c * c if squared else c
+            cs = children[v]
+            if cs:
+                D[v] = sum(D[c] for c in cs)
             else:
-                self.W[v] = sum(self.W[c] for c in side.children[v])
-
-    def branches_under(self, v):
-        """All decomposition branches whose leaf lies in the subtree at v."""
-        inside = set(self.side.tree.subtree_nodes(v))
-        return [b for b in self.dec.branches if b.leaf in inside]
+                c = metric.deletion(float(values[start[v]]), float(values[v]))
+                D[v] = c * c if squared else c
 
 
-def _fixed_tables(f1: _FixedSide, f2: _FixedSide, metric, squared):
-    s1, s2 = f1.side, f2.side
-    n1, n2 = len(s1.tree), len(s2.tree)
-    F = [[0.0] * n2 for _ in range(n1)]
-    K = [[0] * n2 for _ in range(n1)]
-    for v in s1.post:
-        v_leaf = s1.is_leaf[v]
-        cs = s1.children[v]
-        if not v_leaf:
-            c_main = f1.cont[v]
-            c_side = [c for c in cs if c != c_main]
-            del_sides = sum(f1.W[c] for c in c_side)
-        for w in s2.post:
-            w_leaf = s2.is_leaf[w]
-            ds = s2.children[w]
-            if not w_leaf:
-                d_main = f2.cont[w]
-                d_side = [d for d in ds if d != d_main]
-                ins_sides = sum(f2.W[d] for d in d_side)
-            if v_leaf and w_leaf:
-                c = metric.pair(f1.low[v], float(s1.values[v]), f2.low[w], float(s2.values[w]))
-                F[v][w] = c * c if squared else c
+def _fixed_tables(f1: _Fixed, f2: _Fixed, metric: BaseMetric, squared: bool):
+    """F[v, w]: cheapest mapping between the subtrees of two nodes, and in K
+    the winning option in :func:`_pair_table`'s codes, filled one node pair
+    at a time."""
+    NC, ND = f1.degmax, f2.degmax
+    n2 = len(f2.children)
+    F = [[0.0] * n2 for _ in f1.children]
+    K = [[0] * n2 for _ in f1.children]
+    # per tree-2 node: leaf label, or continuation slot, continuation child,
+    # the other children and the cost of inserting them
+    low2 = [float(f2.values[s]) for s in f2.ancrow]
+    high2 = f2.values.tolist()
+    inner2 = {}
+    for w in f2.post:
+        ds = f2.children[w]
+        if ds:
+            j = f2.KD[w]
+            d_side = ds[:j] + ds[j + 1:]
+            inss = [f2.D[d] for d in d_side]
+            inner2[w] = (j, ds[j], d_side, inss, sum(inss))
+    for v in f1.post:
+        Fv, Kv = F[v], K[v]
+        cs = f1.children[v]
+        if not cs:
+            a_low, a_high = float(f1.values[f1.ancrow[v]]), float(f1.values[v])
+            for w in f2.post:
+                if w in inner2:
+                    j, d_main, _, _, ins_sides = inner2[w]
+                    Fv[w] = Fv[d_main] + ins_sides
+                    Kv[w] = NC + j
+                else:
+                    c = metric.pair(a_low, a_high, low2[w], high2[w])
+                    Fv[w] = c * c if squared else c
+            continue
+        i = f1.KD[v]
+        Fc = F[cs[i]]
+        c_side = cs[:i] + cs[i + 1:]
+        dels = [f1.D[c] for c in c_side]
+        del_sides = sum(dels)
+        for w in f2.post:
+            if w not in inner2:
+                Fv[w] = Fc[w] + del_sides
+                Kv[w] = i
                 continue
-            if v_leaf:
-                F[v][w] = F[v][d_main] + ins_sides
-                K[v][w] = 0
-                continue
-            if w_leaf:
-                F[v][w] = F[c_main][w] + del_sides
-                K[v][w] = 0
-                continue
-            P = [[F[cc][dd] for dd in d_side] for cc in c_side]
-            side_cost, _ = _assignment(P, [f1.W[cc] for cc in c_side], [f2.W[dd] for dd in d_side])
-            opts = (
-                F[c_main][w] + del_sides,
-                F[v][d_main] + ins_sides,
-                F[c_main][d_main] + side_cost,
-            )
-            k = min(range(3), key=lambda t: opts[t])
-            K[v][w] = k
-            F[v][w] = opts[k]
-    return F, K
-
-
-def _fixed_reconstruct(f1, f2, F, K, metric):
-    s1, s2 = f1.side, f2.side
-    pairs = []
-    pair_costs = []
-    deletions = []
-    insertions = []
-
-    def walk(v, w):
-        v_leaf = s1.is_leaf[v]
-        w_leaf = s2.is_leaf[w]
-        if v_leaf and w_leaf:
-            a = f1.dec.branch_of_leaf(v)
-            b = f2.dec.branch_of_leaf(w)
-            pairs.append((a, b))
-            pair_costs.append(metric.pair(a.low, a.high, b.low, b.high))
-            return
-        cs = s1.children[v]
-        ds = s2.children[w]
-        if v_leaf:
-            d_main = f2.cont[w]
-            for d in ds:
-                if d != d_main:
-                    insertions.extend(f2.branches_under(d))
-            walk(v, d_main)
-            return
-        if w_leaf:
-            c_main = f1.cont[v]
-            for c in cs:
-                if c != c_main:
-                    deletions.extend(f1.branches_under(c))
-            walk(c_main, w)
-            return
-        c_main = f1.cont[v]
-        d_main = f2.cont[w]
-        c_side = [c for c in cs if c != c_main]
-        d_side = [d for d in ds if d != d_main]
-        k = K[v][w]
-        if k == 0:
-            for c in c_side:
-                deletions.extend(f1.branches_under(c))
-            walk(c_main, w)
-            return
-        if k == 1:
-            for d in d_side:
-                insertions.extend(f2.branches_under(d))
-            walk(v, d_main)
-            return
-        P = [[F[cc][dd] for dd in d_side] for cc in c_side]
-        _, matched = _assignment(
-            P, [f1.W[cc] for cc in c_side], [f2.W[dd] for dd in d_side], want_pairs=True
-        )
-        hit_c = set()
-        hit_d = set()
-        for ii, jj in matched:
-            hit_c.add(ii)
-            hit_d.add(jj)
-            walk(c_side[ii], d_side[jj])
-        for ii, cc in enumerate(c_side):
-            if ii not in hit_c:
-                deletions.extend(f1.branches_under(cc))
-        for jj, dd in enumerate(d_side):
-            if jj not in hit_d:
-                insertions.extend(f2.branches_under(dd))
-        walk(c_main, d_main)
-
-    walk(s1.entry, s2.entry)
-    return pairs, pair_costs, deletions, insertions
+            j, d_main, d_side, inss, ins_sides = inner2[w]
+            side_cost, _ = _assignment([[F[c][d] for d in d_side] for c in c_side], dels, inss)
+            a = Fc[w] + del_sides
+            b = Fv[d_main] + ins_sides
+            m = Fc[d_main] + side_cost
+            if a <= b and a <= m:
+                Fv[w], Kv[w] = a, i
+            elif b <= m:
+                Fv[w], Kv[w] = b, NC + j
+            else:
+                Fv[w], Kv[w] = m, NC + ND + i * ND + j
+    return np.array(F), np.array(K, dtype=_code_dtype(NC + ND + NC * ND))
 
 
 # ---------------------------------------------------------------------------
 # public entry points
 # ---------------------------------------------------------------------------
+
+def _states(tree: MergeTree, dec: BranchDecomposition | None, metric: BaseMetric, squared: bool):
+    side = _Side(require_valid(tree))
+    return _Flat(side, metric, squared) if dec is None else _Fixed(side, dec, metric, squared)
+
 
 def branch_mapping_distance(
     tree1: MergeTree | None,
@@ -701,127 +677,48 @@ def branch_mapping_distance(
     squared = mode == "l2"
     if mode not in ("sum", "l2"):
         raise ValueError(f"unknown aggregation mode {mode!r}")
-    if tree1 is None and tree2 is None:
-        stats = MemoStats(keys=0, null_keys=0, bound=0)
-        return 0.0, BranchMapping(
-            None, None, None, None, (), (), (), (), 0.0, metric, mode, stats
-        )
+    trees = (tree1, tree2)
     if fixed is not None:
-        return _distance_fixed(tree1, tree2, metric, mode, squared, fixed)
-    return _distance_free(tree1, tree2, metric, mode, squared)
-
-
-def _one_sided(tree, metric, mode, squared, deleting, fixed_dec=None):
-    side = _Side(require_valid(tree))
-    if fixed_dec is not None:
-        branches = fixed_dec.branches
-        total = sum(
-            (metric.deletion(b.low, b.high) ** 2 if squared else metric.deletion(b.low, b.high))
-            for b in branches
-        )
-        dec = fixed_dec
+        for k, (tree, dec) in enumerate(zip(trees, fixed)):
+            if tree is not None and (dec is None or dec.tree != tree):
+                raise PreconditionError(f"fixed decomposition does not belong to tree {k + 1}")
+    decs = (None, None) if fixed is None else fixed
+    f1, f2 = (None if t is None else _states(t, d, metric, squared) for t, d in zip(trees, decs))
+    pairs, pair_costs, out = [], [], [[], []]
+    total, keys, bound = 0.0, 0, 0
+    if f1 is not None and f2 is not None:
+        T, K = (_pair_table if fixed is None else _fixed_tables)(f1, f2, metric, squared)
+        total = T[f1.off[f1.entry], f2.off[f2.entry]]
+        pairs, pair_costs, out[0], out[1] = _walk(f1, f2, T, K, metric, (f1.entry, 0, f2.entry, 0))
+        keys = f1.S * f2.S
+        bound = len(tree1) * tree1.depth * len(tree2) * tree2.depth
     else:
-        flat = _Flat(side, metric, squared)
-        total = float(flat.D[flat.off[side.entry]])
-        _, _, out, _ = _walk(flat, None, None, None, metric, (0, side.entry, 0))
-        dec = BranchDecomposition.from_branches(tree, out)
-        branches = dec.branches
-    null_keys = sum(side.depth)
-    stats = MemoStats(keys=0, null_keys=null_keys, bound=0)
+        for k, f in enumerate((f1, f2)):
+            if f is not None:
+                total = f.D[f.off[f.entry]]
+                out[k] = _walk(f, None, None, None, metric, (0, f.entry, 0))[2]
+    null_keys = sum(f.S for f in (f1, f2) if f is not None)
+    decs = [
+        None if t is None
+        else d if d is not None
+        else BranchDecomposition.from_branches(t, [p[k] for p in pairs] + out[k])
+        for k, (t, d) in enumerate(zip(trees, decs))
+    ]
     distance = finalize(total, mode)
-    branches = tuple(sorted(branches))
-    mapping = BranchMapping(
-        tree1=tree if deleting else None,
-        tree2=None if deleting else tree,
-        decomposition1=dec if deleting else None,
-        decomposition2=None if deleting else dec,
-        pairs=(),
-        pair_costs=(),
-        deletions=branches if deleting else (),
-        insertions=() if deleting else branches,
-        total_cost=distance,
-        metric=metric,
-        mode=mode,
-        stats=stats,
-    )
-    return distance, mapping
-
-
-def _distance_free(tree1, tree2, metric, mode, squared):
-    if tree2 is None:
-        return _one_sided(tree1, metric, mode, squared, deleting=True)
-    if tree1 is None:
-        return _one_sided(tree2, metric, mode, squared, deleting=False)
-    f1 = _Flat(_Side(require_valid(tree1)), metric, squared)
-    f2 = _Flat(_Side(require_valid(tree2)), metric, squared)
-    T, K = _pair_table(f1, f2, metric, squared)
-    e1, e2 = f1.entry, f2.entry
-    total = float(T[f1.off[e1], f2.off[e2]])
-    pairs, pair_costs, dels, inss = _walk(f1, f2, T, K, metric, (e1, 0, e2, 0))
-    dec1 = BranchDecomposition.from_branches(tree1, [a for a, _ in pairs] + dels)
-    dec2 = BranchDecomposition.from_branches(tree2, [b for _, b in pairs] + inss)
-    keys = f1.S * f2.S
-    null_keys = f1.S + f2.S
-    bound = len(tree1) * tree1.depth * len(tree2) * tree2.depth
-    stats = MemoStats(keys=keys, null_keys=null_keys, bound=bound)
-    distance = finalize(total, mode)
-    mapping = BranchMapping(
+    return distance, BranchMapping(
         tree1=tree1,
         tree2=tree2,
-        decomposition1=dec1,
-        decomposition2=dec2,
+        decomposition1=decs[0],
+        decomposition2=decs[1],
         pairs=tuple(pairs),
         pair_costs=tuple(pair_costs),
-        deletions=tuple(sorted(dels)),
-        insertions=tuple(sorted(inss)),
+        deletions=tuple(sorted(out[0])),
+        insertions=tuple(sorted(out[1])),
         total_cost=distance,
         metric=metric,
         mode=mode,
-        stats=stats,
+        stats=MemoStats(keys=keys, null_keys=null_keys, bound=bound),
     )
-    return distance, mapping
-
-
-def _distance_fixed(tree1, tree2, metric, mode, squared, fixed):
-    dec1, dec2 = fixed
-    if tree2 is None:
-        if dec1 is None or dec1.tree != tree1:
-            raise PreconditionError("fixed decomposition does not belong to tree 1")
-        return _one_sided(tree1, metric, mode, squared, deleting=True, fixed_dec=dec1)
-    if tree1 is None:
-        if dec2 is None or dec2.tree != tree2:
-            raise PreconditionError("fixed decomposition does not belong to tree 2")
-        return _one_sided(tree2, metric, mode, squared, deleting=False, fixed_dec=dec2)
-    if dec1 is None or dec1.tree != tree1:
-        raise PreconditionError("fixed decomposition does not belong to tree 1")
-    if dec2 is None or dec2.tree != tree2:
-        raise PreconditionError("fixed decomposition does not belong to tree 2")
-    s1 = _Side(require_valid(tree1))
-    s2 = _Side(require_valid(tree2))
-    f1 = _FixedSide(s1, dec1, metric, squared)
-    f2 = _FixedSide(s2, dec2, metric, squared)
-    F, K = _fixed_tables(f1, f2, metric, squared)
-    total = float(F[s1.entry][s2.entry])
-    pairs, pair_costs, dels, inss = _fixed_reconstruct(f1, f2, F, K, metric)
-    keys = len(s1.post) * len(s2.post)
-    bound = len(tree1) * tree1.depth * len(tree2) * tree2.depth
-    stats = MemoStats(keys=keys, null_keys=len(s1.post) + len(s2.post), bound=bound)
-    distance = finalize(total, mode)
-    mapping = BranchMapping(
-        tree1=tree1,
-        tree2=tree2,
-        decomposition1=dec1,
-        decomposition2=dec2,
-        pairs=tuple(pairs),
-        pair_costs=tuple(pair_costs),
-        deletions=tuple(sorted(dels)),
-        insertions=tuple(sorted(inss)),
-        total_cost=distance,
-        metric=metric,
-        mode=mode,
-        stats=stats,
-    )
-    return distance, mapping
 
 
 def delete_tree_cost(tree: MergeTree | None, metric: BaseMetric, mode: str = "sum") -> float:

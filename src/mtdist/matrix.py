@@ -1,4 +1,4 @@
-"""Pairwise distance matrices, clustering order, and heatmap export."""
+"""Distance-name dispatch, pairwise distance matrices, clustering order, and heatmap export."""
 
 from __future__ import annotations
 
@@ -32,20 +32,32 @@ class DistanceOptions:
         BaseMetric(self.metric)  # validates the name
 
 
+def branch_mapping(t1: MergeTree, t2: MergeTree, opts: DistanceOptions):
+    """Distance and optimal branch mapping under a mapping-producing distance:
+    ``branch`` searches all decompositions, ``branch-fixed`` pairs the two
+    elder-rule ones."""
+    if opts.distance == "branch":
+        fixed = None
+    elif opts.distance == "branch-fixed":
+        fixed = (elder_rule_decomposition(t1), elder_rule_decomposition(t2))
+    else:
+        raise MTDistError(
+            f"distance {opts.distance!r} gives no branch mapping, use branch or branch-fixed"
+        )
+    return branch_mapping_distance(t1, t2, BaseMetric(opts.metric), opts.mode, fixed=fixed)
+
+
 def pairwise_distance(t1: MergeTree, t2: MergeTree, opts: DistanceOptions) -> float:
     metric = BaseMetric(opts.metric)
-    if opts.distance == "branch":
-        return branch_mapping_distance(t1, t2, metric, opts.mode)[0]
-    if opts.distance == "branch-fixed":
-        fixed = (elder_rule_decomposition(t1), elder_rule_decomposition(t2))
-        return branch_mapping_distance(t1, t2, metric, opts.mode, fixed=fixed)[0]
     if opts.distance == "constrained":
         a = elder_labeled_inputs(t1, "merge-tree")
         b = elder_labeled_inputs(t2, "merge-tree")
         return constrained_edit_distance(a, b, metric, opts.mode)
-    a = elder_labeled_inputs(t1, "bdt")
-    b = elder_labeled_inputs(t2, "bdt")
-    return one_degree_distance(a, b, metric, opts.mode)
+    if opts.distance == "one-degree":
+        a = elder_labeled_inputs(t1, "bdt")
+        b = elder_labeled_inputs(t2, "bdt")
+        return one_degree_distance(a, b, metric, opts.mode)
+    return branch_mapping(t1, t2, opts)[0]
 
 
 @dataclass(frozen=True)

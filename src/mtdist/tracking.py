@@ -8,23 +8,14 @@ side starts a new track, an unmatched leaf on the earlier side ends one.
 
 from __future__ import annotations
 
-from .branches import elder_rule_decomposition
 from .errors import MTDistError
-from .mapping import branch_mapping_distance, induced_node_mapping
-from .matrix import DistanceOptions
-from .metrics import BaseMetric
+from .mapping import induced_node_mapping
+from .matrix import DistanceOptions, branch_mapping
 
 
 def step_leaf_pairs(t1, t2, opts: DistanceOptions):
     """Matched (leaf in t1, leaf in t2) pairs of one time step."""
-    metric = BaseMetric(opts.metric)
-    if opts.distance == "branch-fixed":
-        fixed = (elder_rule_decomposition(t1), elder_rule_decomposition(t2))
-    elif opts.distance == "branch":
-        fixed = None
-    else:
-        raise MTDistError("tracking needs a mapping-producing distance (branch or branch-fixed)")
-    _, mapping = branch_mapping_distance(t1, t2, metric, opts.mode, fixed=fixed)
+    _, mapping = branch_mapping(t1, t2, opts)
     nodes = induced_node_mapping(mapping)
     leaves1 = set(t1.leaves)
     leaves2 = set(t2.leaves)

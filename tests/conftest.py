@@ -118,3 +118,17 @@ def grow_merge_tree(rng, n_nodes, extra_child_prob=0.1):
             children[vid] = []
             leaves.append(vid)
     return MergeTree(values, parent)
+
+
+def caterpillar():
+    """Root, a spine of 1500 saddles with one leaf each, two leaves at the
+    bottom: 3002 nodes, depth 1501, deeper than the recursion limit."""
+    values, parent = [0.0], [-1]
+    spine = 0
+    for k in range(1500):
+        values += [1.0 + k, 5000.0 + k]
+        parent += [spine, len(values) - 2]
+        spine = len(values) - 2
+    values.append(9000.0)
+    parent.append(spine)
+    return MergeTree(values, parent)

@@ -2,9 +2,11 @@ import json
 
 import pytest
 
+from mtdist import MergeTree
 from mtdist.cli import main
 from mtdist.fields import read_scalar_field
 from mtdist.trees import read_merge_tree, validate_merge_tree, write_merge_tree
+from conftest import caterpillar
 
 
 @pytest.fixture
@@ -66,6 +68,28 @@ class TestDist:
         doc = json.loads(out.read_text())
         assert doc["totalCost"] == 5.0
         assert len(doc["pairs"]) == 2
+
+    @pytest.mark.parametrize("distance", ["constrained", "one-degree"])
+    def test_mapping_needs_mapping_distance(self, fig5_files, tmp_path, capsys, distance):
+        a, c = fig5_files
+        out = tmp_path / "map.json"
+        rc = main(["dist", str(a), str(c), "--distance", distance, "--mapping", str(out)])
+        assert rc == 2
+        assert "branch-fixed" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_fixed_mapping_of_deep_tree(self, tmp_path, capsys):
+        deep, small = tmp_path / "deep.mt", tmp_path / "small.mt"
+        write_merge_tree(deep, caterpillar())
+        write_merge_tree(small, MergeTree([0.0, 3.0, 7.0, 5.0], [-1, 0, 1, 1]))
+        out = tmp_path / "map.json"
+        rc = main(["dist", str(deep), str(small), "--distance", "branch-fixed",
+                   "--metric", "persistence", "--mapping", str(out)])
+        assert rc == 0
+        d = float(capsys.readouterr().out)
+        doc = json.loads(out.read_text())
+        assert doc["totalCost"] == round(d, 9)
+        assert len(doc["pairs"]) + len(doc["deletions"]) == len(caterpillar().leaves)
 
 
 class TestTree:

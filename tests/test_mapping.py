@@ -15,9 +15,9 @@ from mtdist import (
     induced_node_mapping,
     validate_branch_mapping,
 )
-from mtdist.mapping import BranchMapping
+from mtdist.mapping import BranchMapping, MemoStats
 from mtdist.metrics import BaseMetric, aggregate
-from conftest import grow_merge_tree, nested_tree, random_merge_tree
+from conftest import caterpillar, grow_merge_tree, nested_tree, random_merge_tree
 from reference_validation import reference_validate_branch_mapping
 
 BP = BaseMetric("birth-persistence")
@@ -88,17 +88,8 @@ class TestDeleteTree:
                 assert total == pytest.approx(want, abs=1e-9)
 
     def test_deep_caterpillar(self):
-        # root, a spine of 1500 saddles with one leaf each, two leaves at the
-        # bottom: 3002 nodes, depth 1501, deeper than the recursion limit
-        values, parent = [0.0], [-1]
-        spine = 0
-        for k in range(1500):
-            values += [1.0 + k, 5000.0 + k]
-            parent += [spine, len(values) - 2]
-            spine = len(values) - 2
-        values.append(9000.0)
-        parent.append(spine)
-        tree = MergeTree(values, parent)
+        tree = caterpillar()
+        values, parent = tree.values.tolist(), tree.parent.tolist()
         assert (len(tree), tree.depth) == (3002, 1501)
         edges = sum(values[v] - values[parent[v]] for v in range(1, len(values)))
         assert delete_tree_cost(tree, PERS, "sum") == pytest.approx(edges)
@@ -106,6 +97,19 @@ class TestDeleteTree:
         assert validate_branch_mapping(mapping).ok
         assert len(mapping.insertions) == len(tree.leaves)
         assert d == pytest.approx(np.sqrt(sum(b.persistence ** 2 for b in mapping.insertions)))
+
+    def test_deep_caterpillar_fixed(self):
+        tree = caterpillar()
+        small = MergeTree([0.0, 3.0, 7.0, 5.0], [-1, 0, 1, 1])
+        fixed = (elder_rule_decomposition(tree), elder_rule_decomposition(small))
+        d, mapping = branch_mapping_distance(tree, small, PERS, "sum", fixed=fixed)
+        assert validate_branch_mapping(mapping).ok
+        assert mapping.decomposition1 is fixed[0]
+        assert len(mapping.pairs) + len(mapping.deletions) == len(tree.leaves)
+        d, mapping = branch_mapping_distance(tree, None, PERS, "l2", fixed=fixed)
+        assert validate_branch_mapping(mapping).ok
+        assert mapping.deletions == fixed[0].branches
+        assert d == pytest.approx(np.sqrt(sum(b.persistence ** 2 for b in fixed[0].branches)))
 
 
 class TestReferenceCycles:
@@ -119,6 +123,20 @@ class TestReferenceCycles:
         try:
             branch_mapping_distance(t1, t2, BaseMetric("euclidean"), "l2")
             branch_mapping_distance(t1, None, BaseMetric("euclidean"), "l2")
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_fixed_call_leaves_no_garbage(self):
+        rng = np.random.default_rng(3)
+        t1 = grow_merge_tree(rng, 60, extra_child_prob=0.3)
+        t2 = grow_merge_tree(rng, 60, extra_child_prob=0.3)
+        fixed = (elder_rule_decomposition(t1), elder_rule_decomposition(t2))
+        gc.collect()
+        gc.disable()
+        try:
+            branch_mapping_distance(t1, t2, BaseMetric("euclidean"), "l2", fixed=fixed)
+            branch_mapping_distance(None, t2, BaseMetric("euclidean"), "l2", fixed=fixed)
             assert gc.collect() == 0
         finally:
             gc.enable()
@@ -384,6 +402,21 @@ class TestMemoStats:
             t2 = random_merge_tree(rng, max_leaves=7)
             _, mapping = branch_mapping_distance(t1, t2, BP, "sum")
             assert mapping.stats.keys <= mapping.stats.bound
+
+    def test_fixed_mode_counts_one_state_per_node(self):
+        rng = np.random.default_rng(14)
+        t1 = random_merge_tree(rng, max_leaves=7)
+        t2 = random_merge_tree(rng, max_leaves=7)
+        fixed = (elder_rule_decomposition(t1), elder_rule_decomposition(t2))
+        _, mapping = branch_mapping_distance(t1, t2, BP, "sum", fixed=fixed)
+        assert mapping.stats.keys == (len(t1) - 1) * (len(t2) - 1)
+        assert mapping.stats.null_keys == len(t1) + len(t2) - 2
+        _, mapping = branch_mapping_distance(t1, None, BP, "sum", fixed=fixed)
+        assert mapping.stats == MemoStats(keys=0, null_keys=len(t1) - 1, bound=0)
+        tree = caterpillar()
+        fixed = (None, elder_rule_decomposition(tree))
+        _, mapping = branch_mapping_distance(None, tree, BP, "sum", fixed=fixed)
+        assert mapping.stats.null_keys == 3001
 
 
 class TestExport:

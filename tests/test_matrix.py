@@ -1,16 +1,24 @@
+import json
+
 import numpy as np
 import pytest
 
+from mtdist import branch_mapping_distance, elder_rule_decomposition, induced_node_mapping
+from mtdist.cli import main
 from mtdist.errors import MTDistError
 from mtdist.matrix import (
     DistanceMatrix,
     DistanceOptions,
+    branch_mapping,
     compute_matrix,
     format_csv,
     pairwise_distance,
     single_linkage_order,
     write_pgm,
 )
+from mtdist.metrics import BaseMetric
+from mtdist.tracking import step_leaf_pairs
+from mtdist.trees import write_merge_tree
 from conftest import random_merge_tree
 
 
@@ -64,6 +72,43 @@ class TestDistanceMatrix:
     def test_unknown_distance_rejected(self):
         with pytest.raises(MTDistError):
             DistanceOptions(distance="hausdorff")
+
+
+class TestMappingDispatch:
+    """``branch_mapping`` is the one place that turns a distance name into a
+    mapping call; the matrix, tracking and the CLI all go through it."""
+
+    @pytest.mark.parametrize("distance", ["branch", "branch-fixed"])
+    def test_every_caller_gets_the_same_mapping(self, distance, tmp_path, capsys):
+        t1, t2 = make_trees(2, seed=6)
+        opts = DistanceOptions(distance=distance, metric="euclidean", mode="l2")
+        d, mapping = branch_mapping(t1, t2, opts)
+        fixed = None
+        if distance == "branch-fixed":
+            fixed = (elder_rule_decomposition(t1), elder_rule_decomposition(t2))
+        want_d, want = branch_mapping_distance(t1, t2, BaseMetric("euclidean"), "l2", fixed=fixed)
+        assert d == want_d
+        assert mapping.to_json_dict() == want.to_json_dict()
+        assert mapping.decomposition1 == want.decomposition1
+        assert pairwise_distance(t1, t2, opts) == d
+        leaves1, leaves2 = set(t1.leaves), set(t2.leaves)
+        assert step_leaf_pairs(t1, t2, opts) == sorted(
+            (a, b) for a, b in induced_node_mapping(mapping) if a in leaves1 and b in leaves2
+        )
+        write_merge_tree(tmp_path / "a.mt", t1)
+        write_merge_tree(tmp_path / "b.mt", t2)
+        out = tmp_path / "map.json"
+        rc = main(["dist", str(tmp_path / "a.mt"), str(tmp_path / "b.mt"), "--distance", distance,
+                   "--metric", "euclidean", "--mode", "l2", "--mapping", str(out)])
+        assert rc == 0
+        assert capsys.readouterr().out.strip() == f"{d:.9f}"
+        assert json.loads(out.read_text()) == json.loads(json.dumps(mapping.to_json_dict()))
+
+    @pytest.mark.parametrize("distance", ["constrained", "one-degree"])
+    def test_non_mapping_names_raise(self, distance):
+        t1, t2 = make_trees(2, seed=6)
+        with pytest.raises(MTDistError):
+            branch_mapping(t1, t2, DistanceOptions(distance=distance))
 
 
 class TestClusterOrder:
