@@ -15,11 +15,13 @@ and support the sum and root-of-squared-sum aggregation modes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, repeat
+
+import numpy as np
 
 from .branches import build_bdt, elder_rule_decomposition
 from .errors import PreconditionError
-from .matching import min_cost_matching
+from .matching import SMALL, min_cost_matching, small_matching_costs
 from .metrics import BaseMetric, finalize
 from .trees import MergeTree, require_valid
 
@@ -96,12 +98,133 @@ def _postorder(root, kids):
     return order
 
 
-def _subtree_null(t: LabeledTree, null):
-    kids = t.children
-    out = [0.0] * len(t)
-    for v in _postorder(t.root, kids):
-        out[v] = null(t.labels[v]) + sum(out[c] for c in kids[v])
-    return out
+class _Levels:
+    """One tree's nodes laid out for :func:`_fill`.
+
+    The nodes reachable from the root are numbered in (height, child count,
+    id) order. ``levels[h]`` is ``(lo, mid, hi, small, top)``: height h
+    takes the positions ``lo:hi``, of which ``lo:mid`` have at most
+    ``SMALL`` children and ``mid:hi`` more; ``small`` and ``top`` are the
+    largest child counts of the two ranges. Per position: ``deg`` the child
+    count; ``kids`` the children's positions, padded with ``n``; ``sub`` the
+    cost of deleting the subtree (0 at the padding ``n``); ``rest`` that of
+    deleting the children's subtrees; ``null`` that of deleting the node
+    alone; and ``label`` the index of its label in ``labels``.
+    """
+
+    __slots__ = ("n", "root", "levels", "deg", "kids", "sub", "rest", "null", "label", "labels")
+
+    def __init__(self, t: LabeledTree, null):
+        kids = t.children
+        post = _postorder(t.root, kids)
+        nulls = [null(label) for label in t.labels]
+        height, rest, sub = [0] * len(kids), [0.0] * len(kids), [0.0] * len(kids)
+        for v in post:
+            cs = kids[v]
+            if cs:
+                height[v] = 1 + max([height[c] for c in cs])
+                rest[v] = sum([sub[c] for c in cs])
+            sub[v] = nulls[v] + rest[v]
+        order = sorted(post, key=lambda v: (height[v], len(kids[v]), v))
+        self.n = n = len(order)
+        self.deg = deg = [len(kids[v]) for v in order]
+        self.levels = []
+        k = 0
+        for h in range(height[t.root] + 1):
+            lo = k
+            while k < n and height[order[k]] == h and deg[k] <= SMALL:
+                k += 1
+            mid = k
+            while k < n and height[order[k]] == h:
+                k += 1
+            self.levels.append((lo, mid, k, deg[mid - 1] if mid > lo else 0, deg[k - 1]))
+        pos = [0] * len(kids)
+        for k, v in enumerate(order):
+            pos[v] = k
+        self.root = pos[t.root]
+        width = max(deg)
+        self.kids = np.array(
+            [[pos[c] for c in kids[v]] + [n] * (width - len(kids[v])) for v in order], dtype=np.intp
+        ).reshape(n, width)
+        self.sub = np.array([sub[v] for v in order] + [0.0])
+        self.rest = np.array([rest[v] for v in order])
+        self.null = np.array([nulls[v] for v in order])
+        index = {}
+        self.label = np.array([index.setdefault(t.labels[v], len(index)) for v in order], dtype=np.intp)
+        self.labels = list(index)
+
+
+def _fill(t1: LabeledTree, t2: LabeledTree, metric: BaseMetric, mode: str, edits: bool) -> float:
+    """The edit-distance table of every node pair, read at the root pair.
+
+    ``dist[i, j]`` is, in its first option, the label cost of the pair plus
+    the cheapest matching of the child subtrees, unmatched ones deleted or
+    inserted whole. With ``edits`` two more options follow: deleting i (one
+    child subtree carries on, the siblings are deleted) and, symmetrically,
+    inserting j. A pair needs only pairs of lower tree-1 height, and pairs
+    of the same row whose tree-2 node is lower. So the table is filled one
+    tree-1 height at a time: the first two options for all of tree 2 at
+    once, then the insert option one tree-2 height at a time, in increasing
+    order.
+
+    The matchings of one height go in one :func:`small_matching_costs`
+    batch for all pairs with at most ``SMALL`` children on both sides,
+    padded to the widest: a padding child comes last, costs nothing to
+    leave unmatched and +inf to match, so every cost stays bit for bit that
+    of the unpadded instance. The other pairs call ``min_cost_matching``
+    one by one.
+    """
+    squared = mode == "l2"
+    _, null = _costs(metric, squared)
+    a, b = _Levels(t1, null), _Levels(t2, null)
+    # one scalar metric.pair call per distinct label pair: the vectorised
+    # forms can round differently in the last bit
+    lows, highs = [y[0] for y in b.labels], [y[1] for y in b.labels]
+    L = np.fromiter(
+        chain.from_iterable(map(metric.pair, repeat(x0), repeat(x1), lows, highs) for x0, x1 in a.labels),
+        np.float64,
+        len(a.labels) * len(b.labels),
+    )
+    if squared:
+        L = L * L
+    L = L.reshape(len(a.labels), -1).take(a.label, axis=0).take(b.label, axis=1)
+    n2 = b.n
+    dist = np.full((a.n + 1, n2 + 1), np.inf)  # the last row and column pad missing children
+    flat = dist.reshape(-1)
+    # tree-2 inner nodes: those with at most SMALL children, with their
+    # padded children, the children's deletion costs and the label costs
+    inner = range(b.levels[0][2], n2)
+    small = np.array([j for j in inner if b.deg[j] <= SMALL], dtype=np.intp)
+    big = [j for j in inner if b.deg[j] > SMALL]
+    k2 = b.kids.take(small, axis=0)[:, :max([b.deg[j] for j in small], default=0)]
+    k2x, inss, Ls = k2[None, :, None, :], b.sub.take(k2), L.take(small, axis=1)
+    # per tree-2 height above the leaves: the terms of the insert option
+    inserts = []
+    for c0, _, c1, _, top in b.levels[1:] if edits else ():
+        k2 = b.kids[c0:c1, :top]
+        inserts.append((c0, c1, k2, b.rest[c0:c1, None], b.sub.take(k2), b.null[c0:c1]))
+    for h, (lo, mid, hi, cs, top) in enumerate(a.levels):
+        best = L[lo:hi] + (b.rest if h == 0 else a.rest[lo:hi, None])
+        if h and cs and len(small):
+            k1 = a.kids[lo:mid, :cs]
+            P = flat.take((k1 * (n2 + 1))[:, None, :, None] + k2x)
+            best[:mid - lo, small] = Ls[lo:mid] + small_matching_costs(P, a.sub.take(k1)[:, None], inss)
+        for i in range(lo if big else mid, hi) if h else ():
+            k1 = a.kids[i, :a.deg[i]]
+            for j in big if i < mid else inner:
+                k2 = b.kids[j, :b.deg[j]]
+                P = dist.take(k1, axis=0).take(k2, axis=1).tolist()
+                side, _ = min_cost_matching(P, a.sub.take(k1).tolist(), b.sub.take(k2).tolist())
+                best[i - lo, j] = L[i, j] + side
+        if edits and h:
+            k1 = a.kids[lo:hi, :top]
+            X = dist.take(k1, axis=0)[:, :, :n2] + a.rest[lo:hi, None, None] - a.sub.take(k1)[:, :, None]
+            np.minimum(best, a.null[lo:hi, None] + np.minimum.reduce(X, axis=1), out=best)
+        dist[lo:hi, :n2] = best
+        for c0, c1, k2, rest, sub, nul in inserts:
+            Y = dist[lo:hi].take(k2, axis=1) + rest - sub
+            np.minimum(best[:, c0:c1], nul + np.minimum.reduce(Y, axis=2), out=dist[lo:hi, c0:c1])
+    return finalize(dist[a.root, b.root], mode)
 
 
 def one_degree_distance(
@@ -111,28 +234,11 @@ def one_degree_distance(
     subtree is either matched to a child subtree of the partner node or
     deleted/inserted as a whole.
 
-    The recurrence needs the root pair and, recursively, every pair of
-    children of a needed pair; no other pair. These are listed from the root
-    pair outward and evaluated in reverse, so every child pair is done
-    before its parent pair.
+    A node pair's value needs only its children's pairs, so the table of
+    :func:`_fill` without the delete and insert options holds it at the
+    root pair.
     """
-    squared = mode == "l2"
-    pair, null = _costs(metric, squared)
-    sub1 = _subtree_null(t1, null)
-    sub2 = _subtree_null(t2, null)
-    kids1, kids2 = t1.children, t2.children
-    reached = [(t1.root, t2.root)]
-    for i, j in reached:
-        reached.extend(product(kids1[i], kids2[j]))
-    dist: dict[tuple[int, int], float] = {}
-    for key in reversed(reached):
-        i, j = key
-        ca, cb = kids1[i], kids2[j]
-        P = [[dist[c, d] for d in cb] for c in ca]
-        side, _ = min_cost_matching(P, [sub1[c] for c in ca], [sub2[d] for d in cb])
-        dist[key] = pair(t1.labels[i], t2.labels[j]) + side
-
-    return finalize(dist[t1.root, t2.root], mode)
+    return _fill(t1, t2, metric, mode, edits=False)
 
 
 def constrained_edit_distance(
@@ -143,39 +249,7 @@ def constrained_edit_distance(
     Per node pair the recurrence takes the best of relabel-and-match-children
     (a min-cost matching over child subtrees), deleting the first tree's
     root (one child subtree carries on, the siblings are deleted), and the
-    symmetric root insertion. Every node pair is needed; the table is filled
-    bottom-up over both post-orders, so each pair's children pairs, and the
-    pairs of each node with the other node's children, are done first.
+    symmetric root insertion; :func:`_fill` evaluates it over every node
+    pair.
     """
-    squared = mode == "l2"
-    pair, null = _costs(metric, squared)
-    sub1 = _subtree_null(t1, null)
-    sub2 = _subtree_null(t2, null)
-    kids1, kids2 = t1.children, t2.children
-    post2 = _postorder(t2.root, kids2)
-    dist = [[0.0] * len(t2) for _ in range(len(t1))]
-    for i in _postorder(t1.root, kids1):
-        ca = kids1[i]
-        row = dist[i]
-        for j in post2:
-            cb = kids2[j]
-            P = [[dist[c][d] for d in cb] for c in ca]
-            side, _ = min_cost_matching(P, [sub1[c] for c in ca], [sub2[d] for d in cb])
-            best = pair(t1.labels[i], t2.labels[j]) + side
-            if ca:
-                del_rest = sum(sub1[c] for c in ca)
-                best = min(
-                    best,
-                    null(t1.labels[i])
-                    + min(dist[c][j] + del_rest - sub1[c] for c in ca),
-                )
-            if cb:
-                ins_rest = sum(sub2[d] for d in cb)
-                best = min(
-                    best,
-                    null(t2.labels[j])
-                    + min(row[d] + ins_rest - sub2[d] for d in cb),
-                )
-            row[j] = best
-
-    return finalize(dist[t1.root][t2.root], mode)
+    return _fill(t1, t2, metric, mode, edits=True)

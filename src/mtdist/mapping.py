@@ -35,7 +35,7 @@ import numpy as np
 
 from .branches import Branch, BranchDecomposition
 from .errors import PreconditionError
-from .matching import min_cost_matching as _assignment
+from .matching import matching_costs, min_cost_matching as _assignment
 from .metrics import BaseMetric, aggregate, finalize
 from .trees import MergeTree, require_valid
 
@@ -333,34 +333,57 @@ def _sides(f1: _Flat, f2: _Flat, T, r, c, sc, sd):
 
 def _wide_sides(f1: _Flat, f2: _Flat, T, h1, h2):
     """Matching costs of the node pairs of heights (h1, h2) that involve a
-    saddle of degree 3 or more, from ``min_cost_matching``: a list of
-    ``(rows, cols, side)`` with the node pair's row and column ranges."""
+    saddle of degree 3 or more: a list of ``(rows, cols, side)``, one per
+    pair of child counts (c, d), with the state rows and columns of its node
+    pairs and ``side[i, j, r, c]``, the cost of matching the children other
+    than slot i against those other than slot j, batched by
+    :func:`matching_costs`."""
     out = []
-    inner = [w for w in f2.order[f2.first[h2]:f2.first[h2 + 1]] if len(f2.children[w]) > 1]
-    wide = [w for w in inner if len(f2.children[w]) > 2]
-    for v in f1.order[f1.first[h1]:f1.first[h1 + 1]]:
-        cs = f1.children[v]
-        if len(cs) < 2:
-            continue
-        t1 = f1.tips(cs)
-        dels = f1.D[t1].tolist()
-        for w in inner if len(cs) > 2 else wide:
-            ds = f2.children[w]
-            t2 = f2.tips(ds)
-            P = T[np.ix_(t1, t2)].tolist()
-            inss = f2.D[t2].tolist()
-            side = np.empty((len(cs), len(ds)))
-            for i in range(len(cs)):
-                rest = P[:i] + P[i + 1:]
-                rest_dels = dels[:i] + dels[i + 1:]
-                for j in range(len(ds)):
-                    side[i, j] = _assignment(
-                        [r[:j] + r[j + 1:] for r in rest], rest_dels, inss[:j] + inss[j + 1:]
-                    )[0]
-            rows = (f1.off[v], f1.off[v] + f1.last[v] + 1)
-            cols = (f2.off[w], f2.off[w] + f2.last[w] + 1)
-            out.append((rows, cols, side))
+    by1, by2 = _saddles_by_degree(f1, h1), _saddles_by_degree(f2, h2)
+    for c, vs in by1.items():
+        for d, ws in by2.items():
+            if c == d == 2:
+                continue
+            # tip rows of the children other than slot i of node x, at [x, i]
+            t1 = _tip_rows(f1, vs, c)[:, _others(c)]
+            t2 = _tip_rows(f2, ws, d)[:, _others(d)]
+            side = matching_costs(  # axes: node x, node y, slot i, slot j
+                T.take(t1[:, None, :, None, :, None] * T.shape[1] + t2[None, :, None, :, None, :]),
+                f1.D[t1][:, None, :, None],
+                f2.D[t2][:, None],
+            )
+            rows, x = _state_rows(f1, vs)
+            cols, y = _state_rows(f2, ws)
+            out.append((rows, cols, side[x][:, y].transpose(2, 3, 0, 1)))
     return out
+
+
+def _saddles_by_degree(f: _Flat, h):
+    """The saddles of height h, grouped by their number of children."""
+    out = {}
+    for v in f.order[f.first[h]:f.first[h + 1]]:
+        k = len(f.children[v])
+        if k > 1:
+            out.setdefault(k, []).append(v)
+    return out
+
+
+def _tip_rows(f: _Flat, nodes, k):
+    """Tip rows of the k children of every node in ``nodes``, one row each."""
+    return np.array([f.tips(f.children[v]) for v in nodes], dtype=np.int64).reshape(len(nodes), k)
+
+
+def _others(k):
+    """``out[i]``: the slots 0..k-1 other than i, in order."""
+    return np.array([[s for s in range(k) if s != i] for i in range(k)], dtype=np.int64)
+
+
+def _state_rows(f: _Flat, nodes):
+    """The state rows of ``nodes`` and, per row, the position of its node."""
+    counts = [f.last[v] + 1 for v in nodes]
+    node = np.repeat(np.arange(len(nodes)), counts)
+    first = np.cumsum(counts) - counts  # each node's first entry
+    return np.array([f.off[v] for v in nodes]).take(node) + np.arange(len(node)) - first.take(node), node
 
 
 def _codes(NC, ND, sc, sd, dtype):
@@ -391,10 +414,9 @@ def _fill_slices(f1, f2, T, K, h1, h2):
         np.add(T[r0:r1, s2[:, c:d]].transpose(1, 0, 2), f2.cost[:sd, None, c:d], out=X[sc:sc + sd])
         if sc and sd:
             side = _sides(f1, f2, T, np.arange(r0, r1)[:, None], np.arange(c, d)[None], sc, sd)
-            for (ra, rb), (ca, cb), val in wide:
-                lo, hi = max(ra, r0), min(rb, r1)
-                if lo < hi:
-                    side[:val.shape[0], :val.shape[1], lo - r0:hi - r0, ca - c:cb - c] = val[..., None, None]
+            for rows, cols, val in wide:
+                keep = (rows >= r0) & (rows < r1)
+                side[:val.shape[0], :val.shape[1], rows[keep, None] - r0, cols - c] = val[:, :, keep]
             M = X[sc + sd:].reshape(sc, sd, r1 - r0, d - c)
             M[...] = T.take(s1[:, None, r0:r1, None] * T.shape[1] + s2[None, :, None, c:d])
             M += side
@@ -434,9 +456,9 @@ def _fill_flat(f1, f2, T, K, rects):
         side = _sides(f1, f2, T, rr, cc, sc, sd)
         if sc > 2 or sd > 2:
             for (h1, h2), (ra, ca, w, s0) in zip(rects, corners):
-                for (va, vb), (wa, wb), val in _wide_sides(f1, f2, T, h1, h2):
-                    pos = s0 + (np.arange(va, vb)[:, None] - ra) * w + np.arange(wa - ca, wb - ca)
-                    side[:val.shape[0], :val.shape[1], pos] = val[..., None, None]
+                for rows, cols, val in _wide_sides(f1, f2, T, h1, h2):
+                    pos = s0 + (rows - ra)[:, None] * w + (cols - ca)
+                    side[:val.shape[0], :val.shape[1], pos] = val
         M = X[sc + sd:].reshape(sc, sd, len(rr))
         M[...] = T.take(s1[:, None] + s2[None])
         M += side

@@ -210,3 +210,38 @@ def test_deep_caterpillar(fn, ref, fig5a):
         assert d21 == ref(small, deep, BP, "l2")
     finally:
         sys.setrecursionlimit(limit)
+
+
+def wide_labeled_tree(rng, n, hubs):
+    """A random tree on ``n`` nodes whose first ``hubs`` nodes take 5 to 7
+    children and every other inner node 1 to 3, with integer labels."""
+    want = [int(rng.integers(5, 8)) if v < hubs else int(rng.integers(1, 4)) for v in range(n)]
+    parent, free = [-1], [0]
+    while len(parent) < n:
+        p = free[int(rng.integers(0, min(len(free), hubs + 1)))]
+        parent.append(p)
+        free.append(len(parent) - 1)
+        if sum(q == p for q in parent) == want[p]:
+            free.remove(p)
+    labels = []
+    for _ in range(n):
+        low = int(rng.integers(0, 4))
+        labels.append((float(low), float(low + rng.integers(1, 4))))
+    return LabeledTree(parent=tuple(parent), labels=tuple(labels), root=0)
+
+
+@pytest.mark.parametrize("fn, ref", BASELINES, ids=["constrained", "one-degree"])
+def test_wide_saddles_mix_batched_and_single_matchings(fn, ref):
+    # saddles of 5-7 children next to ones of 1-3: one fill batches the
+    # small matchings and solves the wider ones one by one
+    rng = np.random.default_rng(88)
+    for _ in range(12):
+        a = wide_labeled_tree(rng, int(rng.integers(12, 30)), hubs=2)
+        b = wide_labeled_tree(rng, int(rng.integers(12, 30)), hubs=1)
+        degrees = [len(k) for k in a.children + b.children]
+        assert max(degrees) >= 5 and 2 in degrees
+        for kind in METRIC_NAMES:
+            m = BaseMetric(kind)
+            for mode in MODE_NAMES:
+                assert fn(a, b, m, mode) == ref(a, b, m, mode)
+                assert fn(b, a, m, mode) == ref(b, a, m, mode)

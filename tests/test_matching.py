@@ -1,6 +1,15 @@
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mtdist.matching import brute_force_matching, min_cost_matching
+from mtdist.matching import (
+    SMALL,
+    brute_force_matching,
+    matching_costs,
+    min_cost_matching,
+    small_matching_costs,
+    small_matching_patterns,
+)
 
 
 def matching_cost(P, dels, inss, pairs):
@@ -48,3 +57,71 @@ def test_large_instance_uses_solver():
     fast, pairs = min_cost_matching(P, dels, inss, want_pairs=True)
     brute, _ = brute_force_matching(P, dels, inss)
     assert abs(fast - brute) < 1e-9
+
+
+def _instance(draw, r, s, values):
+    P = [[draw(values) for _ in range(s)] for _ in range(r)]
+    return P, [draw(values) for _ in range(r)], [draw(values) for _ in range(s)]
+
+
+# integer costs, halves from a tiny range (many ties), and arbitrary floats
+COSTS = st.sampled_from([
+    st.integers(0, 9).map(float),
+    st.integers(0, 3).map(lambda k: k / 2),
+    st.floats(0.0, 10.0, allow_nan=False),
+])
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(st.data(), st.integers(0, SMALL), st.integers(0, SMALL), st.integers(1, 6), COSTS)
+def test_small_kernel_equals_search(data, r, s, n, values):
+    """Costs equal both solvers bit for bit; the first cheapest pattern is
+    brute force's matching, ties included; padding a row or a column that
+    costs nothing unmatched and +inf matched leaves every cost as it is."""
+    batch = [_instance(data.draw, r, s, values) for _ in range(n)]
+    P = np.array([b[0] for b in batch]).reshape(n, r, s)
+    dels = np.array([b[1] for b in batch]).reshape(n, r)
+    inss = np.array([b[2] for b in batch]).reshape(n, s)
+    costs, first = small_matching_costs(P, dels, inss, first=True)
+    patterns = small_matching_patterns(r, s)
+    for k, (p, d, i) in enumerate(batch):
+        brute, pairs = brute_force_matching(p, d, i)
+        assert costs[k] == brute == min_cost_matching(p, d, i)[0]
+        assert [(row, col) for row, col in enumerate(patterns[first[k]]) if col >= 0] == pairs
+    assert np.array_equal(matching_costs(P, dels, inss), costs)
+    padded = np.full((n, SMALL, SMALL), np.inf)
+    padded[:, :r, :s] = P
+    pad_dels, pad_inss = np.zeros((n, SMALL)), np.zeros((n, SMALL))
+    pad_dels[:, :r], pad_inss[:, :s] = dels, inss
+    assert np.array_equal(small_matching_costs(padded, pad_dels, pad_inss), costs)
+
+
+def test_small_kernel_broadcasts_leading_axes():
+    rng = np.random.default_rng(8)
+    P = rng.integers(0, 4, (3, 4, 2, 3)).astype(float)
+    dels = rng.integers(0, 4, (3, 1, 2)).astype(float)
+    inss = rng.integers(0, 4, (4, 3)).astype(float)
+    costs = small_matching_costs(P, dels, inss)
+    assert costs.shape == (3, 4)
+    for x in range(3):
+        for y in range(4):
+            want = min_cost_matching(P[x, y].tolist(), dels[x, 0].tolist(), inss[y].tolist())[0]
+            assert costs[x, y] == want
+
+
+def test_pattern_order_is_search_order():
+    assert small_matching_patterns(0, 2) == ((),)
+    assert small_matching_patterns(2, 1) == ((-1, -1), (-1, 0), (0, -1))
+    assert [len(small_matching_patterns(r, r)) for r in range(4)] == [1, 2, 7, 34]
+
+
+def test_matching_costs_beyond_small_calls_solver():
+    rng = np.random.default_rng(5)
+    P = rng.uniform(0, 10, (2, 3, SMALL + 2, 2))
+    dels = rng.uniform(0, 10, (2, 1, SMALL + 2))
+    inss = rng.uniform(0, 10, (3, 2))
+    costs = matching_costs(P, dels, inss)
+    for x in range(2):
+        for y in range(3):
+            want = min_cost_matching(P[x, y].tolist(), dels[x, 0].tolist(), inss[y].tolist())[0]
+            assert costs[x, y] == want
