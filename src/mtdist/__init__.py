@@ -21,7 +21,6 @@ from .branches import (
     count_branch_decompositions,
     elder_rule_decomposition,
     enumerate_branch_decompositions,
-    induced_decomposition,
 )
 from .errors import (
     InvalidTreeError,
@@ -110,7 +109,6 @@ __all__ = [
     "four_peak_spec",
     "generate_ensemble",
     "generate_periodic_series",
-    "induced_decomposition",
     "induced_node_mapping",
     "one_degree_distance",
     "oracle_distance",

@@ -132,30 +132,6 @@ class BranchDecomposition:
             return None
         return self.branch_through(b.start)
 
-    @classmethod
-    def from_branches(cls, tree: MergeTree, branches) -> "BranchDecomposition":
-        """Build from an explicit branch set, checking the edge partition."""
-        used = set()
-        cont: dict[int, int] = {}
-        for b in branches:
-            seq = b.vertex_sequence(tree)
-            for a, c in zip(seq, seq[1:]):
-                if (c, a) in used:
-                    raise PreconditionError(f"edge ({c},{a}) covered twice")
-                used.add((c, a))
-                if a == b.start and a != tree.root:
-                    # a new branch starting at an interior vertex of its
-                    # parent branch does not define a's continuation
-                    continue
-                if a in cont and cont[a] != c:
-                    raise PreconditionError(f"conflicting continuations at node {a}")
-                cont[a] = c
-        if len(used) != len(tree) - 1:
-            raise PreconditionError(
-                f"branch edges cover {len(used)} of {len(tree) - 1} tree edges"
-            )
-        return cls(tree, cont)
-
 
 def elder_rule_decomposition(tree: MergeTree) -> BranchDecomposition:
     """The canonical decomposition preferring the most persistent branches.
@@ -247,82 +223,3 @@ def build_bdt(decomposition: BranchDecomposition) -> BranchDecompTree:
         else:
             parent.append(index[pb])
     return BranchDecompTree(branches=branches, parent=tuple(parent), root=root)
-
-
-@dataclass(frozen=True)
-class TreePart:
-    """One side of an induced split: a materialized tree, its decomposition,
-    and the map from its dense node ids back to the original tree's ids."""
-
-    tree: MergeTree
-    decomposition: BranchDecomposition
-    to_original: tuple[int, ...]
-
-    def original_branches(self):
-        m = self.to_original
-        return tuple(
-            sorted(
-                Branch(m[b.start], m[b.leaf], b.low, b.high)
-                for b in self.decomposition.branches
-            )
-        )
-
-
-def induced_decomposition(
-    decomposition: BranchDecomposition, root_edge: tuple[int, int]
-):
-    """Split a decomposition along a branch's first edge.
-
-    ``root_edge`` is ``(child, parent)``; a branch of the decomposition must
-    start with exactly this edge. Returns ``(sub, rest)`` where ``sub`` covers
-    the subtree rooted in the edge and ``rest`` covers the remainder (``None``
-    when the remainder is empty). If the remainder would leave the parent as
-    an inner node with a single child, the parent is spliced out; branch
-    endpoints are unaffected by the splice.
-    """
-    tree = decomposition.tree
-    c, p = root_edge
-    if int(tree.parent[c]) != p:
-        raise PreconditionError(f"({c},{p}) is not an edge of the tree")
-    starts_here = p == tree.root or decomposition.continuation[p] != c
-    if not starts_here:
-        raise PreconditionError(f"no branch of the decomposition starts at edge ({c},{p})")
-
-    sub_nodes = [p] + tree.subtree_nodes(c)
-    sub = _materialize(tree, decomposition, sub_nodes, new_root=p)
-
-    if p == tree.root:
-        return sub, None
-
-    inside = set(sub_nodes) - {p}
-    rest_nodes = [v for v in tree.subtree_nodes(tree.root) if v not in inside]
-    splice = len(tree.children[p]) == 2
-    if splice:
-        rest_nodes = [v for v in rest_nodes if v != p]
-    rest = _materialize(
-        tree, decomposition, rest_nodes, new_root=tree.root, spliced=p if splice else None
-    )
-    return sub, rest
-
-
-def _materialize(tree, decomposition, nodes, new_root, spliced=None):
-    index = {v: i for i, v in enumerate(nodes)}
-    values = [float(tree.values[v]) for v in nodes]
-    parent = []
-    for v in nodes:
-        if v == new_root:
-            parent.append(-1)
-            continue
-        p = int(tree.parent[v])
-        if p == spliced:
-            p = int(tree.parent[p])
-        parent.append(index[p])
-    part_tree = require_valid(MergeTree(values, parent))
-
-    inside = set(nodes)
-    kept = []
-    for b in decomposition.branches:
-        if b.leaf in inside and b.start in inside:
-            kept.append(Branch(index[b.start], index[b.leaf], b.low, b.high))
-    part_dec = BranchDecomposition.from_branches(part_tree, kept)
-    return TreePart(tree=part_tree, decomposition=part_dec, to_original=tuple(nodes))

@@ -36,7 +36,7 @@ from .matrix import (
 )
 from .metrics import METRIC_NAMES, MODE_NAMES
 from .tracking import build_tracks
-from .trees import read_merge_tree, write_merge_tree
+from .trees import read_merge_tree, read_text, write_merge_tree
 
 
 class _Parser(argparse.ArgumentParser):
@@ -66,9 +66,9 @@ def _collect_inputs(paths):
 
 def _load_tree(path, args):
     """Read an MT file, or build a tree from an SF2 field using the flags."""
-    with open(path, "r", encoding="utf-8") as fh:
-        head = fh.read(4)
-    if head.startswith("SF2"):
+    with open(path, "rb") as fh:
+        head = fh.read(3)
+    if head == b"SF2":
         field = read_scalar_field(path, connectivity=args.connectivity)
         tree = compute_merge_tree(field, direction=args.direction)
         if args.simplify > 0:
@@ -205,15 +205,14 @@ def cmd_track(args):
 
 def _read_config(path):
     out = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise MTDistError(f"{path}:{no}: expected key=value, got {line!r}")
-            key, value = line.split("=", 1)
-            out[key.strip().replace("-", "_")] = value.strip()
+    for no, line in enumerate(read_text(path).splitlines(), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise MTDistError(f"{path}:{no}: expected key=value, got {line!r}")
+        key, value = line.split("=", 1)
+        out[key.strip().replace("-", "_")] = value.strip()
     return out
 
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from .branches import elder_rule_decomposition
 from .errors import MTDistError, ParseError
-from .trees import MergeTree, require_valid
+from .trees import MergeTree, read_text, require_valid
 
 _EPS = 1e-9
 
@@ -97,8 +97,7 @@ def parse_scalar_field(text: str, path: str = "<string>", connectivity: int = 8)
 
 
 def read_scalar_field(path, connectivity: int = 8) -> ScalarField2D:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_scalar_field(fh.read(), path=str(path), connectivity=connectivity)
+    return parse_scalar_field(read_text(path), path=str(path), connectivity=connectivity)
 
 
 def format_scalar_field(f: ScalarField2D) -> str:

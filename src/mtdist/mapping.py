@@ -118,7 +118,7 @@ class BranchMapping:
 # ---------------------------------------------------------------------------
 
 class _Side:
-    """Traversal orders of one tree, shared by both modes."""
+    """Traversal orders of one valid tree (its root has one child), shared by both modes."""
 
     __slots__ = ("tree", "values", "post", "depth", "children", "entry")
 
@@ -126,10 +126,7 @@ class _Side:
         self.tree = tree
         self.values = tree.values
         self.children = tree.children
-        root = tree.root
-        if len(tree.children[root]) != 1:
-            raise PreconditionError("root must have exactly one child")
-        self.entry = tree.children[root][0]
+        self.entry = tree.children[tree.root][0]
         # iterative post-order over non-root nodes, children before parents
         post = []
         stack = [(self.entry, False)]
@@ -500,17 +497,21 @@ def _pair_table(f1: _Flat, f2: _Flat, metric: BaseMetric, squared: bool):
 
 
 def _walk(f1: _States, f2: _States | None, T, K, metric: BaseMetric, start):
-    """Pairs, pair costs, deletions and insertions of an optimal mapping.
+    """Pairs, pair costs, deletions, insertions and each tree's continuation
+    map of an optimal mapping.
 
     One explicit stack of work items: ``(v, i, w, j)`` maps the subtrees of
     the states (v, i) and (w, j); ``(0, v, i)`` deletes tree 1's subtree of
     state (v, i) and ``(1, w, j)`` inserts tree 2's. ``f2``, ``T`` and ``K``
     are None for a one-sided mapping. Matched siblings are pushed in
     reverse, so pairs come out in the order of the recursive definition.
+    Every inner non-root node is left exactly once, through the child its
+    branch continues into, so the continuation maps cover them all.
     """
     flats = (f1, f2)
     pairs, pair_costs = [], []
     out = ([], [])
+    cont = ({}, {})
     stack = [start]
     while stack:
         item = stack.pop()
@@ -522,6 +523,7 @@ def _walk(f1: _States, f2: _States | None, T, K, metric: BaseMetric, start):
                 out[k].append(f.branch(v, p))
                 continue
             keep = int(f.KD[f.off[v] + p])
+            cont[k][v] = cs[keep]
             for x, c in enumerate(cs):
                 stack.append((k, c, p if x == keep else f.last[c]))
             continue
@@ -535,6 +537,7 @@ def _walk(f1: _States, f2: _States | None, T, K, metric: BaseMetric, start):
         NC, ND = f1.degmax, f2.degmax
         code = int(K[f1.off[v] + pi, f2.off[w] + pj])
         if code < NC:
+            cont[0][v] = cs[code]
             for x, c in enumerate(cs):
                 if x != code:
                     stack.append((0, c, f1.last[c]))
@@ -542,12 +545,14 @@ def _walk(f1: _States, f2: _States | None, T, K, metric: BaseMetric, start):
             continue
         if code < NC + ND:
             code -= NC
+            cont[1][w] = ds[code]
             for y, d in enumerate(ds):
                 if y != code:
                     stack.append((1, d, f2.last[d]))
             stack.append((v, pi, ds[code], pj))
             continue
         i, j = divmod(code - NC - ND, ND)
+        cont[0][v], cont[1][w] = cs[i], ds[j]
         rest_c = cs[:i] + cs[i + 1:]
         rest_d = ds[:j] + ds[j + 1:]
         t1, t2 = f1.tips(rest_c), f2.tips(rest_d)
@@ -569,7 +574,7 @@ def _walk(f1: _States, f2: _States | None, T, K, metric: BaseMetric, start):
         for ii, jj in reversed(matched):
             c, d = rest_c[ii], rest_d[jj]
             stack.append((c, f1.last[c], d, f2.last[d]))
-    return pairs, pair_costs, out[0], out[1]
+    return pairs, pair_costs, out, cont
 
 
 # ---------------------------------------------------------------------------
@@ -706,25 +711,25 @@ def branch_mapping_distance(
                 raise PreconditionError(f"fixed decomposition does not belong to tree {k + 1}")
     decs = (None, None) if fixed is None else fixed
     f1, f2 = (None if t is None else _states(t, d, metric, squared) for t, d in zip(trees, decs))
-    pairs, pair_costs, out = [], [], [[], []]
+    pairs, pair_costs, out, cont = [], [], [[], []], [{}, {}]
     total, keys, bound = 0.0, 0, 0
     if f1 is not None and f2 is not None:
         T, K = (_pair_table if fixed is None else _fixed_tables)(f1, f2, metric, squared)
         total = T[f1.off[f1.entry], f2.off[f2.entry]]
-        pairs, pair_costs, out[0], out[1] = _walk(f1, f2, T, K, metric, (f1.entry, 0, f2.entry, 0))
+        pairs, pair_costs, out, cont = _walk(f1, f2, T, K, metric, (f1.entry, 0, f2.entry, 0))
         keys = f1.S * f2.S
         bound = len(tree1) * tree1.depth * len(tree2) * tree2.depth
     else:
         for k, f in enumerate((f1, f2)):
             if f is not None:
                 total = f.D[f.off[f.entry]]
-                out[k] = _walk(f, None, None, None, metric, (0, f.entry, 0))[2]
+                _, _, (out[k], _), (cont[k], _) = _walk(f, None, None, None, metric, (0, f.entry, 0))
     null_keys = sum(f.S for f in (f1, f2) if f is not None)
     decs = [
         None if t is None
         else d if d is not None
-        else BranchDecomposition.from_branches(t, [p[k] for p in pairs] + out[k])
-        for k, (t, d) in enumerate(zip(trees, decs))
+        else BranchDecomposition(t, {t.root: f.entry, **cont[k]})
+        for k, (t, d, f) in enumerate(zip(trees, decs, (f1, f2)))
     ]
     distance = finalize(total, mode)
     return distance, BranchMapping(

@@ -122,7 +122,9 @@ def compute_matrix(
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     if jobs is None:
         jobs = os.cpu_count() or 1
-    if jobs > 1 and len(pairs) > 1:
+    # a fork-based pool starts all its workers at once, needed or not
+    jobs = min(jobs, len(pairs))
+    if jobs > 1:
         # about four tasks per worker, so that one slow task cannot hold most of the work
         tasks = 4 * jobs
         chunksize = (len(pairs) + tasks - 1) // tasks

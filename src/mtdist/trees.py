@@ -220,9 +220,19 @@ def parse_merge_tree(text: str, path: str = "<string>") -> MergeTree:
     return require_valid(tree)
 
 
+def read_text(path) -> str:
+    """The contents of a UTF-8 text file; other bytes raise :class:`ParseError`."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ParseError(path, line, f"not UTF-8 text: byte {data[exc.start]:#04x} at offset {exc.start}") from None
+
+
 def read_merge_tree(path) -> MergeTree:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_merge_tree(fh.read(), path=str(path))
+    return parse_merge_tree(read_text(path), path=str(path))
 
 
 def format_merge_tree(tree: MergeTree) -> str:

@@ -3,15 +3,12 @@ import pytest
 
 from mtdist import (
     MergeTree,
-    PreconditionError,
     SizeLimitError,
     build_bdt,
     count_branch_decompositions,
     elder_rule_decomposition,
     enumerate_branch_decompositions,
-    induced_decomposition,
 )
-from mtdist.branches import Branch, BranchDecomposition
 from conftest import nested_tree, random_merge_tree
 
 
@@ -154,66 +151,3 @@ class TestBDT:
                     # attachment vertex is interior to the parent branch path
                     seq = bdt.branches[p].vertex_sequence(t)
                     assert b.start in seq[1:-1] or b.start == seq[0] == t.root
-
-
-class TestInduced:
-    def test_fig5a_split(self, fig5a):
-        dec = BranchDecomposition.from_branches(
-            fig5a,
-            [Branch(0, 2, 0.0, 10.0), Branch(1, 3, 3.0, 6.0)],
-        )
-        sub, rest = induced_decomposition(dec, (3, 1))
-        assert branch_labels(sub.decomposition) == [(3.0, 6.0)]
-        assert branch_labels(rest.decomposition) == [(0.0, 10.0)]
-        # the saddle was spliced out of the remainder
-        assert len(rest.tree) == 2
-
-    def test_whole_tree_split(self):
-        tree = MergeTree([0.0, 10.0], [-1, 0])
-        dec = elder_rule_decomposition(tree)
-        sub, rest = induced_decomposition(dec, (1, 0))
-        assert rest is None
-        assert branch_labels(sub.decomposition) == [(0.0, 10.0)]
-
-    def test_three_leaf_resplice(self):
-        # chain of two saddles; split off the middle child branch
-        tree = nested_tree((0, [(2, [(9, []), (4, [(8, []), (7, [])])])]))
-        dec = elder_rule_decomposition(tree)
-        # elder: main (0,9); side branches (2,8) and (4,7)
-        side = next(b for b in dec.branches if b.label == (2.0, 8.0))
-        child = side.vertex_sequence(tree)[1]
-        sub, rest = induced_decomposition(dec, (child, side.start))
-        assert branch_labels(sub.decomposition) == [(2.0, 8.0), (4.0, 7.0)]
-        assert branch_labels(rest.decomposition) == [(0.0, 9.0)]
-        edges_sub = edges_of(sub.decomposition)
-        edges_rest = edges_of(rest.decomposition)
-        assert len(edges_sub) == len(sub.tree) - 1
-        assert len(edges_rest) == len(rest.tree) - 1
-
-    def test_precondition(self, fig5a):
-        dec = elder_rule_decomposition(fig5a)
-        # main continues to leaf 2, so no branch starts at edge (2, 1)
-        with pytest.raises(PreconditionError):
-            induced_decomposition(dec, (2, 1))
-
-    def test_edge_counts_without_splice(self):
-        # parent keeps three children so no splice happens
-        tree = nested_tree((0, [(1, [(5, []), (6, []), (4, [(9, []), (8, [])])])]))
-        dec = elder_rule_decomposition(tree)
-        side = [b for b in dec.branches if b.start == 1 and b.label == (1.0, 6.0)][0]
-        sub, rest = induced_decomposition(dec, (side.vertex_sequence(tree)[1], 1))
-        assert (len(sub.tree) - 1) + (len(rest.tree) - 1) == len(tree) - 1
-
-    def test_unchanged_branches_random(self):
-        rng = np.random.default_rng(41)
-        for _ in range(20):
-            t = random_merge_tree(rng, max_leaves=6)
-            dec = elder_rule_decomposition(t)
-            sides = [b for b in dec.branches if b != dec.main]
-            if not sides:
-                continue
-            b = sides[0]
-            child = b.vertex_sequence(t)[1]
-            sub, rest = induced_decomposition(dec, (child, b.start))
-            orig = set(sub.original_branches()) | set(rest.original_branches())
-            assert orig == set(dec.branches)

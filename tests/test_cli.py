@@ -59,6 +59,16 @@ class TestDist:
         assert rc == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("data", [b"\xff\xfeMT 2\n", b"SF2 1 2\n1 \xff\n"], ids=["mt", "sf2"])
+    def test_non_utf8_file_is_data_error(self, tmp_path, capsys, data):
+        bad = tmp_path / "bad.mt"
+        bad.write_bytes(data)
+        rc = main(["dist", str(bad), str(bad)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("mtdist: error: ") and "bad.mt" in err
+        assert "Traceback" not in err
+
     def test_mapping_export(self, fig5_files, tmp_path, capsys):
         a, c = fig5_files
         out = tmp_path / "map.json"
@@ -248,6 +258,13 @@ class TestGen:
         rc = main(["gen", "peaks", "--out-dir", str(tmp_path / "g3"), "--config", str(cfg)])
         assert rc == 2
         capsys.readouterr()
+
+    def test_non_utf8_config_is_data_error(self, tmp_path, capsys):
+        cfg = tmp_path / "gen.cfg"
+        cfg.write_bytes(b"seed=\xff\n")
+        rc = main(["gen", "peaks", "--out-dir", str(tmp_path / "g4"), "--config", str(cfg)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("mtdist: error: ")
 
 
 class TestTrack:

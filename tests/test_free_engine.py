@@ -61,6 +61,14 @@ def test_equal_to_reference_engine(t1, t2):
         for mode in MODE_NAMES:
             assert_same_as_reference(t1, t2, metric, mode)
             assert delete_tree_cost(t1, metric, mode) == reference_delete_cost(t1, metric, mode)
+            _, deleted = branch_mapping_distance(t1, None, metric, mode)
+            _, inserted = branch_mapping_distance(None, t2, metric, mode)
+            for mapping, dec, branches in (
+                (deleted, deleted.decomposition1, deleted.deletions),
+                (inserted, inserted.decomposition2, inserted.insertions),
+            ):
+                assert validate_branch_mapping(mapping).ok
+                assert dec.branches == branches
 
 
 @pytest.mark.parametrize(

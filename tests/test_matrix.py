@@ -1,8 +1,10 @@
+import concurrent.futures
 import json
 
 import numpy as np
 import pytest
 
+import mtdist.matrix as matrix_module
 from mtdist import branch_mapping_distance, elder_rule_decomposition, induced_node_mapping
 from mtdist.cli import main
 from mtdist.errors import MTDistError
@@ -58,6 +60,30 @@ class TestDistanceMatrix:
         serial = compute_matrix(trees, "abcdef", opts, jobs=1)
         parallel = compute_matrix(trees, "abcdef", opts, jobs=2)
         assert np.array_equal(serial.values, parallel.values)
+
+    def test_pool_has_no_more_workers_than_pairs(self, monkeypatch):
+        seen = []
+
+        class InProcessPool:
+            def __init__(self, max_workers, initializer, initargs):
+                seen.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(matrix_module, "_WORKER_CTX", {})
+        trees = make_trees(3, seed=4)
+        pooled = compute_matrix(trees, "abc", DistanceOptions(), jobs=64)
+        assert seen == [3]
+        assert np.array_equal(pooled.values, compute_matrix(trees, "abc", DistanceOptions(), jobs=1).values)
 
     def test_identical_members_give_zero_matrix(self):
         trees = make_trees(1, seed=2) * 3

@@ -68,6 +68,14 @@ class TestFormat:
             parse_merge_tree("MX 2\n0 0.0 -1\n1 1.0 0\n", path="f.mt")
         assert str(err.value).startswith("f.mt:1:")
 
+    def test_non_utf8_file_is_parse_error(self, tmp_path):
+        path = tmp_path / "bad.mt"
+        path.write_bytes(b"MT 2\n0 0.0 -1\n1 \xff 0\n")
+        with pytest.raises(ParseError) as err:
+            read_merge_tree(path)
+        assert err.value.line == 3
+        assert "not UTF-8" in str(err.value)
+
     def test_duplicate_id(self):
         with pytest.raises(ParseError) as err:
             parse_merge_tree("MT 2\n0 0.0 -1\n0 1.0 0\n")
