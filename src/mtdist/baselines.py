@@ -21,7 +21,7 @@ import numpy as np
 
 from .branches import build_bdt, elder_rule_decomposition
 from .errors import PreconditionError
-from .matching import SMALL, min_cost_matching, small_matching_costs
+from .matching import SMALL, matching_costs, small_matching_costs
 from .metrics import BaseMetric, finalize
 from .trees import MergeTree, require_valid
 
@@ -154,6 +154,16 @@ class _Levels:
         self.labels = list(index)
 
 
+def _runs(deg, lo, hi):
+    """The runs ``(start, stop, count)`` of equal child counts in ``deg[lo:hi]``."""
+    while lo < hi:
+        k = lo + 1
+        while k < hi and deg[k] == deg[lo]:
+            k += 1
+        yield lo, k, deg[lo]
+        lo = k
+
+
 def _fill(t1: LabeledTree, t2: LabeledTree, metric: BaseMetric, mode: str, edits: bool) -> float:
     """The edit-distance table of every node pair, read at the root pair.
 
@@ -171,8 +181,8 @@ def _fill(t1: LabeledTree, t2: LabeledTree, metric: BaseMetric, mode: str, edits
     batch for all pairs with at most ``SMALL`` children on both sides,
     padded to the widest: a padding child comes last, costs nothing to
     leave unmatched and +inf to match, so every cost stays bit for bit that
-    of the unpadded instance. The other pairs call ``min_cost_matching``
-    one by one.
+    of the unpadded instance. The other pairs of the height go in one
+    :func:`matching_costs` call per pair of child counts.
     """
     squared = mode == "l2"
     _, null = _costs(metric, squared)
@@ -195,7 +205,18 @@ def _fill(t1: LabeledTree, t2: LabeledTree, metric: BaseMetric, mode: str, edits
     # padded children, the children's deletion costs and the label costs
     inner = range(b.levels[0][2], n2)
     small = np.array([j for j in inner if b.deg[j] <= SMALL], dtype=np.intp)
-    big = [j for j in inner if b.deg[j] > SMALL]
+    # tree-2 inner nodes by child count, with their children and the
+    # children's deletion costs: those beyond SMALL (``wide``), and the others
+    # too when a tree-1 node has more than SMALL children
+    groups = []
+    wide1 = max(a.deg) > SMALL
+    for d in sorted({b.deg[j] for j in inner}):
+        if d <= SMALL and not wide1:
+            continue
+        js = np.array([j for j in inner if b.deg[j] == d], dtype=np.intp)
+        k2 = b.kids.take(js, axis=0)[:, :d]
+        groups.append((d, js, k2, b.sub.take(k2)))
+    wide = [g for g in groups if g[0] > SMALL]
     k2 = b.kids.take(small, axis=0)[:, :max([b.deg[j] for j in small], default=0)]
     k2x, inss, Ls = k2[None, :, None, :], b.sub.take(k2), L.take(small, axis=1)
     # per tree-2 height above the leaves: the terms of the insert option
@@ -209,13 +230,11 @@ def _fill(t1: LabeledTree, t2: LabeledTree, metric: BaseMetric, mode: str, edits
             k1 = a.kids[lo:mid, :cs]
             P = flat.take((k1 * (n2 + 1))[:, None, :, None] + k2x)
             best[:mid - lo, small] = Ls[lo:mid] + small_matching_costs(P, a.sub.take(k1)[:, None], inss)
-        for i in range(lo if big else mid, hi) if h else ():
-            k1 = a.kids[i, :a.deg[i]]
-            for j in big if i < mid else inner:
-                k2 = b.kids[j, :b.deg[j]]
-                P = dist.take(k1, axis=0).take(k2, axis=1).tolist()
-                side, _ = min_cost_matching(P, a.sub.take(k1).tolist(), b.sub.take(k2).tolist())
-                best[i - lo, j] = L[i, j] + side
+        for i0, i1, c in _runs(a.deg, lo if wide else mid, hi) if h else ():
+            k1 = a.kids[i0:i1, :c]
+            for _, js, k2, sub2 in wide if c <= SMALL else groups:
+                P = flat.take((k1 * (n2 + 1))[:, None, :, None] + k2[None, :, None, :])
+                best[i0 - lo:i1 - lo, js] = L[i0:i1, js] + matching_costs(P, a.sub.take(k1)[:, None], sub2)
         if edits and h:
             k1 = a.kids[lo:hi, :top]
             X = dist.take(k1, axis=0)[:, :, :n2] + a.rest[lo:hi, None, None] - a.sub.take(k1)[:, :, None]

@@ -11,6 +11,7 @@ or invalid inputs, I/O failures).
 from __future__ import annotations
 
 import argparse
+import codecs
 import json
 import re
 import sys
@@ -67,8 +68,8 @@ def _collect_inputs(paths):
 def _load_tree(path, args):
     """Read an MT file, or build a tree from an SF2 field using the flags."""
     with open(path, "rb") as fh:
-        head = fh.read(3)
-    if head == b"SF2":
+        head = fh.read(6)
+    if head.removeprefix(codecs.BOM_UTF8).startswith(b"SF2"):
         field = read_scalar_field(path, connectivity=args.connectivity)
         tree = compute_merge_tree(field, direction=args.direction)
         if args.simplify > 0:

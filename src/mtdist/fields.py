@@ -81,17 +81,21 @@ def parse_scalar_field(text: str, path: str = "<string>", connectivity: int = 8)
         r, c = int(parts[1]), int(parts[2])
     except ValueError:
         raise ParseError(path, no, f"bad dimensions in header {header!r}") from None
-    values = []
-    for no2, ln in rows[1:]:
-        for tok in ln.split():
-            try:
-                values.append(float(tok))
-            except ValueError:
-                raise ParseError(path, no2, f"bad value {tok!r}") from None
+    try:
+        # float()'s syntax, in one call; the loop only names a bad token
+        values = np.array([tok for _, ln in rows[1:] for tok in ln.split()], dtype=np.float64)
+    except ValueError:
+        for no2, ln in rows[1:]:
+            for tok in ln.split():
+                try:
+                    float(tok)
+                except ValueError:
+                    raise ParseError(path, no2, f"bad value {tok!r}") from None
+        raise
     if len(values) != r * c:
         raise ParseError(path, rows[-1][0], f"expected {r * c} values, found {len(values)}")
     try:
-        return ScalarField2D(rows=r, cols=c, values=np.array(values), connectivity=connectivity)
+        return ScalarField2D(rows=r, cols=c, values=values, connectivity=connectivity)
     except MTDistError as exc:
         raise ParseError(path, rows[-1][0], str(exc)) from None
 

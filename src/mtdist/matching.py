@@ -2,14 +2,21 @@
 
 Used wherever unordered children have to be paired optimally: the branch
 mapping recursion and both baseline edit distances. The dynamic programs
-cost their many small instances, of at most ``SMALL`` rows and columns, in
-batches with :func:`small_matching_costs`, which enumerates every partial
-matching once per shape and takes the first cheapest. Larger instances go
-one by one through :func:`min_cost_matching`: closed forms for the trivial
-shapes, the Hungarian method on the standard padded square matrix beyond
-``SMALL``. :func:`brute_force_matching` is the exhaustive reference; it
-also gives the matched pairs of small instances when a mapping is
-reconstructed.
+cost their many instances in batches through :func:`matching_costs`:
+
+* up to ``SMALL`` rows and columns, :func:`small_matching_costs`
+  enumerates every partial matching once per shape and takes the first
+  cheapest;
+* beyond that, with at most ``WIDE`` columns, :func:`mask_matching_costs`
+  runs an exact dynamic program over the sets of columns already matched.
+
+Both sum every matching as :func:`brute_force_matching` does, the rows'
+terms in row order and then the free columns' insertions in column order,
+so up to ``WIDE`` columns every cost equals the exhaustive reference's bit
+for bit. Only instances of more than ``WIDE`` columns go, one by one, to the
+Hungarian method on the standard padded square matrix, whose sums may
+differ in the last bits. :func:`min_cost_matching` costs one instance
+through the same paths and also gives its matched pairs.
 """
 
 from __future__ import annotations
@@ -20,7 +27,8 @@ from functools import cache
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-SMALL = 3  # largest row and column count of the batched kernel
+SMALL = 3  # largest row and column count of the enumeration kernel
+WIDE = 8  # largest column count of the mask kernel
 _CHUNK_VALUES = 1 << 16
 
 
@@ -30,7 +38,9 @@ def min_cost_matching(P, dels, inss, want_pairs=False):
     A row may match a column at ``P[i][j]`` or stay unmatched at ``dels[i]``;
     unmatched columns cost ``inss[j]``. Returns ``(cost, matched pairs)``;
     the pair list is only populated when ``want_pairs`` is set or comes for
-    free.
+    free. Up to ``WIDE`` columns the cost is :func:`brute_force_matching`'s
+    bit for bit, and the pairs sum to it in its order; wider instances go to
+    the Hungarian method.
     """
     r, s = len(dels), len(inss)
     if r == 0:
@@ -45,6 +55,8 @@ def min_cost_matching(P, dels, inss, want_pairs=False):
         return float(d), []
     if r <= SMALL and s <= SMALL:
         return brute_force_matching(P, dels, inss)
+    if s <= WIDE:
+        return _mask_matching(P, dels, inss, want_pairs)
     big = np.full((r + s, s + r), np.inf)
     big[:r, :s] = P
     big[np.arange(r), s + np.arange(r)] = dels
@@ -170,14 +182,158 @@ def small_matching_costs(P, dels, inss, first=False):
     return costs.reshape(lead), best.reshape(lead)
 
 
+@cache
+def _mask_order(s):
+    """The used-column masks of s columns by number of columns, then value;
+    each mask's position in that order; and ``count[k]``, the number of
+    masks of at most k columns, the ones k rows can reach."""
+    order = sorted(range(1 << s), key=lambda m: (m.bit_count(), m))
+    count = np.cumsum(np.bincount([m.bit_count() for m in order])).tolist()
+    return order, {m: x for x, m in enumerate(order)}, count
+
+
+@cache
+def _mask_tables(r, s):
+    """Gather indices and moves of the mask dynamic program, r rows by s columns.
+
+    An instance is laid out as its rows, each its s match costs and then its
+    deletion, then ``inss``, then 0.0; masks are positions in
+    :func:`_mask_order`. ``moves[i - 1]`` is ``(src, starts)`` for row
+    i >= 1: the edges into each mask m of at most i + 1 columns are the row
+    staying unmatched (from m itself, if m has at most i columns) and then
+    the row taking each column j of m (from m without j), ascending;
+    ``src[e]`` is edge e's source and ``starts`` each mask's first edge.
+    ``index`` picks row 0's term into each mask of at most one column, then
+    row i's term of every edge of ``moves[i - 1]``, then for every t < s
+    the t-th free column's insertion of each of the ``final`` masks that r
+    rows can reach (0.0 past its last free column).
+    """
+    order, pos, count = _mask_order(s)
+    w = s + 1
+    index = [s, *range(s)] if r else []
+    moves = []
+    for i in range(1, r):
+        src, starts = [], []
+        for m in order[:count[min(i + 1, s)]]:
+            starts.append(len(src))
+            if m.bit_count() <= i:
+                src.append(pos[m])
+                index.append(i * w + s)
+            for j in range(s):
+                if m >> j & 1:
+                    src.append(pos[m ^ 1 << j])
+                    index.append(i * w + j)
+        moves.append((np.array(src, dtype=np.intp), np.array(starts, dtype=np.intp)))
+    final = order[:count[min(r, s)]]
+    for t in range(s):
+        for m in final:
+            free = [j for j in range(s) if not m >> j & 1]
+            index.append(r * w + (free[t] if t < len(free) else s))
+    index = np.array(index, dtype=np.intp)
+    for a in (index, *[x for move in moves for x in move]):
+        a.setflags(write=False)
+    return index, tuple(moves), len(final)
+
+
+def _mask_instances(P, dels, inss):
+    """The rows of one array: each instance of ``P[..., r, s]``, laid out as
+    in :func:`_mask_tables`, leading axes flattened."""
+    *lead, r, s = P.shape
+    X = np.empty(lead + [r * (s + 1) + s + 1])
+    rows = X[..., :r * (s + 1)].reshape(lead + [r, s + 1])
+    rows[..., :s] = P
+    rows[..., s] = dels
+    X[..., r * (s + 1):-1] = inss
+    X[..., -1] = 0.0
+    return X.reshape(math.prod(lead), -1)
+
+
+def _mask_dp(G, r, s):
+    """The mask dynamic program over the gathered terms ``G`` of instances
+    with r rows and s columns.
+
+    Returns ``rows``, where ``rows[i][k, x]`` is the cheapest sum, in row
+    order, of the first i rows' terms of instance k that uses exactly the
+    columns of mask x, and ``free[k, x]``, the sum of the insertions of the
+    columns a mask of ``rows[r]`` leaves free, in column order.
+    Floating-point addition is monotone, so the minimum of
+    ``rows[r] + free`` is the cheapest matching summed as :func:`_search`
+    sums it.
+    """
+    _, moves, final = _mask_tables(r, s)
+    n = len(G)
+    rows = [np.zeros((n, 1))]
+    o = s + 1 if r else 0
+    if r:
+        rows.append(G[:, :o])  # 0.0 plus a term is the term
+    for src, starts in moves:
+        cand = rows[-1].take(src, axis=1)
+        cand += G[:, o:o + len(src)]
+        o += len(src)
+        rows.append(np.minimum.reduceat(cand, starts, axis=1))
+    free = np.zeros((n, final))
+    for t in range(s):
+        free += G[:, o + t * final:o + (t + 1) * final]
+    return rows, free
+
+
+def mask_matching_costs(P, dels, inss):
+    """Costs of many matching instances of at most ``WIDE`` columns at once.
+
+    Shapes as in :func:`small_matching_costs`. An exact dynamic program goes
+    through the rows in order; its state is the set of columns already
+    matched. The costs equal :func:`brute_force_matching`'s bit for bit.
+    """
+    P = np.asarray(P, dtype=np.float64)
+    *lead, r, s = P.shape
+    X = _mask_instances(P, dels, inss)
+    index = _mask_tables(r, s)[0]
+    costs = np.empty(len(X))
+    # in pieces of about _CHUNK_VALUES gathered terms
+    step = max(1, _CHUNK_VALUES // len(index))
+    for a in range(0, len(X), step):
+        rows, free = _mask_dp(X[a:a + step].take(index, axis=1), r, s)
+        free += rows[-1]
+        np.minimum.reduce(free, axis=1, out=costs[a:a + step])
+    return costs.reshape(lead)
+
+
+def _mask_matching(P, dels, inss, want_pairs):
+    """:func:`min_cost_matching` through the mask dynamic program.
+
+    The pairs come from backtracking its rows: at each row, the first edge
+    whose sum reproduces the minimum, so they sum to the returned cost.
+    """
+    r, s = len(dels), len(inss)
+    X = _mask_instances(np.asarray(P, dtype=np.float64), dels, inss)
+    rows, free = _mask_dp(X.take(_mask_tables(r, s)[0], axis=1), r, s)
+    total = rows[-1][0] + free[0]
+    x = int(total.argmin())
+    if not want_pairs:
+        return float(total[x]), []
+    order, pos, _ = _mask_order(s)
+    m, pairs = order[x], []
+    for i in range(r - 1, -1, -1):
+        A, want = rows[i][0], rows[i + 1][0, pos[m]]
+        if pos[m] >= len(A) or A[pos[m]] + dels[i] != want:
+            j = next(j for j in range(s) if m >> j & 1 and A[pos[m ^ 1 << j]] + P[i][j] == want)
+            pairs.append((i, j))
+            m ^= 1 << j
+    pairs.reverse()
+    return float(total[x]), pairs
+
+
 def matching_costs(P, dels, inss):
     """Costs of many matching instances of one shape, as :func:`min_cost_matching`
     gives them: in one :func:`small_matching_costs` batch up to ``SMALL`` x
-    ``SMALL``, one call per instance beyond. Shapes as there."""
+    ``SMALL``, in one :func:`mask_matching_costs` batch up to ``WIDE``
+    columns, one call per instance beyond. Shapes as there."""
     P = np.asarray(P, dtype=np.float64)
     *lead, r, s = P.shape
     if r <= SMALL and s <= SMALL:
         return small_matching_costs(P, dels, inss)
+    if s <= WIDE:
+        return mask_matching_costs(P, dels, inss)
     dels = np.broadcast_to(dels, lead + [r])
     inss = np.broadcast_to(inss, lead + [s])
     out = np.empty(lead)

@@ -13,6 +13,7 @@ immutable after construction and safe to share between threads.
 
 from __future__ import annotations
 
+import codecs
 from dataclasses import dataclass
 
 import numpy as np
@@ -221,14 +222,18 @@ def parse_merge_tree(text: str, path: str = "<string>") -> MergeTree:
 
 
 def read_text(path) -> str:
-    """The contents of a UTF-8 text file; other bytes raise :class:`ParseError`."""
+    """The contents of a UTF-8 text file, without a leading byte-order mark;
+    other bytes raise :class:`ParseError`."""
     with open(path, "rb") as fh:
         data = fh.read()
+    # skipped by hand: the utf-8-sig codec reports offsets past the mark
+    bom = len(codecs.BOM_UTF8) if data.startswith(codecs.BOM_UTF8) else 0
     try:
-        return data.decode("utf-8")
+        return data[bom:].decode("utf-8")
     except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
-        raise ParseError(path, line, f"not UTF-8 text: byte {data[exc.start]:#04x} at offset {exc.start}") from None
+        at = bom + exc.start
+        line = data.count(b"\n", 0, at) + 1
+        raise ParseError(path, line, f"not UTF-8 text: byte {data[at]:#04x} at offset {at}") from None
 
 
 def read_merge_tree(path) -> MergeTree:

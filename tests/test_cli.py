@@ -69,6 +69,14 @@ class TestDist:
         assert err.startswith("mtdist: error: ") and "bad.mt" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("data", [b"MT 2\n0 0.0 -1\n1 1.0 0\n", b"SF2 1 2\n1 2\n"], ids=["mt", "sf2"])
+    def test_byte_order_mark_is_skipped(self, tmp_path, capsys, data):
+        bom = tmp_path / "bom.txt"
+        bom.write_bytes(b"\xef\xbb\xbf" + data)
+        rc = main(["dist", str(bom), str(bom)])
+        assert rc == 0, capsys.readouterr().err
+        assert capsys.readouterr().out.strip() == "0.000000000"
+
     def test_mapping_export(self, fig5_files, tmp_path, capsys):
         a, c = fig5_files
         out = tmp_path / "map.json"
@@ -135,6 +143,14 @@ class TestTree:
         tree = read_merge_tree(out)
         assert validate_merge_tree(tree).ok
         assert len(tree.leaves) == 2
+
+    def test_byte_order_mark_is_skipped(self, tmp_path, capsys):
+        field = tmp_path / "bom.sf2"
+        field.write_bytes(b"\xef\xbb\xbfSF2 1 3\n1 0 2\n")
+        out = tmp_path / "t.mt"
+        rc = main(["tree", str(field), "--out", str(out)])
+        assert rc == 0, capsys.readouterr().err
+        assert len(read_merge_tree(out).leaves) == 2
 
     def test_malformed_field_is_data_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.sf2"

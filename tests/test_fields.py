@@ -54,6 +54,20 @@ class TestScalarField:
         with pytest.raises(ParseError):
             parse_scalar_field("SF2 2 2\n0 1 2\n")
 
+    def test_bad_value_names_its_line(self):
+        # comments and blank lines count: the bad token is on line 5
+        text = "# field\nSF2 3 2\n0 1_0\n\n2 x3\n4 5\n"
+        with pytest.raises(ParseError) as err:
+            parse_scalar_field(text, path="x.sf2")
+        assert str(err.value) == "x.sf2:5: bad value 'x3'"
+
+    def test_values_parse_as_float_does(self):
+        f = parse_scalar_field("SF2 1 4\n1_0 \uff11\uff12 2.5e-1 .5\n")
+        assert f.values.tolist() == [10.0, 12.0, 0.25, 0.5]
+        # a token float() reads is no bad value; the field check rejects it
+        with pytest.raises(ParseError, match="must be finite"):
+            parse_scalar_field("SF2 1 2\n1 inf\n")
+
 
 class TestComputeMergeTree:
     def test_constant_field(self):

@@ -2,8 +2,10 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mtdist.matching as matching_module
 from mtdist.matching import (
     SMALL,
+    WIDE,
     brute_force_matching,
     matching_costs,
     min_cost_matching,
@@ -125,3 +127,62 @@ def test_matching_costs_beyond_small_calls_solver():
         for y in range(3):
             want = min_cost_matching(P[x, y].tolist(), dels[x, 0].tolist(), inss[y].tolist())[0]
             assert costs[x, y] == want
+
+
+def search_order_sum(P, dels, inss, pairs):
+    """A matching's cost summed as the exhaustive search sums it: the rows'
+    terms in row order, then the free columns' insertions in column order."""
+    col = dict(pairs)
+    acc = 0.0
+    for i, d in enumerate(dels):
+        acc = acc + (P[i][col[i]] if i in col else d)
+    return acc + sum(inss[j] for j in range(len(inss)) if j not in col.values())
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.data(), st.integers(0, 6), st.integers(0, WIDE), st.integers(1, 3), COSTS)
+def test_mask_kernel_equals_search(data, r, s, n, values):
+    """Up to WIDE columns, batched costs equal single costs and brute force
+    bit for bit; the single call's pairs sum to its cost in the search's
+    order; a padding row, and a padding column below WIDE, that cost nothing
+    unmatched and +inf matched leave every cost as it is."""
+    batch = [_instance(data.draw, r, s, values) for _ in range(n)]
+    P = np.array([b[0] for b in batch]).reshape(n, r, s)
+    dels = np.array([b[1] for b in batch]).reshape(n, r)
+    inss = np.array([b[2] for b in batch]).reshape(n, s)
+    costs = matching_costs(P, dels, inss)
+    for k, (p, d, i) in enumerate(batch):
+        cost, pairs = min_cost_matching(p, d, i, want_pairs=True)
+        assert costs[k] == cost == brute_force_matching(p, d, i)[0]
+        if r and s:
+            assert len({j for _, j in pairs}) == len(pairs)
+            assert search_order_sum(p, d, i, pairs) == cost
+    cols = s + (s < WIDE)
+    padded = np.full((n, r + 1, cols), np.inf)
+    padded[:, :r, :s] = P
+    pad_dels, pad_inss = np.zeros((n, r + 1)), np.zeros((n, cols))
+    pad_dels[:, :r], pad_inss[:, :s] = dels, inss
+    assert np.array_equal(matching_costs(padded, pad_dels, pad_inss), costs)
+
+
+def test_hungarian_only_beyond_wide(monkeypatch):
+    calls = []
+
+    def counted(cost):
+        calls.append(cost.shape)
+        return linear_sum_assignment(cost)
+
+    linear_sum_assignment = matching_module.linear_sum_assignment
+    monkeypatch.setattr(matching_module, "linear_sum_assignment", counted)
+    rng = np.random.default_rng(9)
+    for s in (WIDE, WIDE + 1):
+        P = rng.uniform(0, 10, (3, 2, s))
+        dels = rng.uniform(0, 10, (3, 2))
+        inss = rng.uniform(0, 10, (3, s))
+        costs = matching_costs(P, dels, inss)
+        for k in range(3):
+            cost, pairs = min_cost_matching(P[k].tolist(), dels[k].tolist(), inss[k].tolist(), want_pairs=True)
+            assert costs[k] == cost
+            assert abs(matching_cost(P[k], dels[k], inss[k], pairs) - cost) < 1e-9
+    # three batched and three single instances of WIDE + 1 columns, none of WIDE
+    assert calls == [(WIDE + 3, WIDE + 3)] * 6

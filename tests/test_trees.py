@@ -76,6 +76,15 @@ class TestFormat:
         assert err.value.line == 3
         assert "not UTF-8" in str(err.value)
 
+    def test_byte_order_mark_is_skipped(self, tmp_path, fig5a):
+        path = tmp_path / "bom.mt"
+        path.write_bytes(b"\xef\xbb\xbf" + format_merge_tree(fig5a).encode())
+        assert read_merge_tree(path) == fig5a
+        path.write_bytes(b"\xef\xbb\xbfMT 2\n\xff")
+        with pytest.raises(ParseError) as err:
+            read_merge_tree(path)
+        assert "byte 0xff at offset 8" in str(err.value) and err.value.line == 2
+
     def test_duplicate_id(self):
         with pytest.raises(ParseError) as err:
             parse_merge_tree("MT 2\n0 0.0 -1\n0 1.0 0\n")
