@@ -35,7 +35,7 @@ import numpy as np
 
 from .branches import Branch, BranchDecomposition
 from .errors import PreconditionError
-from .matching import SMALL, matching_costs, min_cost_matching as _assignment
+from .matching import matching_costs, min_cost_matching as _assignment
 from .metrics import BaseMetric, aggregate, finalize
 from .trees import MergeTree, require_valid
 
@@ -646,7 +646,6 @@ def _fixed_tables(f1: _Fixed, f2: _Fixed, metric: BaseMetric, squared: bool):
     low2 = [float(f2.values[s]) for s in f2.ancrow]
     high2 = f2.values.tolist()
     inner2 = {}
-    by_side = {}  # per side count: the inner nodes, their side children and insertions
     for w in f2.post:
         ds = f2.children[w]
         if ds:
@@ -654,11 +653,6 @@ def _fixed_tables(f1: _Fixed, f2: _Fixed, metric: BaseMetric, squared: bool):
             d_side = ds[:j] + ds[j + 1:]
             inss = [f2.D[d] for d in d_side]
             inner2[w] = (j, ds[j], d_side, inss, sum(inss))
-            by_side.setdefault(len(d_side), []).append(w)
-    by_side = [
-        (k, ws, np.array([inner2[w][2] for w in ws]), np.array([inner2[w][3] for w in ws]))
-        for k, ws in by_side.items()
-    ]
     for v in f1.post:
         Fv, Kv = F[v], K[v]
         cs = f1.children[v]
@@ -678,21 +672,13 @@ def _fixed_tables(f1: _Fixed, f2: _Fixed, metric: BaseMetric, squared: bool):
         c_side = cs[:i] + cs[i + 1:]
         dels = [f1.D[c] for c in c_side]
         del_sides = sum(dels)
-        # the matchings beyond SMALL, batched per tree-2 side count
-        wide = {}
-        for k, ws, d_sides, inss in by_side:
-            if k > SMALL or len(c_side) > SMALL:
-                P = np.array([F[c] for c in c_side]).take(d_sides, axis=1).transpose(1, 0, 2)
-                wide.update(zip(ws, matching_costs(P, dels, inss).tolist()))
         for w in f2.post:
             if w not in inner2:
                 Fv[w] = Fc[w] + del_sides
                 Kv[w] = i
                 continue
             j, d_main, d_side, inss, ins_sides = inner2[w]
-            side_cost = wide.get(w)
-            if side_cost is None:
-                side_cost, _ = _assignment([[F[c][d] for d in d_side] for c in c_side], dels, inss)
+            side_cost, _ = _assignment([[F[c][d] for d in d_side] for c in c_side], dels, inss)
             a = Fc[w] + del_sides
             b = Fv[d_main] + ins_sides
             m = Fc[d_main] + side_cost

@@ -8,15 +8,18 @@ cost their many instances in batches through :func:`matching_costs`:
   enumerates every partial matching once per shape and takes the first
   cheapest;
 * beyond that, with at most ``WIDE`` columns, :func:`mask_matching_costs`
-  runs an exact dynamic program over the sets of columns already matched.
+  runs an exact dynamic program over the sets of columns already matched;
+  its tables depend on the column count only.
 
 Both sum every matching as :func:`brute_force_matching` does, the rows'
 terms in row order and then the free columns' insertions in column order,
 so up to ``WIDE`` columns every cost equals the exhaustive reference's bit
 for bit. Only instances of more than ``WIDE`` columns go, one by one, to the
 Hungarian method on the standard padded square matrix, whose sums may
-differ in the last bits. :func:`min_cost_matching` costs one instance
-through the same paths and also gives its matched pairs.
+differ in the last bits; from 7 columns on the mask kernel is no faster
+than that even in batches. :func:`min_cost_matching` costs one instance
+through the same paths, so batched and single costs agree bit for bit, and
+also gives its matched pairs.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 SMALL = 3  # largest row and column count of the enumeration kernel
-WIDE = 8  # largest column count of the mask kernel
+WIDE = 6  # largest column count of the mask kernel
 _CHUNK_VALUES = 1 << 16
 
 
@@ -184,97 +187,98 @@ def small_matching_costs(P, dels, inss, first=False):
 
 @cache
 def _mask_order(s):
-    """The used-column masks of s columns by number of columns, then value;
-    each mask's position in that order; and ``count[k]``, the number of
-    masks of at most k columns, the ones k rows can reach."""
+    """The used-column masks of s columns by number of columns, then value,
+    and each mask's position in that order. The masks i rows can reach,
+    those of at most i columns, come first."""
     order = sorted(range(1 << s), key=lambda m: (m.bit_count(), m))
-    count = np.cumsum(np.bincount([m.bit_count() for m in order])).tolist()
-    return order, {m: x for x, m in enumerate(order)}, count
+    return order, {m: x for x, m in enumerate(order)}
 
 
 @cache
-def _mask_tables(r, s):
-    """Gather indices and moves of the mask dynamic program, r rows by s columns.
+def _mask_tables(s):
+    """Moves and insertion terms of the mask dynamic program over s columns.
 
-    An instance is laid out as its rows, each its s match costs and then its
-    deletion, then ``inss``, then 0.0; masks are positions in
-    :func:`_mask_order`. ``moves[i - 1]`` is ``(src, starts)`` for row
-    i >= 1: the edges into each mask m of at most i + 1 columns are the row
-    staying unmatched (from m itself, if m has at most i columns) and then
-    the row taking each column j of m (from m without j), ascending;
-    ``src[e]`` is edge e's source and ``starts`` each mask's first edge.
-    ``index`` picks row 0's term into each mask of at most one column, then
-    row i's term of every edge of ``moves[i - 1]``, then for every t < s
-    the t-th free column's insertion of each of the ``final`` masks that r
-    rows can reach (0.0 past its last free column).
+    Masks are positions in :func:`_mask_order`. ``moves[min(i, s)]`` is
+    ``(src, col, starts)`` for row i: the edges into each mask m that i + 1
+    rows can reach are the row staying unmatched (from m itself, if i rows
+    reach m) and then the row taking each column j of m (from m without j),
+    ascending; edge e comes from mask ``src[e]`` and adds the row's term
+    ``col[e]``, its match cost of that column or, at s, its deletion;
+    ``starts`` gives each mask's first edge. ``free[t, x]`` is the t-th free
+    column of mask x, or s past its last one.
     """
-    order, pos, count = _mask_order(s)
-    w = s + 1
-    index = [s, *range(s)] if r else []
+    order, pos = _mask_order(s)
     moves = []
-    for i in range(1, r):
-        src, starts = [], []
-        for m in order[:count[min(i + 1, s)]]:
+    for i in range(s + 1):
+        src, col, starts = [], [], []
+        for m in order:
+            if m.bit_count() > i + 1:
+                break
             starts.append(len(src))
             if m.bit_count() <= i:
                 src.append(pos[m])
-                index.append(i * w + s)
+                col.append(s)
             for j in range(s):
                 if m >> j & 1:
                     src.append(pos[m ^ 1 << j])
-                    index.append(i * w + j)
-        moves.append((np.array(src, dtype=np.intp), np.array(starts, dtype=np.intp)))
-    final = order[:count[min(r, s)]]
-    for t in range(s):
-        for m in final:
-            free = [j for j in range(s) if not m >> j & 1]
-            index.append(r * w + (free[t] if t < len(free) else s))
-    index = np.array(index, dtype=np.intp)
-    for a in (index, *[x for move in moves for x in move]):
+                    col.append(j)
+        moves.append(tuple(np.array(a, dtype=np.intp) for a in (src, col, starts)))
+    free = [[j for j in range(s) if not m >> j & 1] + [s] * m.bit_count() for m in order]
+    free = np.array(free, dtype=np.intp).T.reshape(s, 1 << s)
+    for a in (free, *[x for move in moves for x in move]):
         a.setflags(write=False)
-    return index, tuple(moves), len(final)
+    return tuple(moves), free
+
+
+def _mask_dp(X, I, keep=False):
+    """The mask dynamic program over instances ``X[i, :, k]``, row i's s
+    match costs and then its deletion, with insertions ``I[:, k]`` and a
+    trailing 0.0.
+
+    Returns the cheapest sum, in row order, of all rows' terms of instance
+    k that uses exactly the columns of mask x, plus the insertions of the
+    columns it leaves free, summed in column order, at ``[x, k]``; with
+    ``keep`` also the list of the row sums after 0, 1, ... rows. Floating-
+    point addition is monotone, so the minimum over x is the cheapest
+    matching summed as :func:`_search` sums it.
+    """
+    r, w, n = X.shape
+    s = w - 1
+    moves, free = _mask_tables(s)
+    acc = np.zeros((1, n))
+    rows = [acc]
+    for i in range(r):
+        src, col, starts = moves[min(i, s)]
+        cand = acc.take(src, axis=0)
+        cand += X[i].take(col, axis=0)
+        acc = np.minimum.reduceat(cand, starts, axis=0)
+        if keep:
+            rows.append(acc)
+    ins = np.zeros_like(acc)
+    for term in I.take(free[:, :len(acc)], axis=0):
+        ins += term
+    ins += acc
+    return (ins, rows) if keep else ins
 
 
 def _mask_instances(P, dels, inss):
-    """The rows of one array: each instance of ``P[..., r, s]``, laid out as
-    in :func:`_mask_tables`, leading axes flattened."""
+    """The instances of ``P[..., r, s]``, leading axes flattened and last,
+    laid out for :func:`_mask_dp`."""
     *lead, r, s = P.shape
-    X = np.empty(lead + [r * (s + 1) + s + 1])
-    rows = X[..., :r * (s + 1)].reshape(lead + [r, s + 1])
-    rows[..., :s] = P
-    rows[..., s] = dels
-    X[..., r * (s + 1):-1] = inss
-    X[..., -1] = 0.0
-    return X.reshape(math.prod(lead), -1)
+    k, n = len(lead), math.prod(lead)
+    X = np.empty([r, s + 1] + lead)
+    X[:, :s] = P.transpose(k, k + 1, *range(k))
+    X[:, s] = _last_first(dels, k)
+    I = np.zeros([s + 1] + lead)
+    I[:s] = _last_first(inss, k)
+    return X.reshape(r, s + 1, n), I.reshape(s + 1, n)
 
 
-def _mask_dp(G, r, s):
-    """The mask dynamic program over the gathered terms ``G`` of instances
-    with r rows and s columns.
-
-    Returns ``rows``, where ``rows[i][k, x]`` is the cheapest sum, in row
-    order, of the first i rows' terms of instance k that uses exactly the
-    columns of mask x, and ``free[k, x]``, the sum of the insertions of the
-    columns a mask of ``rows[r]`` leaves free, in column order.
-    Floating-point addition is monotone, so the minimum of
-    ``rows[r] + free`` is the cheapest matching summed as :func:`_search`
-    sums it.
-    """
-    _, moves, final = _mask_tables(r, s)
-    n = len(G)
-    rows = [np.zeros((n, 1))]
-    o = s + 1 if r else 0
-    if r:
-        rows.append(G[:, :o])  # 0.0 plus a term is the term
-    for src, starts in moves:
-        cand = rows[-1].take(src, axis=1)
-        cand += G[:, o:o + len(src)]
-        o += len(src)
-        rows.append(np.minimum.reduceat(cand, starts, axis=1))
-    free = np.zeros((n, final))
-    for t in range(s):
-        free += G[:, o + t * final:o + (t + 1) * final]
-    return rows, free
+def _last_first(a, k):
+    """``a``, broadcast from the left to k leading axes and one last axis,
+    with that last axis moved first."""
+    a = np.asarray(a, dtype=np.float64)
+    return a.reshape((1,) * (k + 1 - a.ndim) + a.shape).transpose(k, *range(k))
 
 
 def mask_matching_costs(P, dels, inss):
@@ -286,15 +290,13 @@ def mask_matching_costs(P, dels, inss):
     """
     P = np.asarray(P, dtype=np.float64)
     *lead, r, s = P.shape
-    X = _mask_instances(P, dels, inss)
-    index = _mask_tables(r, s)[0]
-    costs = np.empty(len(X))
-    # in pieces of about _CHUNK_VALUES gathered terms
-    step = max(1, _CHUNK_VALUES // len(index))
-    for a in range(0, len(X), step):
-        rows, free = _mask_dp(X[a:a + step].take(index, axis=1), r, s)
-        free += rows[-1]
-        np.minimum.reduce(free, axis=1, out=costs[a:a + step])
+    X, I = _mask_instances(P, dels, inss)
+    n = X.shape[2]
+    costs = np.empty(n)
+    # in pieces of about _CHUNK_VALUES edge values per row
+    step = max(1, _CHUNK_VALUES // len(_mask_tables(s)[0][-1][0]))
+    for a in range(0, n, step):
+        np.minimum.reduce(_mask_dp(X[..., a:a + step], I[:, a:a + step]), axis=0, out=costs[a:a + step])
     return costs.reshape(lead)
 
 
@@ -305,22 +307,25 @@ def _mask_matching(P, dels, inss, want_pairs):
     whose sum reproduces the minimum, so they sum to the returned cost.
     """
     r, s = len(dels), len(inss)
-    X = _mask_instances(np.asarray(P, dtype=np.float64), dels, inss)
-    rows, free = _mask_dp(X.take(_mask_tables(r, s)[0], axis=1), r, s)
-    total = rows[-1][0] + free[0]
-    x = int(total.argmin())
+    X = np.empty((r, s + 1, 1))
+    X[:, :s, 0] = P
+    X[:, s, 0] = dels
+    I = np.zeros((s + 1, 1))
+    I[:s, 0] = inss
+    total, rows = _mask_dp(X, I, keep=True)
+    x = int(total[:, 0].argmin())
     if not want_pairs:
-        return float(total[x]), []
-    order, pos, _ = _mask_order(s)
+        return float(total[x, 0]), []
+    order, pos = _mask_order(s)
     m, pairs = order[x], []
     for i in range(r - 1, -1, -1):
-        A, want = rows[i][0], rows[i + 1][0, pos[m]]
+        A, want = rows[i][:, 0], rows[i + 1][pos[m], 0]
         if pos[m] >= len(A) or A[pos[m]] + dels[i] != want:
             j = next(j for j in range(s) if m >> j & 1 and A[pos[m ^ 1 << j]] + P[i][j] == want)
             pairs.append((i, j))
             m ^= 1 << j
     pairs.reverse()
-    return float(total[x]), pairs
+    return float(total[x, 0]), pairs
 
 
 def matching_costs(P, dels, inss):

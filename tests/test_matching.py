@@ -186,3 +186,26 @@ def test_hungarian_only_beyond_wide(monkeypatch):
             assert abs(matching_cost(P[k], dels[k], inss[k], pairs) - cost) < 1e-9
     # three batched and three single instances of WIDE + 1 columns, none of WIDE
     assert calls == [(WIDE + 3, WIDE + 3)] * 6
+
+
+def test_tall_instance_within_wide():
+    """Two hundred rows of WIDE columns: the mask kernel's tables depend on
+    the column count only, and its cost is the optimum, which integer costs
+    let the Hungarian method give exactly."""
+    rng = np.random.default_rng(11)
+    r, s = 200, WIDE
+    P = rng.integers(0, 50, (2, r, s)).astype(float)
+    dels = rng.integers(0, 50, (2, r)).astype(float)
+    inss = rng.integers(0, 50, (2, s)).astype(float)
+    costs = matching_costs(P, dels, inss)
+    for k in range(2):
+        cost, pairs = min_cost_matching(P[k].tolist(), dels[k].tolist(), inss[k].tolist(), want_pairs=True)
+        assert costs[k] == cost == matching_cost(P[k], dels[k], inss[k], pairs)
+        big = np.full((r + s, s + r), np.inf)
+        big[:r, :s] = P[k]
+        big[np.arange(r), s + np.arange(r)] = dels[k]
+        big[r + np.arange(s), np.arange(s)] = inss[k]
+        big[r:, s:] = 0.0
+        rows, cols = matching_module.linear_sum_assignment(big)
+        assert cost == big[rows, cols].sum()
+    assert matching_module._mask_tables.cache_info().currsize <= WIDE + 1

@@ -1,4 +1,4 @@
-"""Every DP fill against its reference copy on saddles of 6 to 10 children.
+"""Every DP fill against its reference copy on saddles of WIDE to WIDE + 3 children.
 
 Matchings of at most ``WIDE`` columns are costed by the batched mask kernel
 in the fills and one at a time in the references; wider ones go to the
@@ -9,6 +9,7 @@ that boundary, and every result must still equal its reference exactly.
 import numpy as np
 import pytest
 
+import mtdist.mapping as mapping_module
 import mtdist.matching as matching_module
 from mtdist import MergeTree
 from mtdist.baselines import constrained_edit_distance, elder_labeled_inputs, one_degree_distance
@@ -43,14 +44,14 @@ def wide_saddle_tree(rng, degrees):
 
 
 def pairs():
-    """Tree 1 with saddles of 6 to 10 children; tree 2 with 8, 9 and 10,
-    so that the free and fixed fills, whose instances leave one child of
-    each saddle out, and the baselines, which match all of them, all meet
-    instances of WIDE and WIDE + 1 columns."""
+    """Tree 1 with saddles of WIDE to WIDE + 2 children, tree 2 with WIDE + 1
+    to WIDE + 3, so that the free and fixed fills, whose instances leave one
+    child of each saddle out, and the baselines, which match all of them,
+    all meet instances of WIDE and WIDE + 1 columns."""
     rng = np.random.default_rng(2024)
     for _ in range(2):
-        t1 = wide_saddle_tree(rng, rng.integers(6, 11, size=2).tolist())
-        t2 = wide_saddle_tree(rng, rng.permutation([8, 9, 10]).tolist())
+        t1 = wide_saddle_tree(rng, rng.permutation([WIDE, WIDE + 1, WIDE + 2]).tolist())
+        t2 = wide_saddle_tree(rng, rng.permutation([WIDE + 1, WIDE + 2, WIDE + 3]).tolist())
         yield t1, t2
 
 
@@ -61,9 +62,9 @@ def columns(monkeypatch):
     seen = {"mask": set(), "hungarian": set()}
     mask_dp, single = matching_module._mask_dp, matching_module.min_cost_matching
 
-    def spy_mask_dp(G, r, s):
-        seen["mask"].add(s)
-        return mask_dp(G, r, s)
+    def spy_mask_dp(X, I, keep=False):
+        seen["mask"].add(X.shape[1] - 1)
+        return mask_dp(X, I, keep)
 
     def spy_single(P, dels, inss, want_pairs=False):
         if len(inss) > WIDE:
@@ -72,6 +73,7 @@ def columns(monkeypatch):
 
     monkeypatch.setattr(matching_module, "_mask_dp", spy_mask_dp)
     monkeypatch.setattr(matching_module, "min_cost_matching", spy_single)
+    monkeypatch.setattr(mapping_module, "_assignment", spy_single)
     return seen
 
 
