@@ -63,7 +63,7 @@ def _branch(tree: MergeTree, start: int, leaf: int) -> Branch:
 class BranchDecomposition:
     """A set of branches whose edge sets partition the tree's edges."""
 
-    __slots__ = ("tree", "continuation", "branches", "main", "_by_leaf")
+    __slots__ = ("tree", "continuation", "branches", "main", "_by_leaf", "_tips")
 
     def __init__(self, tree: MergeTree, continuation: dict[int, int]):
         self.tree = tree
@@ -74,6 +74,11 @@ class BranchDecomposition:
             c = self.continuation.get(v)
             if c is None or int(tree.parent[c]) != v:
                 raise PreconditionError(f"continuation missing or invalid at node {v}")
+        # tips[v]: the leaf that the branch through v runs to
+        tips = list(range(len(tree)))
+        for v in reversed(tree.preorder):
+            if tree.children[v]:
+                tips[v] = tips[self.continuation[v]]
         by_leaf = {}
         branches = []
         for v in range(len(tree)):
@@ -82,19 +87,15 @@ class BranchDecomposition:
             for c in tree.children[v]:
                 if v != tree.root and c == self.continuation[v]:
                     continue  # the incoming branch passes through, no new start
-                leaf = self._tip(c)
+                leaf = tips[c]
                 b = _branch(tree, v, leaf)
                 branches.append(b)
                 by_leaf[leaf] = b
         # two-node tree: the loop above only visits the root
         self.branches = tuple(sorted(branches))
         self._by_leaf = by_leaf
-        self.main = by_leaf[self._tip(tree.root)]
-
-    def _tip(self, v: int) -> int:
-        while not self.tree.is_leaf(v):
-            v = self.continuation[v]
-        return v
+        self._tips = tips
+        self.main = by_leaf[tips[tree.root]]
 
     def __len__(self):
         return len(self.branches)
@@ -123,9 +124,7 @@ class BranchDecomposition:
         For the root this is the main branch (the root is only ever a start
         vertex, but it belongs to the main branch's path).
         """
-        if v == self.tree.root:
-            return self.main
-        return self._by_leaf[self._tip(v)]
+        return self._by_leaf[self._tips[v]]
 
     def parent_branch(self, b: Branch) -> Branch | None:
         if b == self.main:
@@ -142,12 +141,9 @@ def elder_rule_decomposition(tree: MergeTree) -> BranchDecomposition:
     """
     require_valid(tree)
     n = len(tree)
-    submax = [0.0] * n
-    order = tree.subtree_nodes(tree.root)
-    for v in reversed(order):
-        if tree.is_leaf(v):
-            submax[v] = float(tree.values[v])
-        else:
+    submax = tree.values.tolist()
+    for v in reversed(tree.preorder):
+        if tree.children[v]:
             submax[v] = max(submax[c] for c in tree.children[v])
     continuation = {}
     for v in range(n):

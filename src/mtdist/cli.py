@@ -205,6 +205,7 @@ def cmd_track(args):
 
 
 def _read_config(path):
+    """``key -> (line number, raw value)`` of a ``key=value`` file."""
     out = {}
     for no, line in enumerate(read_text(path).splitlines(), start=1):
         line = line.strip()
@@ -213,7 +214,7 @@ def _read_config(path):
         if "=" not in line:
             raise MTDistError(f"{path}:{no}: expected key=value, got {line!r}")
         key, value = line.split("=", 1)
-        out[key.strip().replace("-", "_")] = value.strip()
+        out[key.strip().replace("-", "_")] = no, value.strip()
     return out
 
 
@@ -249,10 +250,14 @@ _GEN_TYPES = {
 def _gen_params(args):
     params = dict(_GEN_DEFAULTS)
     if args.config:
-        for key, raw in _read_config(args.config).items():
+        for key, (no, raw) in _read_config(args.config).items():
             if key not in _GEN_TYPES:
-                raise MTDistError(f"unknown generator key {key!r}")
-            params[key] = _GEN_TYPES[key](raw)
+                raise MTDistError(f"{args.config}:{no}: unknown generator key {key!r}")
+            try:
+                params[key] = _GEN_TYPES[key](raw)
+            except ValueError:
+                kind = _GEN_TYPES[key].__name__
+                raise MTDistError(f"{args.config}:{no}: {key} must be {kind}, got {raw!r}") from None
     for key in _GEN_TYPES:
         flag = getattr(args, key, None)
         if flag is not None:

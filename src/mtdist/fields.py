@@ -342,7 +342,7 @@ def simplify(tree: MergeTree, threshold: float) -> MergeTree:
     The greedy is event-driven. ``submax(v)``, the highest leaf value below
     ``v``, never changes: only non-preferred leaves are removed, so every
     saddle keeps its highest-reaching child, and a spliced saddle's only
-    child has the saddle's ``submax``. It is computed once, in post-order.
+    child has the saddle's ``submax``. It is computed once, children first.
     A removal at saddle ``s`` changes only ``s`` and, when ``s`` is spliced
     out, the child list of its parent ``p``; there the child id changes from
     ``s`` to ``only``, which can flip an id tie-break, so ``preferred(p)``
@@ -362,7 +362,7 @@ def simplify(tree: MergeTree, threshold: float) -> MergeTree:
     gone = -2
 
     submax = values[:]
-    for v in reversed(tree.subtree_nodes(root)):
+    for v in reversed(tree.preorder):
         if children[v]:
             submax[v] = max(submax[c] for c in children[v])
 

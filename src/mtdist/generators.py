@@ -56,6 +56,8 @@ class EnsembleSpec:
     def __post_init__(self):
         if self.members < 1:
             raise MTDistError("ensemble needs at least one member")
+        if self.rows < 1 or self.cols < 1:
+            raise MTDistError("field dimensions must be positive")
         if self.outlier_index is not None and not 0 <= self.outlier_index < self.members:
             raise MTDistError("outlier index outside the ensemble")
 
@@ -176,6 +178,10 @@ def generate_periodic_series(
     """
     if period < 2:
         raise MTDistError("period must be >= 2")
+    if bumps < 1:
+        raise MTDistError("bumps must be >= 1")
+    if rows < 1 or cols < 1:
+        raise MTDistError("field dimensions must be positive")
     if length < 2 * period:
         raise MTDistError("length must be >= 2 * period")
     if drift is None:

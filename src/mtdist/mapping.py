@@ -114,41 +114,6 @@ class BranchMapping:
 
 
 # ---------------------------------------------------------------------------
-# per-tree precomputation
-# ---------------------------------------------------------------------------
-
-class _Side:
-    """Traversal orders of one valid tree (its root has one child), shared by both modes."""
-
-    __slots__ = ("tree", "values", "post", "depth", "children", "entry")
-
-    def __init__(self, tree: MergeTree):
-        self.tree = tree
-        self.values = tree.values
-        self.children = tree.children
-        self.entry = tree.children[tree.root][0]
-        # iterative post-order over non-root nodes, children before parents
-        post = []
-        stack = [(self.entry, False)]
-        while stack:
-            v, expanded = stack.pop()
-            if expanded:
-                post.append(v)
-                continue
-            stack.append((v, True))
-            for c in reversed(tree.children[v]):
-                stack.append((c, False))
-        self.post = post
-        # depth[v]: number of strict ancestors of v, i.e. of candidate branch starts
-        depth = [0] * len(tree)
-        depth[self.entry] = 1
-        for v in reversed(post):
-            for c in tree.children[v]:
-                depth[c] = depth[v] + 1
-        self.depth = depth
-
-
-# ---------------------------------------------------------------------------
 # free mode: minimize over all branch decompositions
 #
 # State (v, i) is a non-root node v whose branch starts at v's i-th ancestor
@@ -162,8 +127,9 @@ class _Side:
 # Rectangles of a wave with at least this many states are filled with row and
 # column slices; the smaller ones of a wave are concatenated into one flat
 # index batch. Slices alone cost one batch per rectangle on small trees; flat
-# batches alone need several index arrays per state on large ones. A batch
-# evaluates all its options at once, in pieces of about _CHUNK_VALUES values.
+# batches alone need several index arrays per state on large ones. A slice
+# rectangle, like wave 0, is evaluated in row chunks of about _CHUNK_VALUES
+# values; a flat batch evaluates all its options at once, unchunked.
 _SLICE_STATES = 2048
 _CHUNK_VALUES = 1 << 18
 
@@ -228,18 +194,20 @@ class _Flat(_States):
         "off", "last", "ancrow", "lows", "highs", "slot", "cost", "other", "odel", "D", "KD",
     )
 
-    def __init__(self, side: _Side, metric: BaseMetric, squared: bool):
-        self.children = children = side.children
-        self.values = values = side.values
-        self.entry = side.entry
-        post, depth = side.post, side.depth
+    def __init__(self, tree: MergeTree, metric: BaseMetric, squared: bool):
+        self.children = children = tree.children
+        self.values = values = tree.values
+        self.entry = entry = children[tree.root][0]
+        # the non-root nodes, children before parents; depth[v] counts v's
+        # strict ancestors, the candidate starts of its branch
+        post, depth = tree.preorder[:0:-1], tree.depths
         n = len(values)
         height = [0] * n
         for v in post:
             cs = children[v]
             if cs:
                 height[v] = 1 + max([height[c] for c in cs])
-        self.H = H = height[side.entry]
+        self.H = H = height[entry]
         self.order = order = sorted(post, key=lambda v: (height[v], v))
         off = [0] * n
         rows = [0] * (H + 2)
@@ -279,8 +247,8 @@ class _Flat(_States):
         rowl = np.arange(len(order)).repeat(layout[1])  # layout position of every row
 
         ancrow = np.empty(S, dtype=np.int64)  # start node of every row
-        parent = side.tree.parent
-        for v in reversed(post):
+        parent = tree.parent
+        for v in tree.preorder[1:]:
             o, k = off[v], depth[v] - 1
             p = int(parent[v])
             if k:
@@ -605,18 +573,19 @@ class _Fixed(_States):
 
     __slots__ = ("children", "values", "entry", "post", "S", "degmax", "off", "last", "ancrow", "KD", "D")
 
-    def __init__(self, side: _Side, dec: BranchDecomposition, metric: BaseMetric, squared: bool):
-        self.children = children = side.children
-        self.values = values = side.values
-        self.entry, self.post = side.entry, side.post
+    def __init__(self, tree: MergeTree, dec: BranchDecomposition, metric: BaseMetric, squared: bool):
+        self.children = children = tree.children
+        self.values = values = tree.values
+        self.entry = children[tree.root][0]
+        self.post = post = tree.preorder[:0:-1]  # children before parents, root excluded
         n = len(children)
-        self.S = len(side.post)
-        self.degmax = max(len(children[v]) for v in side.post)
+        self.S = len(post)
+        self.degmax = max(len(children[v]) for v in post)
         self.off, self.last = range(n), [0] * n
         self.ancrow = start = [0] * n
         self.KD = KD = [0] * n
-        start[side.entry] = side.tree.root
-        for v in reversed(side.post):
+        start[self.entry] = tree.root
+        for v in tree.preorder[1:]:
             cs = children[v]
             if cs:
                 KD[v] = k = cs.index(dec.continuation[v])
@@ -624,7 +593,7 @@ class _Fixed(_States):
                     start[c] = v
                 start[cs[k]] = start[v]
         self.D = D = [0.0] * n
-        for v in side.post:
+        for v in post:
             cs = children[v]
             if cs:
                 D[v] = sum(D[c] for c in cs)
@@ -696,8 +665,8 @@ def _fixed_tables(f1: _Fixed, f2: _Fixed, metric: BaseMetric, squared: bool):
 # ---------------------------------------------------------------------------
 
 def _states(tree: MergeTree, dec: BranchDecomposition | None, metric: BaseMetric, squared: bool):
-    side = _Side(require_valid(tree))
-    return _Flat(side, metric, squared) if dec is None else _Fixed(side, dec, metric, squared)
+    require_valid(tree)
+    return _Flat(tree, metric, squared) if dec is None else _Fixed(tree, dec, metric, squared)
 
 
 def branch_mapping_distance(
@@ -780,13 +749,13 @@ def _weak_ancestry(tree: MergeTree, nodes) -> np.ndarray:
     ancestor of ``u`` when ``enter[v] <= enter[u] < enter[v] + size[v]``,
     with ``size[v]`` the node count of the subtree under ``v``.
     """
-    pre = tree.subtree_nodes(tree.root)
+    pre = tree.preorder
     parent = tree.parent.tolist()
     size = [1] * len(tree)
-    for v in reversed(pre[1:]):
+    for v in pre[:0:-1]:
         size[parent[v]] += size[v]
     enter = np.empty(len(tree), dtype=np.int64)
-    enter[pre] = np.arange(len(tree))
+    enter[list(pre)] = np.arange(len(tree))
     nodes = np.asarray(nodes, dtype=np.int64)
     e = enter[nodes]
     end = e + np.asarray(size, dtype=np.int64)[nodes]

@@ -28,11 +28,19 @@ import math
 from functools import cache
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 SMALL = 3  # largest row and column count of the enumeration kernel
 WIDE = 6  # largest column count of the mask kernel
 _CHUNK_VALUES = 1 << 16
+
+
+def linear_sum_assignment(cost):
+    """scipy's Hungarian method, imported on first use: loading
+    ``scipy.optimize`` is most of the time of ``import mtdist``, and only
+    instances of more than ``WIDE`` columns need it."""
+    from scipy.optimize import linear_sum_assignment as solve
+
+    return solve(cost)
 
 
 def min_cost_matching(P, dels, inss, want_pairs=False):

@@ -75,13 +75,8 @@ class _BdtView:
         self.labels = [b.label for b in bdt.branches]
         self.children = bdt.children
         self.root = bdt.root
-        depth = [0] * len(tree)
-        order = tree.subtree_nodes(tree.root)
-        for v in order:
-            p = int(tree.parent[v])
-            depth[v] = 0 if p == -1 else depth[p] + 1
         self.start_node = [b.start for b in bdt.branches]
-        self.start_depth = [depth[b.start] for b in bdt.branches]
+        self.start_depth = [tree.depths[b.start] for b in bdt.branches]
         self.subdel = [0.0] * len(bdt.branches)
         done = [False] * len(bdt.branches)
 

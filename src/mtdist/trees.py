@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MTDistError, ParseError
+from .errors import InvalidTreeError, MTDistError, ParseError
 
 
 class MergeTree:
@@ -28,13 +28,18 @@ class MergeTree:
     (a single connected rooted tree over dense ids). Shape violations such
     as a degree-two root are data, reported by :func:`validate_merge_tree`,
     so that invalid trees can be represented and diagnosed.
+
+    The constructor's one walk from the root leaves ``preorder`` (root
+    first, children in id order, as :meth:`subtree_nodes` lists them),
+    ``depths`` (edges from the root, per node) and ``depth``, their maximum.
     """
 
-    __slots__ = ("values", "parent", "children", "root", "_depth", "_hash")
+    __slots__ = ("values", "parent", "children", "root", "preorder", "depths", "depth", "_report", "_hash")
 
     def __init__(self, values, parent):
-        values = np.asarray(values, dtype=np.float64)
-        parent = np.asarray(parent, dtype=np.int64)
+        # copies, so that freezing them leaves the caller's arrays alone
+        values = np.array(values, dtype=np.float64)
+        parent = np.array(parent, dtype=np.int64)
         if values.ndim != 1 or parent.shape != values.shape:
             raise MTDistError("values and parent must be 1-d sequences of equal length")
         n = len(values)
@@ -46,30 +51,52 @@ class MergeTree:
         if ((parent < -1) | (parent >= n)).any():
             raise MTDistError("parent ids out of range")
         root = int(roots[0])
+        par = parent.tolist()
         children: list[list[int]] = [[] for _ in range(n)]
-        for v in range(n):
-            p = int(parent[v])
+        for v, p in enumerate(par):
             if p >= 0:
                 children[p].append(v)
-        # reject cycles / disconnected parts: every node must reach the root
-        seen = np.zeros(n, dtype=bool)
+        # children are pushed in reverse, so they pop in id order. Every node
+        # has one parent, so the walk meets each reached node once; a cycle
+        # or a disconnected part leaves nodes unreached
+        preorder = []
         stack = [root]
-        seen[root] = True
         while stack:
             v = stack.pop()
-            for c in children[v]:
-                seen[c] = True
-                stack.append(c)
-        if not seen.all():
+            preorder.append(v)
+            stack += children[v][::-1]
+        if len(preorder) != n:
             raise MTDistError("parent pointers do not form a single connected tree")
+        depths = [0] * n
+        for v in preorder[1:]:
+            depths[v] = depths[par[v]] + 1
+
+        # the three shape rules, reported rather than raised
+        bad = []
+        if len(children[root]) != 1:
+            bad.append(f"root degree != 1: node {root} has {len(children[root])} children")
+        vals = values.tolist()
+        for v, p in enumerate(par):
+            if v == root:
+                continue
+            if len(children[v]) == 1:
+                bad.append(f"inner node of degree one: node {v}")
+            if vals[v] <= vals[p]:
+                bad.append(
+                    f"non-increasing toward root: node {v} (value {values[v]!r}) "
+                    f"<= parent {p} (value {values[p]!r})"
+                )
 
         values.setflags(write=False)
         parent.setflags(write=False)
         self.values = values
         self.parent = parent
-        self.children = tuple(tuple(sorted(c)) for c in children)
+        self.children = tuple(map(tuple, children))
         self.root = root
-        self._depth = None
+        self.preorder = tuple(preorder)
+        self.depths = tuple(depths)
+        self.depth = max(depths)
+        self._report = ValidationReport(ok=not bad, violations=tuple(bad))
         self._hash = None
 
     def __len__(self):
@@ -97,20 +124,6 @@ class MergeTree:
     @property
     def leaves(self):
         return tuple(v for v in range(len(self)) if not self.children[v])
-
-    @property
-    def depth(self):
-        """Maximum number of edges on a root-to-leaf path."""
-        if self._depth is None:
-            d = 0
-            stack = [(self.root, 0)]
-            while stack:
-                v, dv = stack.pop()
-                d = max(d, dv)
-                for c in self.children[v]:
-                    stack.append((c, dv + 1))
-            self._depth = d
-        return self._depth
 
     def ancestors(self, v):
         """Strict ancestors of ``v`` ordered root first."""
@@ -143,33 +156,14 @@ class ValidationReport:
 
 
 def validate_merge_tree(tree: MergeTree) -> ValidationReport:
-    """Check the three shape invariants; violations are reported, not raised."""
-    bad = []
-    if len(tree.children[tree.root]) != 1:
-        bad.append(
-            f"root degree != 1: node {tree.root} has {len(tree.children[tree.root])} children"
-        )
-    for v in range(len(tree)):
-        if v == tree.root:
-            continue
-        k = len(tree.children[v])
-        if k == 1:
-            bad.append(f"inner node of degree one: node {v}")
-        p = int(tree.parent[v])
-        if tree.values[v] <= tree.values[p]:
-            bad.append(
-                f"non-increasing toward root: node {v} (value {tree.values[v]!r}) "
-                f"<= parent {p} (value {tree.values[p]!r})"
-            )
-    return ValidationReport(ok=not bad, violations=tuple(bad))
+    """The three shape invariants, checked once by the constructor;
+    violations are reported, not raised."""
+    return tree._report
 
 
 def require_valid(tree: MergeTree) -> MergeTree:
-    from .errors import InvalidTreeError
-
-    report = validate_merge_tree(tree)
-    if not report.ok:
-        raise InvalidTreeError("; ".join(report.violations))
+    if not tree._report.ok:
+        raise InvalidTreeError("; ".join(tree._report.violations))
     return tree
 
 

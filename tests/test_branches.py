@@ -151,3 +151,17 @@ class TestBDT:
                     # attachment vertex is interior to the parent branch path
                     seq = bdt.branches[p].vertex_sequence(t)
                     assert b.start in seq[1:-1] or b.start == seq[0] == t.root
+
+
+class TestBranchThrough:
+    def test_equals_a_walk_along_the_continuation(self):
+        rng = np.random.default_rng(43)
+        for _ in range(15):
+            t = random_merge_tree(rng, max_leaves=6)
+            for dec in enumerate_branch_decompositions(t):
+                for v in range(len(t)):
+                    tip = v
+                    while not t.is_leaf(tip):
+                        tip = dec.continuation[tip]
+                    assert dec.branch_through(v) == dec.branch_of_leaf(tip)
+                assert dec.branch_through(t.root) == dec.main

@@ -297,3 +297,32 @@ class TestTrack:
         assert len(doc["tracks"]) == 2  # fig5a has two leaves
         for track in doc["tracks"]:
             assert [s for s, _ in track["nodes"]] == [0, 1, 2]
+
+
+class TestGenBadParameters:
+    def run_gen(self, tmp_path, capsys, *args):
+        rc = main(["gen", *args, "--out-dir", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("mtdist: error: ")
+        assert "Traceback" not in err
+        return err
+
+    def test_config_value_of_wrong_type(self, tmp_path, capsys):
+        cfg = tmp_path / "gen.cfg"
+        cfg.write_text("seed=4\nmembers=abc\n")
+        err = self.run_gen(tmp_path, capsys, "peaks", "--config", str(cfg))
+        assert f"{cfg}:2:" in err and "members" in err
+
+    @pytest.mark.parametrize("bumps", ["0", "-1"])
+    def test_periodic_needs_a_bump(self, tmp_path, capsys, bumps):
+        err = self.run_gen(tmp_path, capsys, "periodic", "--length", "10", "--period", "5",
+                           "--bumps", bumps)
+        assert "bumps" in err
+        assert not (tmp_path / "out" / "member_0.sf2").exists()
+
+    @pytest.mark.parametrize("args", [["peaks", "--rows", "-3"],
+                                      ["periodic", "--length", "10", "--period", "5", "--cols", "-2"]])
+    def test_negative_grid_size(self, tmp_path, capsys, args):
+        err = self.run_gen(tmp_path, capsys, *args)
+        assert "dimensions" in err

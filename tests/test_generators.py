@@ -91,3 +91,9 @@ class TestPeriodicSeries:
             generate_periodic_series(5, 1)
         with pytest.raises(MTDistError):
             generate_periodic_series(5, 4)
+
+
+def test_periodic_series_needs_a_bump():
+    for bumps in (0, -1):
+        with pytest.raises(MTDistError):
+            generate_periodic_series(10, 5, bumps=bumps)

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from mtdist import MergeTree, MTDistError, ParseError, parse_merge_tree, validate_merge_tree
-from mtdist.trees import format_merge_tree, read_merge_tree, write_merge_tree
+from mtdist.trees import format_merge_tree, read_merge_tree, require_valid, write_merge_tree
+from conftest import random_merge_tree
 
 
 class TestValidation:
@@ -99,3 +100,56 @@ class TestFormat:
         tree = MergeTree([0.0, np.pi, 4.0 + 1 / 3, 3.5], [-1, 0, 1, 1])
         text = format_merge_tree(tree)
         assert parse_merge_tree(text) == tree
+
+
+def random_parent_tree(rng, n):
+    """A random tree over shuffled ids with random values: any shape, so
+    most of them break the merge-tree rules."""
+    ids = rng.permutation(n)
+    parent = np.empty(n, dtype=np.int64)
+    parent[ids[0]] = -1
+    for k in range(1, n):
+        parent[ids[k]] = ids[int(rng.integers(0, k))]
+    return MergeTree(rng.integers(0, 5, size=n).astype(float), parent)
+
+
+class TestStoredWalk:
+    def test_preorder_and_depths_match_the_walks(self):
+        rng = np.random.default_rng(41)
+        trees = [random_parent_tree(rng, int(rng.integers(1, 30))) for _ in range(40)]
+        trees += [random_merge_tree(rng, max_leaves=8) for _ in range(20)]
+        assert any(not validate_merge_tree(t).ok for t in trees)
+        for t in trees:
+            assert t.preorder == tuple(t.subtree_nodes(t.root))
+            assert t.depths == tuple(len(t.ancestors(v)) for v in range(len(t)))
+            assert t.depth == max(t.depths)
+            assert validate_merge_tree(t) is validate_merge_tree(t)
+
+    def test_invalid_shape_is_reported_not_raised(self):
+        tree = MergeTree([0.0, 5.0, 6.0], [-1, 0, 0])
+        assert tree.preorder == (0, 1, 2)
+        assert tree.depths == (0, 1, 1)
+        assert not validate_merge_tree(tree).ok
+        with pytest.raises(MTDistError):
+            require_valid(tree)
+
+
+class TestOwnsItsArrays:
+    def test_caller_array_stays_writable_and_apart(self):
+        v = np.array([0.0, 3.0, 10.0, 6.0])
+        p = np.array([-1, 0, 1, 1])
+        tree = MergeTree(v, p)
+        h, report = hash(tree), validate_merge_tree(tree)
+        assert v.flags.writeable and p.flags.writeable
+        v[2] = -1.0
+        p[3] = 2
+        assert tree.values.tolist() == [0.0, 3.0, 10.0, 6.0]
+        assert tree.parent.tolist() == [-1, 0, 1, 1]
+        assert hash(tree) == h and validate_merge_tree(tree) is report and report.ok
+
+    def test_view_of_a_base_array(self):
+        base = np.array([0.0, 3.0, 10.0, 6.0, 99.0])
+        tree = MergeTree(base[:4], [-1, 0, 1, 1])
+        base[1] = 50.0
+        assert tree.values.tolist() == [0.0, 3.0, 10.0, 6.0]
+        assert validate_merge_tree(tree).ok
