@@ -10,7 +10,11 @@ Every other child starts a new branch there.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import PreconditionError, SizeLimitError
 from .trees import MergeTree, require_valid
@@ -56,44 +60,45 @@ class Branch:
         return [(seq[i + 1], seq[i]) for i in range(len(seq) - 1)]
 
 
-def _branch(tree: MergeTree, start: int, leaf: int) -> Branch:
-    return Branch(start, leaf, float(tree.values[start]), float(tree.values[leaf]))
-
-
 class BranchDecomposition:
-    """A set of branches whose edge sets partition the tree's edges."""
+    """A set of branches whose edge sets partition the tree's edges.
+
+    Built in two sweeps of the tree's preorder: parents first, each node
+    gets the start of the branch through it; children first, the leaf that
+    branch runs to. Every leaf ends exactly one branch.
+    """
 
     __slots__ = ("tree", "continuation", "branches", "main", "_by_leaf", "_tips")
 
     def __init__(self, tree: MergeTree, continuation: dict[int, int]):
         self.tree = tree
-        self.continuation = dict(continuation)
-        for v in range(len(tree)):
-            if tree.is_leaf(v):
-                continue
-            c = self.continuation.get(v)
-            if c is None or int(tree.parent[c]) != v:
-                raise PreconditionError(f"continuation missing or invalid at node {v}")
+        self.continuation = cont = dict(continuation)
+        children = tree.children
+        # starts[v]: the start of the branch through v; the root starts the main branch
+        starts = list(range(len(tree)))
+        ints = (int, np.integer)
+        for v in tree.preorder:
+            cs = children[v]
+            if cs:
+                k = cont.get(v)
+                if k not in cs or not isinstance(k, ints):
+                    raise PreconditionError(
+                        f"continuation at node {v} is {k!r}, expected one of its children {cs}"
+                    )
+                for c in cs:
+                    starts[c] = v
+                starts[k] = starts[v]
         # tips[v]: the leaf that the branch through v runs to
         tips = list(range(len(tree)))
         for v in reversed(tree.preorder):
-            if tree.children[v]:
-                tips[v] = tips[self.continuation[v]]
-        by_leaf = {}
-        branches = []
-        for v in range(len(tree)):
-            if tree.is_leaf(v):
-                continue
-            for c in tree.children[v]:
-                if v != tree.root and c == self.continuation[v]:
-                    continue  # the incoming branch passes through, no new start
-                leaf = tips[c]
-                b = _branch(tree, v, leaf)
-                branches.append(b)
-                by_leaf[leaf] = b
-        # two-node tree: the loop above only visits the root
-        self.branches = tuple(sorted(branches))
-        self._by_leaf = by_leaf
+            if children[v]:
+                tips[v] = tips[cont[v]]
+        values = tree.values.tolist()
+        self._by_leaf = by_leaf = {
+            leaf: Branch(starts[leaf], leaf, values[starts[leaf]], values[leaf])
+            for leaf in tree.leaves
+        }
+        self.branches = tuple(sorted(by_leaf.values()))
         self._tips = tips
         self.main = by_leaf[tips[tree.root]]
 
@@ -140,50 +145,34 @@ def elder_rule_decomposition(tree: MergeTree) -> BranchDecomposition:
     the smallest child node-id.
     """
     require_valid(tree)
-    n = len(tree)
     submax = tree.values.tolist()
     for v in reversed(tree.preorder):
         if tree.children[v]:
             submax[v] = max(submax[c] for c in tree.children[v])
-    continuation = {}
-    for v in range(n):
-        if tree.is_leaf(v):
-            continue
-        continuation[v] = min(tree.children[v], key=lambda c: (-submax[c], c))
+    continuation = {
+        v: min(cs, key=lambda c: (-submax[c], c)) for v, cs in enumerate(tree.children) if cs
+    }
     return BranchDecomposition(tree, continuation)
 
 
 def count_branch_decompositions(tree: MergeTree) -> int:
-    out = 1
-    for v in range(len(tree)):
-        if not tree.is_leaf(v):
-            out *= len(tree.children[v])
-    return out
+    return math.prod(len(cs) for cs in tree.children if cs)
 
 
 def enumerate_branch_decompositions(tree: MergeTree, max_leaves: int = 10):
-    """Every branch decomposition of ``tree``. Exponential; small trees only."""
+    """Every branch decomposition of ``tree``, the last inner node's choice
+    varying fastest. Exponential; small trees only."""
     require_valid(tree)
     n_leaves = len(tree.leaves)
     if n_leaves > max_leaves:
         raise SizeLimitError(
             f"tree has {n_leaves} leaves, enumeration capped at {max_leaves}"
         )
-    inner = [v for v in range(len(tree)) if not tree.is_leaf(v)]
-    out = []
-
-    def rec(i, cont):
-        if i == len(inner):
-            out.append(BranchDecomposition(tree, dict(cont)))
-            return
-        v = inner[i]
-        for c in tree.children[v]:
-            cont[v] = c
-            rec(i + 1, cont)
-        del cont[v]
-
-    rec(0, {})
-    return out
+    inner = [v for v, cs in enumerate(tree.children) if cs]
+    return [
+        BranchDecomposition(tree, dict(zip(inner, choice)))
+        for choice in itertools.product(*(tree.children[v] for v in inner))
+    ]
 
 
 @dataclass(frozen=True)

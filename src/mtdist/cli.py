@@ -129,17 +129,8 @@ def build_parser():
     p.add_argument("kind", choices=("peaks", "outlier", "periodic"))
     p.add_argument("--out-dir", required=True)
     p.add_argument("--config", help="key=value file overriding generator defaults")
-    p.add_argument("--members", type=int)
-    p.add_argument("--outlier-index", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--rows", type=int)
-    p.add_argument("--cols", type=int)
-    p.add_argument("--noise", type=float)
-    p.add_argument("--length", type=int)
-    p.add_argument("--period", type=int)
-    p.add_argument("--variation", type=float)
-    p.add_argument("--bumps", type=int)
-    p.add_argument("--drift", type=float)
+    for key, (kind, _) in _GEN_KEYS.items():
+        p.add_argument("--" + key.replace("_", "-"), type=kind)
     p.set_defaults(func=cmd_gen)
 
     return parser
@@ -218,47 +209,34 @@ def _read_config(path):
     return out
 
 
-_GEN_DEFAULTS = {
-    "members": 20,
-    "outlier_index": 7,
-    "seed": 1,
-    "rows": None,
-    "cols": None,
-    "noise": 0.0,
-    "length": 225,
-    "period": 75,
-    "variation": 0.001,
-    "bumps": 3,
-    "drift": None,
-}
-
-_GEN_TYPES = {
-    "members": int,
-    "outlier_index": int,
-    "seed": int,
-    "rows": int,
-    "cols": int,
-    "noise": float,
-    "length": int,
-    "period": int,
-    "variation": float,
-    "bumps": int,
-    "drift": float,
+# generator keys, each a ``gen`` flag and a ``--config`` key: (type, default)
+_GEN_KEYS = {
+    "members": (int, 20),
+    "outlier_index": (int, 7),
+    "seed": (int, 1),
+    "rows": (int, None),
+    "cols": (int, None),
+    "noise": (float, 0.0),
+    "length": (int, 225),
+    "period": (int, 75),
+    "variation": (float, 0.001),
+    "bumps": (int, 3),
+    "drift": (float, None),
 }
 
 
 def _gen_params(args):
-    params = dict(_GEN_DEFAULTS)
+    params = {key: default for key, (_, default) in _GEN_KEYS.items()}
     if args.config:
         for key, (no, raw) in _read_config(args.config).items():
-            if key not in _GEN_TYPES:
+            if key not in _GEN_KEYS:
                 raise MTDistError(f"{args.config}:{no}: unknown generator key {key!r}")
+            kind = _GEN_KEYS[key][0]
             try:
-                params[key] = _GEN_TYPES[key](raw)
+                params[key] = kind(raw)
             except ValueError:
-                kind = _GEN_TYPES[key].__name__
-                raise MTDistError(f"{args.config}:{no}: {key} must be {kind}, got {raw!r}") from None
-    for key in _GEN_TYPES:
+                raise MTDistError(f"{args.config}:{no}: {key} must be {kind.__name__}, got {raw!r}") from None
+    for key in _GEN_KEYS:
         flag = getattr(args, key, None)
         if flag is not None:
             params[key] = flag

@@ -582,16 +582,8 @@ class _Fixed(_States):
         self.S = len(post)
         self.degmax = max(len(children[v]) for v in post)
         self.off, self.last = range(n), [0] * n
-        self.ancrow = start = [0] * n
-        self.KD = KD = [0] * n
-        start[self.entry] = tree.root
-        for v in tree.preorder[1:]:
-            cs = children[v]
-            if cs:
-                KD[v] = k = cs.index(dec.continuation[v])
-                for c in cs:
-                    start[c] = v
-                start[cs[k]] = start[v]
+        self.ancrow = start = [dec.branch_through(v).start for v in range(n)]
+        self.KD = [cs.index(dec.continuation[v]) if cs else 0 for v, cs in enumerate(children)]
         self.D = D = [0.0] * n
         for v in post:
             cs = children[v]

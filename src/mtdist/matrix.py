@@ -12,7 +12,7 @@ from .baselines import constrained_edit_distance, elder_labeled_inputs, one_degr
 from .branches import elder_rule_decomposition
 from .errors import MTDistError
 from .mapping import branch_mapping_distance
-from .metrics import BaseMetric
+from .metrics import METRIC_NAMES, MODE_NAMES, BaseMetric
 from .trees import MergeTree
 
 DISTANCE_NAMES = ("branch", "branch-fixed", "constrained", "one-degree")
@@ -25,11 +25,10 @@ class DistanceOptions:
     mode: str = "sum"
 
     def __post_init__(self):
-        if self.distance not in DISTANCE_NAMES:
-            raise MTDistError(
-                f"unknown distance {self.distance!r}, expected one of {DISTANCE_NAMES}"
-            )
-        BaseMetric(self.metric)  # validates the name
+        for field, names in (("distance", DISTANCE_NAMES), ("metric", METRIC_NAMES), ("mode", MODE_NAMES)):
+            value = getattr(self, field)
+            if value not in names:
+                raise MTDistError(f"unknown {field} {value!r}, expected one of {names}")
 
 
 def branch_mapping(t1: MergeTree, t2: MergeTree, opts: DistanceOptions):

@@ -31,10 +31,11 @@ class MergeTree:
 
     The constructor's one walk from the root leaves ``preorder`` (root
     first, children in id order, as :meth:`subtree_nodes` lists them),
-    ``depths`` (edges from the root, per node) and ``depth``, their maximum.
+    ``depths`` (edges from the root, per node) and ``depth``, their maximum;
+    ``leaves`` lists the childless nodes in id order.
     """
 
-    __slots__ = ("values", "parent", "children", "root", "preorder", "depths", "depth", "_report", "_hash")
+    __slots__ = ("values", "parent", "children", "root", "preorder", "depths", "depth", "leaves", "_report", "_hash")
 
     def __init__(self, values, parent):
         # copies, so that freezing them leaves the caller's arrays alone
@@ -96,6 +97,7 @@ class MergeTree:
         self.preorder = tuple(preorder)
         self.depths = tuple(depths)
         self.depth = max(depths)
+        self.leaves = tuple(v for v, cs in enumerate(children) if not cs)
         self._report = ValidationReport(ok=not bad, violations=tuple(bad))
         self._hash = None
 
@@ -120,10 +122,6 @@ class MergeTree:
 
     def is_leaf(self, v):
         return not self.children[v]
-
-    @property
-    def leaves(self):
-        return tuple(v for v in range(len(self)) if not self.children[v])
 
     def ancestors(self, v):
         """Strict ancestors of ``v`` ordered root first."""

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from mtdist import (
+    BranchDecomposition,
     MergeTree,
+    PreconditionError,
     SizeLimitError,
     build_bdt,
     count_branch_decompositions,
@@ -165,3 +167,71 @@ class TestBranchThrough:
                         tip = dec.continuation[tip]
                     assert dec.branch_through(v) == dec.branch_of_leaf(tip)
                 assert dec.branch_through(t.root) == dec.main
+
+
+def nested_loop_continuations(tree):
+    """Every continuation map, the inner nodes in id order and the last one's
+    choice varying fastest, counted like an odometer."""
+    inner = [v for v in range(len(tree)) if not tree.is_leaf(v)]
+    choice = [0] * len(inner)
+    out = []
+    while True:
+        out.append([(v, tree.children[v][choice[i]]) for i, v in enumerate(inner)])
+        i = len(inner) - 1
+        while i >= 0 and choice[i] == len(tree.children[inner[i]]) - 1:
+            choice[i] = 0
+            i -= 1
+        if i < 0:
+            return out
+        choice[i] += 1
+
+
+class TestEnumerationOrder:
+    def test_same_sequence_as_nested_loops(self):
+        rng = np.random.default_rng(47)
+        for _ in range(30):
+            t = random_merge_tree(rng, max_leaves=6)
+            decs = enumerate_branch_decompositions(t)
+            assert [list(d.continuation.items()) for d in decs] == nested_loop_continuations(t)
+
+
+class TestContinuationCheck:
+    """Every inner node needs one of its own children as its continuation."""
+
+    # root 0 - saddle 1 - { leaf 2, saddle 3 - { leaf 4, leaf 5 } }
+    VALID = {0: 1, 1: 2, 3: 4}
+
+    @pytest.mark.parametrize(
+        "node, choice",
+        [
+            (3, None),  # missing
+            (1, -1),
+            (1, 6),  # the tree has 6 nodes
+            (1, 99),
+            (1, 4),  # grandchild
+            (0, 3),  # the root's grandchild
+            (3, 2),  # a child of another node
+            (1, 2.0),
+            (1, 2.5),
+            (1, "2"),
+        ],
+    )
+    def test_invalid_choice_names_the_node(self, two_peak_asymmetric, node, choice):
+        cont = dict(self.VALID)
+        if choice is None:
+            del cont[node]
+        else:
+            cont[node] = choice
+        with pytest.raises(PreconditionError, match=f"at node {node} "):
+            BranchDecomposition(two_peak_asymmetric, cont)
+
+    def test_minus_one_on_a_two_leaf_tree(self, fig5a):
+        # -1 must not be read as the last node, 3, which is a child of 1
+        with pytest.raises(PreconditionError, match="at node 1 "):
+            BranchDecomposition(fig5a, {0: 1, 1: -1})
+
+    def test_numpy_integers_accepted(self, two_peak_asymmetric):
+        cont = {v: np.int64(c) for v, c in self.VALID.items()}
+        dec = BranchDecomposition(two_peak_asymmetric, cont)
+        assert dec == BranchDecomposition(two_peak_asymmetric, self.VALID)
+        assert [b.label for b in dec.branches] == [(0.0, 12.0), (3.0, 12.0), (9.0, 11.0)]

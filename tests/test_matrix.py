@@ -99,6 +99,18 @@ class TestDistanceMatrix:
         with pytest.raises(MTDistError):
             DistanceOptions(distance="hausdorff")
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            (dict(distance="constrained", metric="euclidean", mode="l3"), "unknown mode 'l3'"),
+            (dict(distance="one-degree", mode="max"), "unknown mode 'max'"),
+            (dict(distance="branch", metric="nope"), "unknown metric 'nope'"),
+        ],
+    )
+    def test_unknown_metric_or_mode_rejected_as_data_error(self, kwargs, message):
+        with pytest.raises(MTDistError, match=message):
+            DistanceOptions(**kwargs)
+
 
 class TestMappingDispatch:
     """``branch_mapping`` is the one place that turns a distance name into a
