@@ -22,8 +22,8 @@ import numpy as np
 from .branches import build_bdt, elder_rule_decomposition
 from .errors import PreconditionError
 from .matching import SMALL, matching_costs, small_matching_costs
-from .metrics import BaseMetric, finalize
-from .trees import MergeTree, require_valid
+from .metrics import MODE_NAMES, BaseMetric, finalize
+from .trees import MergeTree, _memoized, require_valid
 
 
 @dataclass(frozen=True)
@@ -56,10 +56,17 @@ def elder_labeled_inputs(tree: MergeTree, target: str) -> LabeledTree:
 
     ``target='bdt'`` labels the decomposition's BDT nodes with their branch;
     ``target='merge-tree'`` keeps the merge tree's shape and labels every
-    node with its containing branch.
+    node with its containing branch. Built once per tree and target while a
+    driver's layout memo is open.
     """
     require_valid(tree)
+    if target not in ("bdt", "merge-tree"):
+        raise ValueError(f"unknown target {target!r}, expected 'bdt' or 'merge-tree'")
     dec = elder_rule_decomposition(tree)
+    return _memoized(tree, ("labeled", target), lambda: _labeled(tree, dec, target))
+
+
+def _labeled(tree: MergeTree, dec, target: str) -> LabeledTree:
     if target == "bdt":
         bdt = build_bdt(dec)
         return LabeledTree(
@@ -67,14 +74,11 @@ def elder_labeled_inputs(tree: MergeTree, target: str) -> LabeledTree:
             labels=tuple(b.label for b in bdt.branches),
             root=bdt.root,
         )
-    if target == "merge-tree":
-        labels = tuple(dec.branch_through(v).label for v in range(len(tree)))
-        return LabeledTree(
-            parent=tuple(int(p) for p in tree.parent),
-            labels=labels,
-            root=tree.root,
-        )
-    raise ValueError(f"unknown target {target!r}, expected 'bdt' or 'merge-tree'")
+    return LabeledTree(
+        parent=tuple(int(p) for p in tree.parent),
+        labels=tuple(dec.branch_through(v).label for v in range(len(tree))),
+        root=tree.root,
+    )
 
 
 def _costs(metric: BaseMetric, squared: bool):
@@ -109,7 +113,9 @@ class _Levels:
     count; ``kids`` the children's positions, padded with ``n``; ``sub`` the
     cost of deleting the subtree (0 at the padding ``n``); ``rest`` that of
     deleting the children's subtrees; ``null`` that of deleting the node
-    alone; and ``label`` the index of its label in ``labels``.
+    alone; and ``label`` the index of its label in ``labels``. A driver's
+    layout memo shares one layout between pairs, so its arrays are
+    read-only.
     """
 
     __slots__ = ("n", "root", "levels", "deg", "kids", "sub", "rest", "null", "label", "labels")
@@ -127,8 +133,8 @@ class _Levels:
             sub[v] = nulls[v] + rest[v]
         order = sorted(post, key=lambda v: (height[v], len(kids[v]), v))
         self.n = n = len(order)
-        self.deg = deg = [len(kids[v]) for v in order]
-        self.levels = []
+        self.deg = deg = tuple(len(kids[v]) for v in order)
+        levels = []
         k = 0
         for h in range(height[t.root] + 1):
             lo = k
@@ -137,7 +143,8 @@ class _Levels:
             mid = k
             while k < n and height[order[k]] == h:
                 k += 1
-            self.levels.append((lo, mid, k, deg[mid - 1] if mid > lo else 0, deg[k - 1]))
+            levels.append((lo, mid, k, deg[mid - 1] if mid > lo else 0, deg[k - 1]))
+        self.levels = tuple(levels)
         pos = [0] * len(kids)
         for k, v in enumerate(order):
             pos[v] = k
@@ -151,7 +158,9 @@ class _Levels:
         self.null = np.array([nulls[v] for v in order])
         index = {}
         self.label = np.array([index.setdefault(t.labels[v], len(index)) for v in order], dtype=np.intp)
-        self.labels = list(index)
+        self.labels = tuple(index)
+        for a in (self.kids, self.sub, self.rest, self.null, self.label):
+            a.setflags(write=False)
 
 
 def _runs(deg, lo, hi):
@@ -184,9 +193,13 @@ def _fill(t1: LabeledTree, t2: LabeledTree, metric: BaseMetric, mode: str, edits
     of the unpadded instance. The other pairs of the height go in one
     :func:`matching_costs` call per pair of child counts.
     """
+    if mode not in MODE_NAMES:
+        raise PreconditionError(f"unknown aggregation mode {mode!r}, expected one of {MODE_NAMES}")
     squared = mode == "l2"
     _, null = _costs(metric, squared)
-    a, b = _Levels(t1, null), _Levels(t2, null)
+    key = ("levels", metric.kind, squared)
+    a = _memoized(t1, key, lambda: _Levels(t1, null))
+    b = _memoized(t2, key, lambda: _Levels(t2, null))
     # one scalar metric.pair call per distinct label pair: the vectorised
     # forms can round differently in the last bit
     lows, highs = [y[0] for y in b.labels], [y[1] for y in b.labels]

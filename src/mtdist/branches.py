@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError, SizeLimitError
-from .trees import MergeTree, require_valid
+from .trees import MergeTree, _memoized, require_valid
 
 
 @dataclass(frozen=True, order=True)
@@ -142,9 +142,14 @@ def elder_rule_decomposition(tree: MergeTree) -> BranchDecomposition:
 
     At every non-leaf node the incoming branch continues toward the child
     whose subtree contains the highest-valued leaf; value ties are broken by
-    the smallest child node-id.
+    the smallest child node-id. Built once per tree while a driver's layout
+    memo is open, so every call of that driver gets the same object.
     """
     require_valid(tree)
+    return _memoized(tree, "elder", lambda: _elder(tree))
+
+
+def _elder(tree: MergeTree) -> BranchDecomposition:
     submax = tree.values.tolist()
     for v in reversed(tree.preorder):
         if tree.children[v]:

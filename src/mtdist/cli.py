@@ -12,7 +12,10 @@ from __future__ import annotations
 
 import argparse
 import codecs
+import errno
 import json
+import math
+import os
 import re
 import sys
 from pathlib import Path
@@ -53,15 +56,18 @@ def _natural_key(name: str):
 
 
 def _collect_inputs(paths):
-    """Expand directories into naturally sorted file lists."""
+    """Expand directories into naturally sorted file lists; a missing path
+    raises ``FileNotFoundError``."""
     out = []
     for p in paths:
         path = Path(p)
         if path.is_dir():
             members = [q for q in path.iterdir() if q.suffix in (".sf2", ".mt")]
             out.extend(sorted(members, key=lambda q: _natural_key(q.name)))
-        else:
+        elif path.exists():
             out.append(path)
+        else:
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), str(path))
     return out
 
 
@@ -289,6 +295,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        # a negative or non-finite threshold would silently mean "no simplification"
+        tau = getattr(args, "simplify", 0.0)
+        if not (math.isfinite(tau) and tau >= 0):
+            raise MTDistError(f"--simplify must be a finite threshold >= 0, got {tau!r}")
         return args.func(args) or 0
     except (MTDistError, OSError) as exc:
         print(f"mtdist: error: {exc}", file=sys.stderr)

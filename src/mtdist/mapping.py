@@ -36,8 +36,8 @@ import numpy as np
 from .branches import Branch, BranchDecomposition
 from .errors import PreconditionError
 from .matching import matching_costs, min_cost_matching as _assignment
-from .metrics import BaseMetric, aggregate, finalize
-from .trees import MergeTree, require_valid
+from .metrics import MODE_NAMES, BaseMetric, aggregate, finalize
+from .trees import MergeTree, _memoized, require_valid
 
 
 @dataclass(frozen=True)
@@ -186,7 +186,9 @@ class _Flat(_States):
     (s-th child of v, i), the child's table without its last ancestor, and
     ``cost[s, r]`` is the price of deleting v's other children whole. When v
     is a binary saddle, ``other[s, r]`` is the tip row of the child not in
-    slot s and ``odel[s, r]`` its deletion cost.
+    slot s and ``odel[s, r]`` its deletion cost. A driver's layout memo
+    shares one layout between pairs, so its sequences are tuples and its
+    arrays read-only.
     """
 
     __slots__ = (
@@ -208,7 +210,7 @@ class _Flat(_States):
             if cs:
                 height[v] = 1 + max([height[c] for c in cs])
         self.H = H = height[entry]
-        self.order = order = sorted(post, key=lambda v: (height[v], v))
+        self.order = order = tuple(sorted(post, key=lambda v: (height[v], v)))
         off = [0] * n
         rows = [0] * (H + 2)
         first = [0] * (H + 2)
@@ -222,10 +224,10 @@ class _Flat(_States):
             S += depth[v]
             rows[h + 1], first[h + 1] = S, k + 1
             dmax[h] = max(dmax[h], len(children[v]))
-        self.S, self.rows, self.first, self.dmax = S, rows, first, dmax
+        self.S, self.rows, self.first, self.dmax = S, tuple(rows), tuple(first), tuple(dmax)
         self.degmax = degmax = max(dmax)
-        self.off = off
-        self.last = last = [d - 1 for d in depth]
+        self.off = off = tuple(off)
+        self.last = last = tuple(d - 1 for d in depth)
         # per node, by layout position: the tip row of every child slot
         # (S + 1, a zero delete cost, if none), the shift from a state to the
         # child's state of the same start (S if none, clipped to the pad row),
@@ -284,6 +286,8 @@ class _Flat(_States):
         self.D, self.KD, self.cost = D, KD, cost
         self.other = layout[2 + 2 * degmax:].take(rowl, axis=1)
         self.odel = D[self.other]
+        for a in (ancrow, self.lows, self.highs, slot, D, KD, cost, self.other, self.odel):
+            a.setflags(write=False)
 
 
 def _sides(f1: _Flat, f2: _Flat, T, r, c, sc, sd):
@@ -568,7 +572,8 @@ class _Fixed(_States):
     Every non-root node v has the single state ``(v, 0)``, row v (the
     root's row is unused): ``ancrow[v]`` is the start of the branch through
     v, ``KD[v]`` the slot of v's continuation child and ``D[v]`` the cost of
-    deleting every branch whose leaf lies under v.
+    deleting every branch whose leaf lies under v. Like :class:`_Flat`, it
+    holds tuples only, as a driver's layout memo shares it between pairs.
     """
 
     __slots__ = ("children", "values", "entry", "post", "S", "degmax", "off", "last", "ancrow", "KD", "D")
@@ -581,10 +586,10 @@ class _Fixed(_States):
         n = len(children)
         self.S = len(post)
         self.degmax = max(len(children[v]) for v in post)
-        self.off, self.last = range(n), [0] * n
-        self.ancrow = start = [dec.branch_through(v).start for v in range(n)]
-        self.KD = [cs.index(dec.continuation[v]) if cs else 0 for v, cs in enumerate(children)]
-        self.D = D = [0.0] * n
+        self.off, self.last = range(n), (0,) * n
+        self.ancrow = start = tuple(dec.branch_through(v).start for v in range(n))
+        self.KD = tuple(cs.index(dec.continuation[v]) if cs else 0 for v, cs in enumerate(children))
+        D = [0.0] * n
         for v in post:
             cs = children[v]
             if cs:
@@ -592,6 +597,7 @@ class _Fixed(_States):
             else:
                 c = metric.deletion(float(values[start[v]]), float(values[v]))
                 D[v] = c * c if squared else c
+        self.D = tuple(D)
 
 
 def _fixed_tables(f1: _Fixed, f2: _Fixed, metric: BaseMetric, squared: bool):
@@ -657,8 +663,14 @@ def _fixed_tables(f1: _Fixed, f2: _Fixed, metric: BaseMetric, squared: bool):
 # ---------------------------------------------------------------------------
 
 def _states(tree: MergeTree, dec: BranchDecomposition | None, metric: BaseMetric, squared: bool):
+    """The tree's layout, built once per tree while a driver's layout memo is
+    open; in fixed mode only for the decomposition object first seen."""
     require_valid(tree)
-    return _Flat(tree, metric, squared) if dec is None else _Fixed(tree, dec, metric, squared)
+    if dec is None:
+        return _memoized(tree, ("flat", metric.kind, squared), lambda: _Flat(tree, metric, squared))
+    key = ("fixed", metric.kind, squared)
+    owner, f = _memoized(tree, key, lambda: (dec, _Fixed(tree, dec, metric, squared)))
+    return f if owner is dec else _Fixed(tree, dec, metric, squared)
 
 
 def branch_mapping_distance(
@@ -674,13 +686,14 @@ def branch_mapping_distance(
     of deletions or insertions only. With ``fixed=(B1, B2)`` the search is
     restricted to mappings between exactly those two decompositions.
     """
+    if mode not in MODE_NAMES:
+        raise PreconditionError(f"unknown aggregation mode {mode!r}, expected one of {MODE_NAMES}")
     squared = mode == "l2"
-    if mode not in ("sum", "l2"):
-        raise ValueError(f"unknown aggregation mode {mode!r}")
     trees = (tree1, tree2)
     if fixed is not None:
         for k, (tree, dec) in enumerate(zip(trees, fixed)):
-            if tree is not None and (dec is None or dec.tree != tree):
+            # identity first: comparing two trees compares their arrays
+            if tree is not None and (dec is None or (dec.tree is not tree and dec.tree != tree)):
                 raise PreconditionError(f"fixed decomposition does not belong to tree {k + 1}")
     decs = (None, None) if fixed is None else fixed
     f1, f2 = (None if t is None else _states(t, d, metric, squared) for t, d in zip(trees, decs))

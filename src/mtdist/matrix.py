@@ -13,7 +13,7 @@ from .branches import elder_rule_decomposition
 from .errors import MTDistError
 from .mapping import branch_mapping_distance
 from .metrics import METRIC_NAMES, MODE_NAMES, BaseMetric
-from .trees import MergeTree
+from .trees import MergeTree, _layout_memo
 
 DISTANCE_NAMES = ("branch", "branch-fixed", "constrained", "one-degree")
 
@@ -93,13 +93,16 @@ _WORKER_CTX: dict = {}
 def _init_worker(trees, opts):
     _WORKER_CTX["trees"] = trees
     _WORKER_CTX["opts"] = opts
+    # one layout memo per worker process, which ends with the pool
+    _WORKER_CTX["memo"] = {}
 
 
 def _pair_worker(pair):
     i, j = pair
     trees = _WORKER_CTX["trees"]
     opts = _WORKER_CTX["opts"]
-    return i, j, pairwise_distance(trees[i], trees[j], opts)
+    with _layout_memo(_WORKER_CTX["memo"]):
+        return i, j, pairwise_distance(trees[i], trees[j], opts)
 
 
 def compute_matrix(
@@ -109,6 +112,9 @@ def compute_matrix(
 
     ``jobs`` > 1 fans pairs out to a process pool; results are identical to
     the sequential path because each entry is an independent pure call.
+    ``jobs=None`` means the CPU count; ``jobs`` < 1 is an error. Each tree's
+    layouts are prepared once per call (per worker with a pool) and
+    dropped when it returns.
     """
     trees = list(trees)
     labels = tuple(labels)
@@ -116,11 +122,13 @@ def compute_matrix(
         raise MTDistError("need one label per tree")
     if len(trees) < 2:
         raise MTDistError("distance matrix needs at least two members")
+    if jobs is None:
+        jobs = os.cpu_count() or 1
+    if jobs < 1:
+        raise MTDistError(f"jobs must be at least 1, got {jobs}")
     n = len(trees)
     values = np.zeros((n, n))
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    if jobs is None:
-        jobs = os.cpu_count() or 1
     # a fork-based pool starts all its workers at once, needed or not
     jobs = min(jobs, len(pairs))
     if jobs > 1:
@@ -133,9 +141,10 @@ def compute_matrix(
             for i, j, d in pool.map(_pair_worker, pairs, chunksize=chunksize):
                 values[i, j] = values[j, i] = d
     else:
-        for i, j in pairs:
-            d = pairwise_distance(trees[i], trees[j], opts)
-            values[i, j] = values[j, i] = d
+        with _layout_memo():
+            for i, j in pairs:
+                d = pairwise_distance(trees[i], trees[j], opts)
+                values[i, j] = values[j, i] = d
     return DistanceMatrix(labels=labels, values=values)
 
 

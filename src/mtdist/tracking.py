@@ -11,6 +11,7 @@ from __future__ import annotations
 from .errors import MTDistError
 from .mapping import induced_node_mapping
 from .matrix import DistanceOptions, branch_mapping
+from .trees import _layout_memo
 
 
 def step_leaf_pairs(t1, t2, opts: DistanceOptions):
@@ -26,15 +27,17 @@ def build_tracks(trees, opts: DistanceOptions):
     """Track structure over the whole series.
 
     Returns a JSON-ready dict: per-step matched leaf pairs plus tracks,
-    each track a list of (step, leaf-id) entries.
+    each track a list of (step, leaf-id) entries. Every inner tree takes
+    part in two steps; its layout is prepared once for both.
     """
     trees = list(trees)
     if len(trees) < 2:
         raise MTDistError("tracking needs at least two time steps")
     steps = []
-    for k in range(len(trees) - 1):
-        pairs = step_leaf_pairs(trees[k], trees[k + 1], opts)
-        steps.append({"from": k, "to": k + 1, "pairs": [[a, b] for a, b in pairs]})
+    with _layout_memo():
+        for k in range(len(trees) - 1):
+            pairs = step_leaf_pairs(trees[k], trees[k + 1], opts)
+            steps.append({"from": k, "to": k + 1, "pairs": [[a, b] for a, b in pairs]})
 
     tracks = []
     open_tracks: dict[int, int] = {}  # leaf id at current step -> track index

@@ -9,11 +9,21 @@ values. The shape contract (checked by :func:`validate_merge_tree`):
 
 Node ids are dense integers ``0..n-1`` assigned at construction. Trees are
 immutable after construction and safe to share between threads.
+
+Layouts derived from a tree (its elder-rule decomposition, the baselines'
+labelled inputs, the distance tables' state layouts) are built per call.
+A driver that compares each tree many times, ``compute_matrix`` or
+``build_tracks``, opens a memo of them with :func:`_layout_memo` for the
+length of its call only. The memo belongs to the calling thread (a context
+variable), not to the trees: nothing is stored on a tree, pickled with it,
+or kept after the driver returns, and other threads never see it.
 """
 
 from __future__ import annotations
 
 import codecs
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
@@ -163,6 +173,39 @@ def require_valid(tree: MergeTree) -> MergeTree:
     if not tree._report.ok:
         raise InvalidTreeError("; ".join(tree._report.violations))
     return tree
+
+
+# ---------------------------------------------------------------------------
+# per-call memo of derived layouts
+# ---------------------------------------------------------------------------
+
+# (id of the source object, key) -> (source object, layout); the source is
+# kept with its layout, so its id cannot be reused while the memo is open
+_MEMO: ContextVar[dict | None] = ContextVar("mtdist_layout_memo", default=None)
+
+
+@contextmanager
+def _layout_memo(memo=None):
+    """Memoize :func:`_memoized` layouts in ``memo`` (a new dict if None)
+    until the block exits, also when it raises."""
+    token = _MEMO.set({} if memo is None else memo)
+    try:
+        yield
+    finally:
+        _MEMO.reset(token)
+
+
+def _memoized(source, key, build):
+    """``build()``, once per ``source`` object and ``key`` while a memo is
+    open, and on every call otherwise."""
+    memo = _MEMO.get()
+    if memo is None:
+        return build()
+    slot = (id(source), key)
+    hit = memo.get(slot)
+    if hit is None:
+        hit = memo[slot] = (source, build())
+    return hit[1]
 
 
 # ---------------------------------------------------------------------------

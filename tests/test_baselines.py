@@ -3,6 +3,7 @@ import sys
 import numpy as np
 import pytest
 
+import mtdist.baselines as baselines_module
 from mtdist import MergeTree, branch_mapping_distance, elder_rule_decomposition
 from mtdist.baselines import (
     LabeledTree,
@@ -13,6 +14,7 @@ from mtdist.baselines import (
 from mtdist.errors import PreconditionError
 from mtdist.metrics import BaseMetric
 from mtdist.metrics import METRIC_NAMES, MODE_NAMES
+from mtdist.trees import _layout_memo
 from conftest import grow_merge_tree, random_merge_tree
 from reference_baselines import reference_constrained_edit_distance, reference_one_degree_distance
 
@@ -53,6 +55,23 @@ class TestElderLabeledInputs:
     def test_unknown_target(self, fig5a):
         with pytest.raises(ValueError):
             elder_labeled_inputs(fig5a, "graph")
+
+    def test_unknown_target_memoizes_nothing(self, fig5a):
+        memo = {}
+        with _layout_memo(memo), pytest.raises(ValueError):
+            elder_labeled_inputs(fig5a, "graph")
+        assert memo == {}
+
+
+@pytest.mark.parametrize("distance", [constrained_edit_distance, one_degree_distance])
+def test_unknown_mode_rejected_before_any_table(monkeypatch, fig5a, distance):
+    def no_table(*args):
+        raise AssertionError("a table was built for an unknown mode")
+
+    monkeypatch.setattr(baselines_module, "_Levels", no_table)
+    t = elder_labeled_inputs(fig5a, "merge-tree")
+    with pytest.raises(PreconditionError, match="unknown aggregation mode 'l3'"):
+        distance(t, t, BP, "l3")
 
 
 class TestOneDegree:

@@ -123,6 +123,19 @@ class TestTree:
         tree = read_merge_tree(out)
         assert len(tree) >= 2
 
+    @pytest.mark.parametrize("tau", ["-1", "-0.5", "nan", "inf", "-inf"])
+    def test_bad_simplify_threshold_is_data_error(self, tmp_path, fig5a, tau, capsys):
+        field = tmp_path / "c.sf2"
+        field.write_text("SF2 2 3\n1 2 1\n1 1 3\n")
+        rc = main(["tree", str(field), "--out", str(tmp_path / "c.mt"), f"--simplify={tau}"])
+        assert rc == 2
+        assert "--simplify must be a finite threshold >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "c.mt").exists()
+        write_merge_tree(tmp_path / "a.mt", fig5a)
+        rc = main(["dist", str(tmp_path / "a.mt"), str(tmp_path / "a.mt"), f"--simplify={tau}"])
+        assert rc == 2
+        capsys.readouterr()
+
     def test_constant_field_two_node_tree(self, tmp_path, capsys):
         field = tmp_path / "c.sf2"
         field.write_text("SF2 2 3\n1 1 1\n1 1 1\n")
@@ -208,6 +221,24 @@ class TestMatrix:
         rc = main(["matrix", str(d), "--out", str(tmp_path / "m.csv"), "--jobs", "1"])
         assert rc == 2
         assert "member_1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_below_one_is_data_error(self, tmp_path, fig5a, jobs, capsys):
+        for name in "ab":
+            write_merge_tree(tmp_path / f"{name}.mt", fig5a)
+        rc = main(["matrix", str(tmp_path / "a.mt"), str(tmp_path / "b.mt"),
+                   "--out", str(tmp_path / "m.csv"), "--jobs", jobs])
+        assert rc == 2
+        assert "jobs must be at least 1" in capsys.readouterr().err
+        assert not (tmp_path / "m.csv").exists()
+
+    @pytest.mark.parametrize("command", ["matrix", "track"])
+    def test_missing_input_is_reported_missing(self, tmp_path, command, capsys):
+        missing = tmp_path / "no-such-dir"
+        rc = main([command, str(missing), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "No such file or directory" in err and "no-such-dir" in err
 
     def test_cluster_order_is_permutation(self, tmp_path, fig5a, fig5b, fig5c, capsys):
         for name, t in [("a", fig5a), ("b", fig5b), ("c", fig5c)]:

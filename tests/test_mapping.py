@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+import mtdist.mapping as mapping_module
 from mtdist import (
     MergeTree,
     PreconditionError,
@@ -326,6 +327,24 @@ class TestModesAndFixed:
         assert mapping.decomposition1 is dec1
         assert mapping.decomposition2 is dec2
         assert validate_branch_mapping(mapping).ok
+
+    @pytest.mark.parametrize("fixed", [False, True])
+    def test_unknown_mode_rejected_before_any_table(self, monkeypatch, fig5a, fixed):
+        def no_table(*args):
+            raise AssertionError("a table was built for an unknown mode")
+
+        monkeypatch.setattr(mapping_module, "_Flat", no_table)
+        monkeypatch.setattr(mapping_module, "_Fixed", no_table)
+        decs = (elder_rule_decomposition(fig5a),) * 2 if fixed else None
+        with pytest.raises(PreconditionError, match="unknown aggregation mode 'l3'"):
+            branch_mapping_distance(fig5a, fig5a, BP, "l3", fixed=decs)
+
+    def test_fixed_accepts_decomposition_of_an_equal_tree(self, fig5a):
+        twin = MergeTree(fig5a.values, fig5a.parent)
+        dec = elder_rule_decomposition(twin)
+        d, mapping = branch_mapping_distance(fig5a, twin, BP, "sum", fixed=(dec, dec))
+        assert d == 0.0
+        assert mapping.decomposition1 is dec
 
     def test_fixed_rejects_foreign_decomposition(self, fig5a, fig5b, fig5c):
         dec_b = elder_rule_decomposition(fig5b)

@@ -1,14 +1,21 @@
 import concurrent.futures
 import json
+import pickle
+import sys
 
 import numpy as np
 import pytest
 
+import mtdist.baselines as baselines_module
+import mtdist.branches as branches_module
+import mtdist.mapping as mapping_module
 import mtdist.matrix as matrix_module
+import mtdist.trees as trees_module
 from mtdist import branch_mapping_distance, elder_rule_decomposition, induced_node_mapping
 from mtdist.cli import main
 from mtdist.errors import MTDistError
 from mtdist.matrix import (
+    DISTANCE_NAMES,
     DistanceMatrix,
     DistanceOptions,
     branch_mapping,
@@ -19,7 +26,7 @@ from mtdist.matrix import (
     write_pgm,
 )
 from mtdist.metrics import BaseMetric
-from mtdist.tracking import step_leaf_pairs
+from mtdist.tracking import build_tracks, step_leaf_pairs
 from mtdist.trees import write_merge_tree
 from conftest import random_merge_tree
 
@@ -47,12 +54,15 @@ class TestDistanceMatrix:
         assert np.all(np.diagonal(m.values) == 0.0)
 
     def test_entry_matches_pairwise_bitwise(self):
+        # the matrix shares each tree's layouts between pairs; a lone call builds its own
         trees = make_trees(4, seed=5)
-        opts = DistanceOptions()
-        m = compute_matrix(trees, "abcd", opts, jobs=1)
-        for i in range(4):
-            for j in range(i + 1, 4):
-                assert m.values[i, j] == pairwise_distance(trees[i], trees[j], opts)
+        for distance in DISTANCE_NAMES:
+            for mode in ("sum", "l2"):
+                opts = DistanceOptions(distance=distance, mode=mode)
+                m = compute_matrix(trees, "abcd", opts, jobs=1)
+                for i in range(4):
+                    for j in range(i + 1, 4):
+                        assert m.values[i, j] == pairwise_distance(trees[i], trees[j], opts)
 
     def test_parallel_equals_serial(self):
         trees = make_trees(6, seed=8)
@@ -95,6 +105,11 @@ class TestDistanceMatrix:
         with pytest.raises(MTDistError):
             compute_matrix(trees, "a", DistanceOptions(), jobs=1)
 
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_jobs_below_one_rejected(self, jobs):
+        with pytest.raises(MTDistError, match="jobs must be at least 1"):
+            compute_matrix(make_trees(2), "ab", DistanceOptions(), jobs=jobs)
+
     def test_unknown_distance_rejected(self):
         with pytest.raises(MTDistError):
             DistanceOptions(distance="hausdorff")
@@ -110,6 +125,123 @@ class TestDistanceMatrix:
     def test_unknown_metric_or_mode_rejected_as_data_error(self, kwargs, message):
         with pytest.raises(MTDistError, match=message):
             DistanceOptions(**kwargs)
+
+
+def count_builds(monkeypatch, module, name):
+    """Replace ``module.name`` by a wrapper that records its first argument."""
+    built = []
+    build = getattr(module, name)
+
+    def counting(*args):
+        built.append(args[0])
+        return build(*args)
+
+    monkeypatch.setattr(module, name, counting)
+    return built
+
+
+class TestLayoutMemo:
+    """``compute_matrix`` and ``build_tracks`` prepare each tree's layouts
+    once per call and keep none of them after it."""
+
+    @pytest.mark.parametrize(
+        "distance, module, name",
+        [
+            ("branch", mapping_module, "_Flat"),
+            ("branch-fixed", mapping_module, "_Fixed"),
+            ("branch-fixed", branches_module, "_elder"),
+            ("constrained", baselines_module, "_labeled"),
+            ("constrained", baselines_module, "_Levels"),
+            ("one-degree", branches_module, "_elder"),
+            ("one-degree", baselines_module, "_Levels"),
+        ],
+    )
+    def test_each_tree_prepared_once_per_call(self, monkeypatch, distance, module, name):
+        trees = make_trees(5, seed=11)
+        built = count_builds(monkeypatch, module, name)
+        opts = DistanceOptions(distance=distance, metric="euclidean", mode="l2")
+        first = compute_matrix(trees, "abcde", opts, jobs=1)
+        assert len(built) == len({id(x) for x in built}) == 5
+        # nothing carries over to the next call
+        assert np.array_equal(compute_matrix(trees, "abcde", opts, jobs=1).values, first.values)
+        assert len(built) == 10
+
+    def test_track_prepares_each_tree_at_most_once(self, monkeypatch):
+        trees = make_trees(5, seed=12)
+        built = count_builds(monkeypatch, mapping_module, "_Flat")
+        build_tracks(trees, DistanceOptions())
+        assert sorted(map(id, built)) == sorted(map(id, trees))
+
+    def test_no_memo_after_return_or_raise(self, monkeypatch):
+        trees = make_trees(4, seed=13)
+        compute_matrix(trees, "abcd", DistanceOptions(), jobs=1)
+        build_tracks(trees, DistanceOptions())
+        assert trees_module._MEMO.get() is None
+        fill = mapping_module._pair_table
+        calls = []
+
+        def failing(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise MTDistError("pair failed")
+            return fill(*args)
+
+        monkeypatch.setattr(mapping_module, "_pair_table", failing)
+        with pytest.raises(MTDistError, match="pair failed"):
+            compute_matrix(trees, "abcd", DistanceOptions(), jobs=1)
+        assert trees_module._MEMO.get() is None
+        calls.clear()
+        with pytest.raises(MTDistError, match="pair failed"):
+            build_tracks(trees, DistanceOptions())
+        assert trees_module._MEMO.get() is None
+
+    def test_pickled_tree_carries_no_memo(self, monkeypatch):
+        trees = make_trees(3, seed=14)
+        outside = [pickle.dumps(t) for t in trees]
+        inside, sizes = [], []
+        pair = matrix_module.pairwise_distance
+
+        def pickling(t1, t2, opts):
+            sizes.append(len(trees_module._MEMO.get()))
+            inside.append(pickle.dumps(t1))
+            return pair(t1, t2, opts)
+
+        monkeypatch.setattr(matrix_module, "pairwise_distance", pickling)
+        compute_matrix(trees, "abc", DistanceOptions(), jobs=1)
+        assert max(sizes) > 0  # layouts were memoized while the trees were pickled
+        assert all(blob in outside for blob in inside)
+
+    def test_threads_sharing_trees_get_identical_matrices(self):
+        # each thread has its own memo; frequent switches would expose a shared one
+        trees = make_trees(6, seed=15)
+        opts = [DistanceOptions(distance=d, metric="euclidean", mode="l2") for d in DISTANCE_NAMES]
+        want = [compute_matrix(trees, "abcdef", o, jobs=1).values for o in opts]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with concurrent.futures.ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(compute_matrix, trees, "abcdef", o, jobs=1) for o in opts * 2]
+                got = [f.result(timeout=60).values for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for w, g in zip(want * 2, got):
+            assert np.array_equal(w, g)
+
+    def test_shared_layouts_are_read_only(self):
+        tree = make_trees(1, seed=16)[0]
+        metric = BaseMetric("euclidean")
+        labeled = baselines_module.elder_labeled_inputs(tree, "merge-tree")
+        layouts = [
+            mapping_module._Flat(tree, metric, False),
+            mapping_module._Fixed(tree, elder_rule_decomposition(tree), metric, False),
+            baselines_module._Levels(labeled, lambda label: metric.deletion(*label)),
+        ]
+        for layout in layouts:
+            for slot in type(layout).__slots__:
+                value = getattr(layout, slot)
+                assert not isinstance(value, (list, dict, set)), slot
+                if isinstance(value, np.ndarray):
+                    assert not value.flags.writeable, slot
 
 
 class TestMappingDispatch:
