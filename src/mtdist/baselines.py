@@ -15,7 +15,7 @@ and support the sum and root-of-squared-sum aggregation modes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain, groupby, repeat
 
 import numpy as np
 
@@ -109,16 +109,24 @@ class _Levels:
     id) order. ``levels[h]`` is ``(lo, mid, hi, small, top)``: height h
     takes the positions ``lo:hi``, of which ``lo:mid`` have at most
     ``SMALL`` children and ``mid:hi`` more; ``small`` and ``top`` are the
-    largest child counts of the two ranges. Per position: ``deg`` the child
-    count; ``kids`` the children's positions, padded with ``n``; ``sub`` the
-    cost of deleting the subtree (0 at the padding ``n``); ``rest`` that of
-    deleting the children's subtrees; ``null`` that of deleting the node
-    alone; and ``label`` the index of its label in ``labels``. A driver's
-    layout memo shares one layout between pairs, so its arrays are
-    read-only.
+    largest child counts of the two ranges, and ``runs[h]`` lists the runs
+    ``(start, stop, count)`` of one child count above the leaves. Per
+    position: ``deg`` the child count; ``kids`` the children's positions,
+    padded with ``n``; ``sub`` the cost of deleting the subtree (0 at the
+    padding ``n``); ``rest`` that of deleting the children's subtrees;
+    ``null`` that of deleting the node alone; and ``label`` the index of its
+    label in ``labels``. As tree 2 of a pair, :func:`_fill` reads a
+    :meth:`_group` per child count (``groups``; ``wide`` those above
+    ``SMALL``) and one of all inner nodes with at most ``SMALL`` children
+    (``small``), and per height above the leaves the insert terms
+    (``inserts``). A driver's layout memo shares one layout between pairs,
+    so its sequences are tuples and its arrays read-only.
     """
 
-    __slots__ = ("n", "root", "levels", "deg", "kids", "sub", "rest", "null", "label", "labels")
+    __slots__ = (
+        "n", "root", "levels", "runs", "deg", "kids", "sub", "rest", "null", "label", "labels",
+        "groups", "wide", "small", "inserts",
+    )
 
     def __init__(self, t: LabeledTree, null):
         kids = t.children
@@ -134,17 +142,17 @@ class _Levels:
         order = sorted(post, key=lambda v: (height[v], len(kids[v]), v))
         self.n = n = len(order)
         self.deg = deg = tuple(len(kids[v]) for v in order)
+        runs = [[] for _ in range(height[t.root] + 1)]
+        for (h, c), ks in groupby(range(n), key=lambda k: (height[order[k]], deg[k])):
+            ks = list(ks)
+            runs[h].append((ks[0], ks[-1] + 1, c))
         levels = []
-        k = 0
-        for h in range(height[t.root] + 1):
-            lo = k
-            while k < n and height[order[k]] == h and deg[k] <= SMALL:
-                k += 1
-            mid = k
-            while k < n and height[order[k]] == h:
-                k += 1
-            levels.append((lo, mid, k, deg[mid - 1] if mid > lo else 0, deg[k - 1]))
+        for rs in runs:
+            lo, hi = rs[0][0], rs[-1][1]
+            mid = next((i0 for i0, _, c in rs if c > SMALL), hi)
+            levels.append((lo, mid, hi, deg[mid - 1] if mid > lo else 0, rs[-1][2]))
         self.levels = tuple(levels)
+        self.runs = ((),) + tuple(map(tuple, runs[1:]))  # the leaves match nothing
         pos = [0] * len(kids)
         for k, v in enumerate(order):
             pos[v] = k
@@ -161,16 +169,27 @@ class _Levels:
         self.labels = tuple(index)
         for a in (self.kids, self.sub, self.rest, self.null, self.label):
             a.setflags(write=False)
+        inner = range(levels[0][2], n)
+        counts = sorted({deg[j] for j in inner})
+        self.groups = tuple(self._group([j for j in inner if deg[j] == d]) for d in counts)
+        self.wide = tuple(g for g in self.groups if g[0] > SMALL)
+        self.small = self._group([j for j in inner if deg[j] <= SMALL])
+        inserts = []
+        for c0, _, c1, _, _ in levels[1:]:
+            _, _, k2, sub2 = self._group(range(c0, c1))
+            inserts.append((c0, c1, k2, sub2, self.rest[c0:c1, None], self.null[c0:c1]))
+        self.inserts = tuple(inserts)
 
-
-def _runs(deg, lo, hi):
-    """The runs ``(start, stop, count)`` of equal child counts in ``deg[lo:hi]``."""
-    while lo < hi:
-        k = lo + 1
-        while k < hi and deg[k] == deg[lo]:
-            k += 1
-        yield lo, k, deg[lo]
-        lo = k
+    def _group(self, js):
+        """``(d, js, kids, sub)``: positions js, their children's positions
+        padded to d, the most any of them has, and those children's ``sub``."""
+        d = max([self.deg[j] for j in js], default=0)
+        js = np.array(js, dtype=np.intp)
+        kids = self.kids.take(js, axis=0)[:, :d]
+        sub = self.sub.take(kids)
+        for a in (js, kids, sub):
+            a.setflags(write=False)
+        return d, js, kids, sub
 
 
 def _fill(t1: LabeledTree, t2: LabeledTree, metric: BaseMetric, mode: str, edits: bool) -> float:
@@ -214,38 +233,19 @@ def _fill(t1: LabeledTree, t2: LabeledTree, metric: BaseMetric, mode: str, edits
     n2 = b.n
     dist = np.full((a.n + 1, n2 + 1), np.inf)  # the last row and column pad missing children
     flat = dist.reshape(-1)
-    # tree-2 inner nodes: those with at most SMALL children, with their
-    # padded children, the children's deletion costs and the label costs
-    inner = range(b.levels[0][2], n2)
-    small = np.array([j for j in inner if b.deg[j] <= SMALL], dtype=np.intp)
-    # tree-2 inner nodes by child count, with their children and the
-    # children's deletion costs: those beyond SMALL (``wide``), and the others
-    # too when a tree-1 node has more than SMALL children
-    groups = []
-    wide1 = max(a.deg) > SMALL
-    for d in sorted({b.deg[j] for j in inner}):
-        if d <= SMALL and not wide1:
-            continue
-        js = np.array([j for j in inner if b.deg[j] == d], dtype=np.intp)
-        k2 = b.kids.take(js, axis=0)[:, :d]
-        groups.append((d, js, k2, b.sub.take(k2)))
-    wide = [g for g in groups if g[0] > SMALL]
-    k2 = b.kids.take(small, axis=0)[:, :max([b.deg[j] for j in small], default=0)]
-    k2x, inss, Ls = k2[None, :, None, :], b.sub.take(k2), L.take(small, axis=1)
-    # per tree-2 height above the leaves: the terms of the insert option
-    inserts = []
-    for c0, _, c1, _, top in b.levels[1:] if edits else ():
-        k2 = b.kids[c0:c1, :top]
-        inserts.append((c0, c1, k2, b.rest[c0:c1, None], b.sub.take(k2), b.null[c0:c1]))
+    # all tree-2 groups if a tree-1 node has more than SMALL children
+    groups = b.groups if a.kids.shape[1] > SMALL else b.wide
+    _, small, k2, inss = b.small
+    k2x, Ls = k2[None, :, None, :], L.take(small, axis=1)
     for h, (lo, mid, hi, cs, top) in enumerate(a.levels):
         best = L[lo:hi] + (b.rest if h == 0 else a.rest[lo:hi, None])
         if h and cs and len(small):
             k1 = a.kids[lo:mid, :cs]
             P = flat.take((k1 * (n2 + 1))[:, None, :, None] + k2x)
             best[:mid - lo, small] = Ls[lo:mid] + small_matching_costs(P, a.sub.take(k1)[:, None], inss)
-        for i0, i1, c in _runs(a.deg, lo if wide else mid, hi) if h else ():
+        for i0, i1, c in (r for r in a.runs[h] if b.wide or r[2] > SMALL):
             k1 = a.kids[i0:i1, :c]
-            for _, js, k2, sub2 in wide if c <= SMALL else groups:
+            for _, js, k2, sub2 in b.wide if c <= SMALL else groups:
                 P = flat.take((k1 * (n2 + 1))[:, None, :, None] + k2[None, :, None, :])
                 best[i0 - lo:i1 - lo, js] = L[i0:i1, js] + matching_costs(P, a.sub.take(k1)[:, None], sub2)
         if edits and h:
@@ -253,7 +253,7 @@ def _fill(t1: LabeledTree, t2: LabeledTree, metric: BaseMetric, mode: str, edits
             X = dist.take(k1, axis=0)[:, :, :n2] + a.rest[lo:hi, None, None] - a.sub.take(k1)[:, :, None]
             np.minimum(best, a.null[lo:hi, None] + np.minimum.reduce(X, axis=1), out=best)
         dist[lo:hi, :n2] = best
-        for c0, c1, k2, rest, sub, nul in inserts:
+        for c0, c1, k2, sub, rest, nul in b.inserts if edits else ():
             Y = dist[lo:hi].take(k2, axis=1) + rest - sub
             np.minimum(best[:, c0:c1], nul + np.minimum.reduce(Y, axis=2), out=dist[lo:hi, c0:c1])
     return finalize(dist[a.root, b.root], mode)

@@ -170,12 +170,7 @@ def cmd_matrix(args):
     files = _collect_inputs(args.inputs)
     if len(files) < 2:
         raise MTDistError("matrix needs at least two members")
-    trees = []
-    for path in files:
-        try:
-            trees.append(_load_tree(path, args))
-        except MTDistError as exc:
-            raise MTDistError(f"member {path}: {exc}") from exc
+    trees = [_load_tree(p, args) for p in files]
     labels = tuple(p.stem for p in files)
     opts = DistanceOptions(distance=args.distance, metric=args.metric, mode=args.mode)
     matrix = compute_matrix(trees, labels, opts, jobs=args.jobs)

@@ -30,6 +30,7 @@ The first minimum wins, which makes reported mappings reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -37,7 +38,7 @@ from .branches import Branch, BranchDecomposition
 from .errors import PreconditionError
 from .matching import matching_costs, min_cost_matching as _assignment
 from .metrics import MODE_NAMES, BaseMetric, aggregate, finalize
-from .trees import MergeTree, _memoized, require_valid
+from .trees import MergeTree, ValidationReport, _memoized, require_valid
 
 
 @dataclass(frozen=True)
@@ -52,15 +53,6 @@ class MemoStats:
     keys: int
     null_keys: int
     bound: int
-
-
-@dataclass(frozen=True)
-class MappingReport:
-    ok: bool
-    violations: tuple[str, ...]
-
-    def __bool__(self):
-        return self.ok
 
 
 @dataclass(frozen=True)
@@ -179,21 +171,26 @@ class _States:
 class _Flat(_States):
     """Flat state layout of one tree and its delete table, for free mode.
 
-    Nodes are numbered in (height, id) order -- ``order[k]`` is the k-th and
-    ``first[h]`` the first of height h -- so the states of one height form
-    the contiguous rows ``rows[h]:rows[h + 1]``; row ``S`` is a +inf pad
-    standing in for missing child slots. ``slot[s, r]`` maps state (v, i) to
-    (s-th child of v, i), the child's table without its last ancestor, and
-    ``cost[s, r]`` is the price of deleting v's other children whole. When v
-    is a binary saddle, ``other[s, r]`` is the tip row of the child not in
-    slot s and ``odel[s, r]`` its deletion cost. A driver's layout memo
-    shares one layout between pairs, so its sequences are tuples and its
-    arrays read-only.
+    Nodes are numbered in (height, child count, id) order -- ``order[k]`` is
+    the k-th and ``first[h]`` the first of height h -- so the states of one
+    height form the contiguous rows ``rows[h]:rows[h + 1]``; row ``S`` is a
+    +inf pad standing in for missing child slots. ``dmax[h]`` is the largest
+    child count of height h, and ``saddles[h]`` its runs ``(c, p0, p1, r0,
+    r1)`` of saddles with c children, at positions ``p0:p1`` and rows
+    ``r0:r1``. ``pos[r]`` is the position of row r's node and ``ctip[s, k]``
+    the tip row of the k-th node's s-th child (S + 1, a zero delete cost, if
+    none). ``slot[s, r]`` maps state (v, i) to (s-th child of v, i), the
+    child's table without its last ancestor, and ``cost[s, r]`` is the price
+    of deleting v's other children whole. When v is a binary saddle,
+    ``other[s, r]`` is the tip row of the child not in slot s and
+    ``odel[s, r]`` its deletion cost. A driver's layout memo shares one
+    layout between pairs, so its sequences are tuples and its arrays
+    read-only.
     """
 
     __slots__ = (
-        "children", "values", "entry", "S", "H", "order", "first", "rows", "dmax", "degmax",
-        "off", "last", "ancrow", "lows", "highs", "slot", "cost", "other", "odel", "D", "KD",
+        "children", "values", "entry", "S", "H", "order", "first", "rows", "dmax", "saddles", "degmax",
+        "off", "last", "ancrow", "pos", "ctip", "lows", "highs", "slot", "cost", "other", "odel", "D", "KD",
     )
 
     def __init__(self, tree: MergeTree, metric: BaseMetric, squared: bool):
@@ -210,21 +207,28 @@ class _Flat(_States):
             if cs:
                 height[v] = 1 + max([height[c] for c in cs])
         self.H = H = height[entry]
-        self.order = order = tuple(sorted(post, key=lambda v: (height[v], v)))
+        self.order = order = tuple(sorted(post, key=lambda v: (height[v], len(children[v]), v)))
         off = [0] * n
         rows = [0] * (H + 2)
         first = [0] * (H + 2)
         dmax = [0] * (H + 1)
+        saddles = [[] for _ in range(H + 1)]
         S = 0
         for k, v in enumerate(order):
-            h = height[v]
+            h, c = height[v], len(children[v])
             if not first[h + 1]:
                 rows[h], first[h] = S, k
             off[v] = S
             S += depth[v]
             rows[h + 1], first[h + 1] = S, k + 1
-            dmax[h] = max(dmax[h], len(children[v]))
+            dmax[h] = c  # the height's last node has the most children
+            if c > 1:
+                if not saddles[h] or saddles[h][-1][0] != c:
+                    saddles[h].append([c, k, k, off[v], S])
+                run = saddles[h][-1]
+                run[2], run[4] = k + 1, S
         self.S, self.rows, self.first, self.dmax = S, tuple(rows), tuple(first), tuple(dmax)
+        self.saddles = tuple(tuple(map(tuple, runs)) for runs in saddles)
         self.degmax = degmax = max(dmax)
         self.off = off = tuple(off)
         self.last = last = tuple(d - 1 for d in depth)
@@ -245,8 +249,8 @@ class _Flat(_States):
         layout = np.array(
             [order, [depth[v] for v in order]] + ctip + shift + other, dtype=np.int64
         )
-        ctip = layout[2:2 + degmax]
-        rowl = np.arange(len(order)).repeat(layout[1])  # layout position of every row
+        self.ctip = ctip = layout[2:2 + degmax]
+        self.pos = pos = np.arange(len(order)).repeat(layout[1])
 
         ancrow = np.empty(S, dtype=np.int64)  # start node of every row
         parent = tree.parent
@@ -259,10 +263,10 @@ class _Flat(_States):
         self.ancrow = ancrow
         # leaf states: the inputs of the delete table and of the pair table's wave 0
         self.lows = values[ancrow[:rows[1]]]
-        self.highs = values[layout[0].take(rowl[:rows[1]])]
+        self.highs = values[layout[0].take(pos[:rows[1]])]
         self.slot = slot = np.empty((degmax, S + 1), dtype=np.int64)
         slot[:, S] = S
-        shift = layout[2 + degmax:2 + 2 * degmax].take(rowl, axis=1)
+        shift = layout[2 + degmax:2 + 2 * degmax].take(pos, axis=1)
         np.minimum(np.arange(S) + shift, S, out=slot[:, :S])
 
         # delete table, one height at a time
@@ -279,14 +283,14 @@ class _Flat(_States):
             tot = z[0].copy()
             for s in range(1, dm):
                 tot += z[s]
-            cost[:dm, a:b] = (tot - z).take(rowl[a:b] - first[h], axis=1)
+            cost[:dm, a:b] = (tot - z).take(pos[a:b] - first[h], axis=1)
             X = D[slot[:dm, a:b]] + cost[:dm, a:b]
             D[a:b] = X.min(axis=0)
             KD[a:b] = X.argmin(axis=0)
         self.D, self.KD, self.cost = D, KD, cost
-        self.other = layout[2 + 2 * degmax:].take(rowl, axis=1)
+        self.other = layout[2 + 2 * degmax:].take(pos, axis=1)
         self.odel = D[self.other]
-        for a in (ancrow, self.lows, self.highs, slot, D, KD, cost, self.other, self.odel):
+        for a in (ancrow, pos, ctip, self.lows, self.highs, slot, D, KD, cost, self.other, self.odel):
             a.setflags(write=False)
 
 
@@ -314,68 +318,49 @@ def _sides(f1: _Flat, f2: _Flat, T, r, c, sc, sd):
 
 def _wide_sides(f1: _Flat, f2: _Flat, T, h1, h2):
     """Matching costs of the node pairs of heights (h1, h2) that involve a
-    saddle of degree 3 or more: a list of ``(rows, cols, side)``, one per
-    pair of child counts (c, d), with the state rows and columns of its node
-    pairs and ``side[i, j, r, c]``, the cost of matching the children other
-    than slot i against those other than slot j, batched by
-    :func:`matching_costs`."""
+    saddle of degree 3 or more: a list of ``(r0, r1, c0, c1, side)``, one per
+    pair of saddle runs with child counts (c, d), with the state rows
+    ``r0:r1`` and columns ``c0:c1`` of its node pairs and ``side[i, j, r,
+    c]``, the cost of matching the children other than slot i against those
+    other than slot j, batched by :func:`matching_costs`."""
     out = []
-    by1, by2 = _saddles_by_degree(f1, h1), _saddles_by_degree(f2, h2)
-    for c, vs in by1.items():
-        for d, ws in by2.items():
+    for c, p0, p1, r0, r1 in f1.saddles[h1]:
+        # tip rows of the children other than slot i of node x, at [x, i]
+        t1 = f1.ctip[:c, p0:p1].T[:, _others(c)]
+        for d, q0, q1, c0, c1 in f2.saddles[h2]:
             if c == d == 2:
                 continue
-            # tip rows of the children other than slot i of node x, at [x, i]
-            t1 = _tip_rows(f1, vs, c)[:, _others(c)]
-            t2 = _tip_rows(f2, ws, d)[:, _others(d)]
+            t2 = f2.ctip[:d, q0:q1].T[:, _others(d)]
             side = matching_costs(  # axes: node x, node y, slot i, slot j
                 T.take(t1[:, None, :, None, :, None] * T.shape[1] + t2[None, :, None, :, None, :]),
                 f1.D[t1][:, None, :, None],
                 f2.D[t2][:, None],
             )
-            rows, x = _state_rows(f1, vs)
-            cols, y = _state_rows(f2, ws)
-            out.append((rows, cols, side[x][:, y].transpose(2, 3, 0, 1)))
+            x, y = f1.pos[r0:r1] - p0, f2.pos[c0:c1] - q0
+            out.append((r0, r1, c0, c1, side[x][:, y].transpose(2, 3, 0, 1)))
     return out
 
 
-def _saddles_by_degree(f: _Flat, h):
-    """The saddles of height h, grouped by their number of children."""
-    out = {}
-    for v in f.order[f.first[h]:f.first[h + 1]]:
-        k = len(f.children[v])
-        if k > 1:
-            out.setdefault(k, []).append(v)
-    return out
-
-
-def _tip_rows(f: _Flat, nodes, k):
-    """Tip rows of the k children of every node in ``nodes``, one row each."""
-    return np.array([f.tips(f.children[v]) for v in nodes], dtype=np.int64).reshape(len(nodes), k)
-
-
+@cache
 def _others(k):
     """``out[i]``: the slots 0..k-1 other than i, in order."""
-    return np.array([[s for s in range(k) if s != i] for i in range(k)], dtype=np.int64)
+    out = np.array([[s for s in range(k) if s != i] for i in range(k)], dtype=np.int64)
+    out.setflags(write=False)
+    return out
 
 
-def _state_rows(f: _Flat, nodes):
-    """The state rows of ``nodes`` and, per row, the position of its node."""
-    counts = [f.last[v] + 1 for v in nodes]
-    node = np.repeat(np.arange(len(nodes)), counts)
-    first = np.cumsum(counts) - counts  # each node's first entry
-    return np.array([f.off[v] for v in nodes]).take(node) + np.arange(len(node)) - first.take(node), node
-
-
+@cache
 def _codes(NC, ND, sc, sd, dtype):
     """Codes of the options in their fixed order: tree-1 slots, tree-2 slots,
-    then matched slot pairs."""
-    return np.array(
+    then matched slot pairs; built once per shape."""
+    out = np.array(
         list(range(sc))
         + [NC + j for j in range(sd)]
         + [NC + ND + i * ND + j for i in range(sc) for j in range(sd)],
         dtype=dtype,
     )
+    out.setflags(write=False)
+    return out
 
 
 def _fill_slices(f1, f2, T, K, h1, h2):
@@ -395,9 +380,10 @@ def _fill_slices(f1, f2, T, K, h1, h2):
         np.add(T[r0:r1, s2[:, c:d]].transpose(1, 0, 2), f2.cost[:sd, None, c:d], out=X[sc:sc + sd])
         if sc and sd:
             side = _sides(f1, f2, T, np.arange(r0, r1)[:, None], np.arange(c, d)[None], sc, sd)
-            for rows, cols, val in wide:
-                keep = (rows >= r0) & (rows < r1)
-                side[:val.shape[0], :val.shape[1], rows[keep, None] - r0, cols - c] = val[:, :, keep]
+            for x0, x1, y0, y1, val in wide:
+                lo, hi = max(x0, r0), min(x1, r1)
+                if lo < hi:
+                    side[:val.shape[0], :val.shape[1], lo - r0:hi - r0, y0 - c:y1 - c] = val[:, :, lo - x0:hi - x0]
             M = X[sc + sd:].reshape(sc, sd, r1 - r0, d - c)
             M[...] = T.take(s1[:, None, r0:r1, None] * T.shape[1] + s2[None, :, None, c:d])
             M += side
@@ -436,10 +422,10 @@ def _fill_flat(f1, f2, T, K, rects):
     if len(codes) > sc + sd:
         side = _sides(f1, f2, T, rr, cc, sc, sd)
         if sc > 2 or sd > 2:
-            for (h1, h2), (ra, ca, w, s0) in zip(rects, corners):
-                for rows, cols, val in _wide_sides(f1, f2, T, h1, h2):
-                    pos = s0 + (rows - ra)[:, None] * w + (cols - ca)
-                    side[:val.shape[0], :val.shape[1], pos] = val
+            for (h1, h2), (ra, ca, w, s0), m in zip(rects, corners, counts):
+                block = side[:, :, s0:s0 + m].reshape(sc, sd, -1, w)  # a view: the rectangle's rows
+                for x0, x1, y0, y1, val in _wide_sides(f1, f2, T, h1, h2):
+                    block[:val.shape[0], :val.shape[1], x0 - ra:x1 - ra, y0 - ca:y1 - ca] = val
         M = X[sc + sd:].reshape(sc, sd, len(rr))
         M[...] = T.take(s1[:, None] + s2[None])
         M += side
@@ -571,12 +557,19 @@ class _Fixed(_States):
 
     Every non-root node v has the single state ``(v, 0)``, row v (the
     root's row is unused): ``ancrow[v]`` is the start of the branch through
-    v, ``KD[v]`` the slot of v's continuation child and ``D[v]`` the cost of
-    deleting every branch whose leaf lies under v. Like :class:`_Flat`, it
+    v, ``low[v]`` and ``high[v]`` the values of that start and of v (at a
+    leaf, its branch's label), ``KD[v]`` the slot of v's continuation child
+    and ``D[v]`` the cost of deleting every branch whose leaf lies under v.
+    ``inner[v]`` is None at a leaf and otherwise ``(slot, child, others,
+    dels, total)``: the continuation slot and child, the other children,
+    their deletion costs and the sum of those. Like :class:`_Flat`, it
     holds tuples only, as a driver's layout memo shares it between pairs.
     """
 
-    __slots__ = ("children", "values", "entry", "post", "S", "degmax", "off", "last", "ancrow", "KD", "D")
+    __slots__ = (
+        "children", "values", "entry", "post", "S", "degmax", "off", "last", "ancrow", "low", "high", "KD", "D",
+        "inner",
+    )
 
     def __init__(self, tree: MergeTree, dec: BranchDecomposition, metric: BaseMetric, squared: bool):
         self.children = children = tree.children
@@ -588,16 +581,23 @@ class _Fixed(_States):
         self.degmax = max(len(children[v]) for v in post)
         self.off, self.last = range(n), (0,) * n
         self.ancrow = start = tuple(dec.branch_through(v).start for v in range(n))
+        self.low = low = tuple(float(values[s]) for s in start)
+        self.high = high = tuple(values.tolist())
         self.KD = tuple(cs.index(dec.continuation[v]) if cs else 0 for v, cs in enumerate(children))
         D = [0.0] * n
+        inner = [None] * n
         for v in post:
             cs = children[v]
             if cs:
                 D[v] = sum(D[c] for c in cs)
+                i = self.KD[v]
+                others = cs[:i] + cs[i + 1:]
+                dels = tuple(D[c] for c in others)
+                inner[v] = (i, cs[i], others, dels, sum(dels))
             else:
-                c = metric.deletion(float(values[start[v]]), float(values[v]))
+                c = metric.deletion(low[v], high[v])
                 D[v] = c * c if squared else c
-        self.D = tuple(D)
+        self.D, self.inner = tuple(D), tuple(inner)
 
 
 def _fixed_tables(f1: _Fixed, f2: _Fixed, metric: BaseMetric, squared: bool):
@@ -608,25 +608,13 @@ def _fixed_tables(f1: _Fixed, f2: _Fixed, metric: BaseMetric, squared: bool):
     n2 = len(f2.children)
     F = [[0.0] * n2 for _ in f1.children]
     K = [[0] * n2 for _ in f1.children]
-    # per tree-2 node: leaf label, or continuation slot, continuation child,
-    # the other children and the cost of inserting them
-    low2 = [float(f2.values[s]) for s in f2.ancrow]
-    high2 = f2.values.tolist()
-    inner2 = {}
-    for w in f2.post:
-        ds = f2.children[w]
-        if ds:
-            j = f2.KD[w]
-            d_side = ds[:j] + ds[j + 1:]
-            inss = [f2.D[d] for d in d_side]
-            inner2[w] = (j, ds[j], d_side, inss, sum(inss))
+    low2, high2, inner2 = f2.low, f2.high, f2.inner
     for v in f1.post:
         Fv, Kv = F[v], K[v]
-        cs = f1.children[v]
-        if not cs:
-            a_low, a_high = float(f1.values[f1.ancrow[v]]), float(f1.values[v])
+        if f1.inner[v] is None:
+            a_low, a_high = f1.low[v], f1.high[v]
             for w in f2.post:
-                if w in inner2:
+                if inner2[w] is not None:
                     j, d_main, _, _, ins_sides = inner2[w]
                     Fv[w] = Fv[d_main] + ins_sides
                     Kv[w] = NC + j
@@ -634,13 +622,10 @@ def _fixed_tables(f1: _Fixed, f2: _Fixed, metric: BaseMetric, squared: bool):
                     c = metric.pair(a_low, a_high, low2[w], high2[w])
                     Fv[w] = c * c if squared else c
             continue
-        i = f1.KD[v]
-        Fc = F[cs[i]]
-        c_side = cs[:i] + cs[i + 1:]
-        dels = [f1.D[c] for c in c_side]
-        del_sides = sum(dels)
+        i, c_main, c_side, dels, del_sides = f1.inner[v]
+        Fc = F[c_main]
         for w in f2.post:
-            if w not in inner2:
+            if inner2[w] is None:
                 Fv[w] = Fc[w] + del_sides
                 Kv[w] = i
                 continue
@@ -663,14 +648,12 @@ def _fixed_tables(f1: _Fixed, f2: _Fixed, metric: BaseMetric, squared: bool):
 # ---------------------------------------------------------------------------
 
 def _states(tree: MergeTree, dec: BranchDecomposition | None, metric: BaseMetric, squared: bool):
-    """The tree's layout, built once per tree while a driver's layout memo is
-    open; in fixed mode only for the decomposition object first seen."""
+    """The tree's layout, built once per tree (in fixed mode, once per
+    decomposition object) while a driver's layout memo is open."""
     require_valid(tree)
     if dec is None:
         return _memoized(tree, ("flat", metric.kind, squared), lambda: _Flat(tree, metric, squared))
-    key = ("fixed", metric.kind, squared)
-    owner, f = _memoized(tree, key, lambda: (dec, _Fixed(tree, dec, metric, squared)))
-    return f if owner is dec else _Fixed(tree, dec, metric, squared)
+    return _memoized(dec, ("fixed", metric.kind, squared), lambda: _Fixed(tree, dec, metric, squared))
 
 
 def branch_mapping_distance(
@@ -767,7 +750,7 @@ def _weak_ancestry(tree: MergeTree, nodes) -> np.ndarray:
     return (e[None, :] <= e[:, None]) & (e[:, None] < end[None, :])
 
 
-def validate_branch_mapping(mapping: BranchMapping) -> MappingReport:
+def validate_branch_mapping(mapping: BranchMapping) -> ValidationReport:
     """Check the four mapping conditions and the cost equation.
 
     Order preservation is checked both ways: start vertices of matched
@@ -788,7 +771,7 @@ def validate_branch_mapping(mapping: BranchMapping) -> MappingReport:
         costs = m.edit_costs()
         if abs(aggregate(costs, m.mode) - m.total_cost) > 1e-9:
             bad.append("total cost does not match the aggregated edit costs")
-        return MappingReport(ok=not bad, violations=tuple(bad))
+        return ValidationReport(ok=not bad, violations=tuple(bad))
 
     left = [a for a, _ in m.pairs]
     right = [b for _, b in m.pairs]
@@ -796,7 +779,7 @@ def validate_branch_mapping(mapping: BranchMapping) -> MappingReport:
         bad.append("condition 1 (one-to-one) violated")
     if m.decomposition1 is None or m.decomposition2 is None:
         bad.append("mapping lacks its decompositions")
-        return MappingReport(ok=False, violations=tuple(bad))
+        return ValidationReport(ok=False, violations=tuple(bad))
     if (m.decomposition1.main, m.decomposition2.main) not in set(m.pairs):
         bad.append("condition 2 (main branches paired) violated")
     paired = set(m.pairs)
@@ -825,7 +808,7 @@ def validate_branch_mapping(mapping: BranchMapping) -> MappingReport:
     costs = m.edit_costs()
     if abs(aggregate(costs, m.mode) - m.total_cost) > 1e-9:
         bad.append("total cost does not match the aggregated edit costs")
-    return MappingReport(ok=not bad, violations=tuple(bad))
+    return ValidationReport(ok=not bad, violations=tuple(bad))
 
 
 def induced_node_mapping(mapping: BranchMapping):

@@ -249,11 +249,11 @@ def parse_merge_tree(text: str, path: str = "<string>") -> MergeTree:
             raise ParseError(path, no, f"non-finite value for node {nid}")
         values[nid] = val
         parent[nid] = par
+    # structural faults and shape violations alike: at the last line read
     try:
-        tree = MergeTree(values, parent)
+        return require_valid(MergeTree(values, parent))
     except MTDistError as exc:
-        raise ParseError(path, body[-1][0], str(exc)) from None
-    return require_valid(tree)
+        raise ParseError(path, no, str(exc)) from None
 
 
 def read_text(path) -> str:

@@ -3,9 +3,9 @@
 Kept verbatim as the reference of the equality test in ``test_mapping.py``.
 """
 
-from mtdist.mapping import BranchMapping, MappingReport
+from mtdist.mapping import BranchMapping
 from mtdist.metrics import aggregate
-from mtdist.trees import MergeTree
+from mtdist.trees import MergeTree, ValidationReport
 
 
 def _is_weak_descendant(tree: MergeTree, u: int, v: int) -> bool:
@@ -17,7 +17,7 @@ def _is_weak_descendant(tree: MergeTree, u: int, v: int) -> bool:
     return False
 
 
-def reference_validate_branch_mapping(mapping: BranchMapping) -> MappingReport:
+def reference_validate_branch_mapping(mapping: BranchMapping) -> ValidationReport:
     """Check the four mapping conditions and the cost equation.
 
     Order preservation is checked both ways: start vertices of matched
@@ -38,7 +38,7 @@ def reference_validate_branch_mapping(mapping: BranchMapping) -> MappingReport:
         costs = m.edit_costs()
         if abs(aggregate(costs, m.mode) - m.total_cost) > 1e-9:
             bad.append("total cost does not match the aggregated edit costs")
-        return MappingReport(ok=not bad, violations=tuple(bad))
+        return ValidationReport(ok=not bad, violations=tuple(bad))
 
     left = [a for a, _ in m.pairs]
     right = [b for _, b in m.pairs]
@@ -46,7 +46,7 @@ def reference_validate_branch_mapping(mapping: BranchMapping) -> MappingReport:
         bad.append("condition 1 (one-to-one) violated")
     if m.decomposition1 is None or m.decomposition2 is None:
         bad.append("mapping lacks its decompositions")
-        return MappingReport(ok=False, violations=tuple(bad))
+        return ValidationReport(ok=False, violations=tuple(bad))
     if (m.decomposition1.main, m.decomposition2.main) not in set(m.pairs):
         bad.append("condition 2 (main branches paired) violated")
     paired = set(m.pairs)
@@ -75,4 +75,4 @@ def reference_validate_branch_mapping(mapping: BranchMapping) -> MappingReport:
     costs = m.edit_costs()
     if abs(aggregate(costs, m.mode) - m.total_cost) > 1e-9:
         bad.append("total cost does not match the aggregated edit costs")
-    return MappingReport(ok=not bad, violations=tuple(bad))
+    return ValidationReport(ok=not bad, violations=tuple(bad))

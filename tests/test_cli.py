@@ -18,6 +18,27 @@ def fig5_files(tmp_path, fig5a, fig5c):
     return a, c
 
 
+# files that parse line by line but make no valid tree: (text, line, message)
+BAD_TREES = {
+    "degree-one": ("MT 3\n0 0.0 -1\n1 1.0 0\n2 2.0 1\n", 4, "inner node of degree one: node 1"),
+    "no-nodes": ("MT 0\n", 1, "a merge tree needs at least one node"),
+}
+
+
+@pytest.mark.parametrize("command", ["dist", "track", "matrix"])
+@pytest.mark.parametrize("bad_tree", sorted(BAD_TREES))
+def test_invalid_tree_names_file_and_line(tmp_path, fig5a, capsys, command, bad_tree):
+    good, bad = tmp_path / "good.mt", tmp_path / "bad.mt"
+    write_merge_tree(good, fig5a)
+    text, line, message = BAD_TREES[bad_tree]
+    bad.write_text(text)
+    args = [command, str(good), str(bad)]
+    if command != "dist":
+        args += ["--out", str(tmp_path / "out")]
+    assert main(args) == 2
+    assert capsys.readouterr().err == f"mtdist: error: {bad}:{line}: {message}\n"
+
+
 class TestDist:
     def test_fig5_ac_branch(self, fig5_files, capsys):
         a, c = fig5_files

@@ -16,13 +16,15 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mtdist import branch_mapping_distance, validate_branch_mapping
+import mtdist.mapping as mapping_module
+from mtdist import MergeTree, branch_mapping_distance, validate_branch_mapping
 from mtdist.branches import (
     count_branch_decompositions,
     elder_rule_decomposition,
     enumerate_branch_decompositions,
 )
 from mtdist.metrics import METRIC_NAMES, MODE_NAMES, BaseMetric
+from mtdist.trees import _layout_memo
 from reference_fixed_dp import reference_fixed_mapping
 from test_free_engine import merge_trees
 
@@ -75,3 +77,30 @@ def test_equal_to_reference_fixed_dp(a, b):
             assert_same_as_reference(t1, t2, metric, mode, (dec1, dec2))
             assert_same_as_reference(t1, None, metric, mode, (dec1, dec2))
             assert_same_as_reference(None, t2, metric, mode, (dec1, dec2))
+
+
+def test_memo_keeps_one_fixed_layout_per_decomposition(monkeypatch):
+    """An open layout memo keys fixed-mode layouts by decomposition object:
+    several decompositions of one tree each get their own, built once."""
+    # two saddles of two children, and one saddle of three: 4 and 3 decompositions
+    t1 = MergeTree([0.0, 1.0, 5.0, 2.0, 6.0, 4.0], [-1, 0, 1, 1, 3, 3])
+    t2 = MergeTree([0.0, 2.0, 7.0, 5.0, 3.0], [-1, 0, 1, 1, 1])
+    decs1 = enumerate_branch_decompositions(t1)
+    decs2 = enumerate_branch_decompositions(t2)
+    assert (len(decs1), len(decs2)) == (4, 3)
+    metric = BaseMetric("euclidean")
+    pairs = [(a, b) for a in decs1 for b in decs2]
+    want = [branch_mapping_distance(t1, t2, metric, "l2", fixed=fixed) for fixed in pairs]
+    built = []
+    build = mapping_module._Fixed
+
+    def counting(tree, dec, *args):
+        built.append(dec)
+        return build(tree, dec, *args)
+
+    monkeypatch.setattr(mapping_module, "_Fixed", counting)
+    with _layout_memo():
+        for _ in range(2):
+            got = [branch_mapping_distance(t1, t2, metric, "l2", fixed=fixed) for fixed in pairs]
+            assert got == want
+    assert len(built) == len({id(d) for d in built}) == len(decs1) + len(decs2)

@@ -112,3 +112,11 @@ def test_degree_16_saddles_need_wide_option_codes():
         _, mapping = branch_mapping_distance(t1, t2, BaseMetric("birth-persistence"), mode)
         assert mapping.pairs[-1][0].label == (0.0, 20.0)
         assert mapping.pairs[-1][1].label == (0.0, 20.0)
+
+
+def test_option_codes_are_built_once_per_shape():
+    # tree-1 slots 0-2, tree-2 slots NC + 0..1, then NC + ND + i * ND + j
+    codes = mapping_module._codes(4, 3, 3, 2, np.dtype(np.uint8))
+    assert codes.tolist() == [0, 1, 2, 4, 5, 7, 8, 10, 11, 13, 14]
+    assert codes is mapping_module._codes(4, 3, 3, 2, np.dtype(np.uint8))
+    assert not codes.flags.writeable
