@@ -20,7 +20,7 @@ from .errors import PreconditionError, SizeLimitError
 from .trees import MergeTree, _memoized, require_valid
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Branch:
     """A root-to-leaf-directed path identified by its endpoints.
 

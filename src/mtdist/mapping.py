@@ -12,9 +12,12 @@ Free mode numbers them into the rows and columns of one flat table and
 fills it with numpy in anti-diagonal waves of node heights, which keeps
 large instances (hundreds of nodes) fast. In fixed mode the decompositions
 fix every branch start, so each node has one state and a plain loop over
-node pairs fills the table. Both modes record the winning options in the
-same codes, and one walker reconstructs the mapping from either. At an
-inner-inner state the options are, in this fixed order:
+node pairs fills the table. Both modes keep one value per state and no
+record of the winning option: one walker reconstructs the mapping from
+either table, and at each state it visits it evaluates the options again,
+in the fill's order and with its arithmetic, and takes the first whose
+value equals the entry. At an inner-inner state the options are, in this
+fixed order:
 
 1. continue tree 1's branch through one child, deleting the sibling
    subtrees, leaving tree 2 untouched (one option per child);
@@ -126,43 +129,19 @@ _SLICE_STATES = 2048
 _CHUNK_VALUES = 1 << 18
 
 
-def _code_dtype(count):
-    """Smallest unsigned dtype holding the option codes ``0..count-1``."""
-    return np.min_scalar_type(max(count - 1, 0))
-
-
-def _first_min(options, codes):
-    """Minimum over the leading axis and the code of the first option reaching it."""
-    return options.min(axis=0), codes[options.argmin(axis=0)]
-
-
-def _first_min_into(options, codes, best, code):
-    """:func:`_first_min` written into ``best`` and ``code``, one option at a
-    time: on large batches a running strict ``<`` beats ``argmin``."""
-    best[...] = options[0]
-    code[...] = codes[0]
-    less = np.empty(best.shape, dtype=bool)
-    for k in range(1, len(options)):
-        np.less(options[k], best, out=less)
-        np.copyto(best, options[k], where=less)
-        np.copyto(code, codes[k], where=less)
-
-
 class _States:
     """State layout of one tree, as :func:`_walk` reads it.
 
     State (v, i) is row ``off[v] + i``; ``last[v]`` is v's state when its
-    branch starts at v's parent. ``ancrow[r]`` is the start node of
-    row r's branch, ``D[r]`` the cheapest deletion of its subtree and
-    ``KD[r]`` the child slot that deletion continues the branch through;
-    ``S`` is the number of states and ``degmax`` the largest saddle degree.
+    branch starts at v's parent, and ``D[r]`` the cheapest deletion of row
+    r's subtree. ``keep(v, i)`` is the child slot that deletion continues
+    the branch through, and ``winner(f2, T, v, i, w, j)`` the option the
+    table ``T`` took at the state pair ((v, i), (w, j)): ``(s, None)``
+    continues tree 1's branch through slot s, ``(None, s)`` tree 2's, and
+    ``(s, t)`` both, matching the remaining children.
     """
 
     __slots__ = ()
-
-    def branch(self, v, i):
-        start = int(self.ancrow[self.off[v] + i])
-        return Branch(start, v, float(self.values[start]), float(self.values[v]))
 
     def tips(self, nodes):
         return [self.off[c] + self.last[c] for c in nodes]
@@ -171,31 +150,27 @@ class _States:
 class _Flat(_States):
     """Flat state layout of one tree and its delete table, for free mode.
 
-    Nodes are numbered in (height, child count, id) order -- ``order[k]`` is
-    the k-th and ``first[h]`` the first of height h -- so the states of one
+    Nodes are numbered in (height, child count, id) order -- ``first[h]`` is
+    the position of the first of height h -- so the states of one
     height form the contiguous rows ``rows[h]:rows[h + 1]``; row ``S`` is a
     +inf pad standing in for missing child slots. ``dmax[h]`` is the largest
-    child count of height h, and ``saddles[h]`` its runs ``(c, p0, p1, r0,
-    r1)`` of saddles with c children, at positions ``p0:p1`` and rows
-    ``r0:r1``. ``pos[r]`` is the position of row r's node and ``ctip[s, k]``
-    the tip row of the k-th node's s-th child (S + 1, a zero delete cost, if
-    none). ``slot[s, r]`` maps state (v, i) to (s-th child of v, i), the
-    child's table without its last ancestor, and ``cost[s, r]`` is the price
-    of deleting v's other children whole. When v is a binary saddle,
-    ``other[s, r]`` is the tip row of the child not in slot s and
-    ``odel[s, r]`` its deletion cost. A driver's layout memo shares one
-    layout between pairs, so its sequences are tuples and its arrays
-    read-only.
+    child count of height h. ``pos[r]`` is the position of row r's node,
+    ``deg[k]`` the k-th node's child count and ``ctip[s, k]`` the tip row of
+    its s-th child (S + 1, a zero delete cost, if none). ``slot[s, r]`` maps
+    state (v, i) to (s-th child of v, i), the child's table without its last
+    ancestor, and ``cost[s, r]`` is the price of deleting v's other children
+    whole. A driver's layout memo shares one layout between pairs, so its
+    sequences are tuples and its arrays read-only.
     """
 
     __slots__ = (
-        "children", "values", "entry", "S", "H", "order", "first", "rows", "dmax", "saddles", "degmax",
-        "off", "last", "ancrow", "pos", "ctip", "lows", "highs", "slot", "cost", "other", "odel", "D", "KD",
+        "children", "entry", "S", "H", "first", "rows", "dmax", "off", "last", "pos", "deg", "ctip", "lows",
+        "highs", "slot", "cost", "D",
     )
 
     def __init__(self, tree: MergeTree, metric: BaseMetric, squared: bool):
         self.children = children = tree.children
-        self.values = values = tree.values
+        values = tree.values
         self.entry = entry = children[tree.root][0]
         # the non-root nodes, children before parents; depth[v] counts v's
         # strict ancestors, the candidate starts of its branch
@@ -207,49 +182,38 @@ class _Flat(_States):
             if cs:
                 height[v] = 1 + max([height[c] for c in cs])
         self.H = H = height[entry]
-        self.order = order = tuple(sorted(post, key=lambda v: (height[v], len(children[v]), v)))
+        order = tuple(sorted(post, key=lambda v: (height[v], len(children[v]), v)))
         off = [0] * n
         rows = [0] * (H + 2)
         first = [0] * (H + 2)
         dmax = [0] * (H + 1)
-        saddles = [[] for _ in range(H + 1)]
         S = 0
         for k, v in enumerate(order):
-            h, c = height[v], len(children[v])
+            h = height[v]
             if not first[h + 1]:
                 rows[h], first[h] = S, k
             off[v] = S
             S += depth[v]
             rows[h + 1], first[h + 1] = S, k + 1
-            dmax[h] = c  # the height's last node has the most children
-            if c > 1:
-                if not saddles[h] or saddles[h][-1][0] != c:
-                    saddles[h].append([c, k, k, off[v], S])
-                run = saddles[h][-1]
-                run[2], run[4] = k + 1, S
+            dmax[h] = len(children[v])  # the height's last node has the most children
         self.S, self.rows, self.first, self.dmax = S, tuple(rows), tuple(first), tuple(dmax)
-        self.saddles = tuple(tuple(map(tuple, runs)) for runs in saddles)
-        self.degmax = degmax = max(dmax)
+        degmax = max(dmax)
         self.off = off = tuple(off)
         self.last = last = tuple(d - 1 for d in depth)
         # per node, by layout position: the tip row of every child slot
-        # (S + 1, a zero delete cost, if none), the shift from a state to the
-        # child's state of the same start (S if none, clipped to the pad row),
-        # and for binary saddles the other child's tip row (S if none)
+        # (S + 1, a zero delete cost, if none) and the shift from a state to
+        # the child's state of the same start (S if none, clipped to the pad row)
         ctip = [[S + 1] * len(order) for _ in range(degmax)]
         shift = [[S] * len(order) for _ in range(degmax)]
-        other = [[S] * len(order) for _ in range(2)]
         for k, v in enumerate(order):
-            cs = children[v]
-            for s, c in enumerate(cs):
+            for s, c in enumerate(children[v]):
                 ctip[s][k] = off[c] + last[c]
                 shift[s][k] = off[c] - off[v]
-            if len(cs) == 2:
-                other[0][k], other[1][k] = ctip[1][k], ctip[0][k]
         layout = np.array(
-            [order, [depth[v] for v in order]] + ctip + shift + other, dtype=np.int64
+            [order, [depth[v] for v in order], [len(children[v]) for v in order]] + ctip + shift, dtype=np.int64
         )
-        self.ctip = ctip = layout[2:2 + degmax]
+        self.deg = layout[2]
+        self.ctip = ctip = layout[3:3 + degmax]
         self.pos = pos = np.arange(len(order)).repeat(layout[1])
 
         ancrow = np.empty(S, dtype=np.int64)  # start node of every row
@@ -260,13 +224,12 @@ class _Flat(_States):
             if k:
                 ancrow[o:o + k] = ancrow[off[p]:off[p] + k]
             ancrow[o + k] = p
-        self.ancrow = ancrow
         # leaf states: the inputs of the delete table and of the pair table's wave 0
         self.lows = values[ancrow[:rows[1]]]
         self.highs = values[layout[0].take(pos[:rows[1]])]
         self.slot = slot = np.empty((degmax, S + 1), dtype=np.int64)
         slot[:, S] = S
-        shift = layout[2 + degmax:2 + 2 * degmax].take(pos, axis=1)
+        shift = layout[3 + degmax:].take(pos, axis=1)
         np.minimum(np.arange(S) + shift, S, out=slot[:, :S])
 
         # delete table, one height at a time
@@ -275,7 +238,6 @@ class _Flat(_States):
         d = metric.deletion_vec(self.lows, self.highs)
         D[:rows[1]] = d * d if squared else d
         cost = np.zeros((degmax, S + 1))
-        KD = np.zeros(S, dtype=_code_dtype(degmax))
         for h in range(1, H + 1):
             a, b = rows[h], rows[h + 1]
             dm = dmax[h]
@@ -284,61 +246,76 @@ class _Flat(_States):
             for s in range(1, dm):
                 tot += z[s]
             cost[:dm, a:b] = (tot - z).take(pos[a:b] - first[h], axis=1)
-            X = D[slot[:dm, a:b]] + cost[:dm, a:b]
-            D[a:b] = X.min(axis=0)
-            KD[a:b] = X.argmin(axis=0)
-        self.D, self.KD, self.cost = D, KD, cost
-        self.other = layout[2 + 2 * degmax:].take(pos, axis=1)
-        self.odel = D[self.other]
-        for a in (ancrow, pos, ctip, self.lows, self.highs, slot, D, KD, cost, self.other, self.odel):
+            D[a:b] = (D[slot[:dm, a:b]] + cost[:dm, a:b]).min(axis=0)
+        self.D, self.cost = D, cost
+        for a in (pos, self.deg, ctip, self.lows, self.highs, slot, D, cost):
             a.setflags(write=False)
 
+    def keep(self, v, i):
+        # the first option of the delete table's minimum, with its arithmetic
+        r, k = self.off[v] + i, len(self.children[v])
+        return int(np.flatnonzero(self.D[self.slot[:k, r]] + self.cost[:k, r] == self.D[r])[0])
 
-def _sides(f1: _Flat, f2: _Flat, T, r, c, sc, sd):
-    """``side[i, j, ...]``: cost of matching the children of the state rows
-    ``r`` other than slot i against those of the state columns ``c`` other
-    than slot j, unmatched ones deleted or inserted whole.
+    def winner(self, f2, T, v, i, w, j):
+        # the first option, in the fill's order and with its arithmetic,
+        # whose value is the table's entry
+        r, c = self.off[v] + i, f2.off[w] + j
+        cs, ds = self.children[v], f2.children[w]
+        s1, s2 = self.slot[:len(cs), r].tolist(), f2.slot[:len(ds), c].tolist()
+        t = T[r, c]
+        for x, s in enumerate(s1):
+            if T[s, c] + self.cost[x, r] == t:
+                return x, None
+        for y, s in enumerate(s2):
+            if T[r, s] + f2.cost[y, c] == t:
+                return None, y
+        if len(cs) == len(ds) == 2:
+            # one child left on each side: matching_costs's 1 x 1 route, in
+            # Python, cheaper than a numpy batch for one pair of nodes
+            t1, t2 = self.tips(cs)[::-1], f2.tips(ds)[::-1]
+            side = [[min(T[a, b], self.D[a] + f2.D[b]) for b in t2] for a in t1]
+        else:
+            side = _node_sides(self, f2, T, self.pos[r:r + 1], f2.pos[c:c + 1], len(cs), len(ds))[..., 0]
+        for x, s in enumerate(s1):
+            for y, u in enumerate(s2):
+                if T[s, u] + side[x][y] == t:
+                    return x, y
 
-    ``r`` and ``c`` index arrays broadcast against each other. For two binary
-    saddles the cost is min(match, delete + insert), exactly what
-    ``min_cost_matching`` returns for a 1x1 instance; wider saddles are
-    filled in by :func:`_wide_sides`.
+
+def _node_sides(f1: _Flat, f2: _Flat, T, x, y, sc, sd):
+    """``side[i, j, n]``: for the n-th pair of nodes, at layout positions
+    ``x[n]`` and ``y[n]``, the cost of matching their children other than
+    slot i against those other than slot j, unmatched ones deleted or
+    inserted whole; +inf where a node has no such slot.
+
+    :func:`matching_costs` costs the pairs of each pair of child counts in
+    one batch, and a batch of one pair gives the same bits.
     """
-    o1, o2 = f1.other.take(r, axis=1)[:, None], f2.other.take(c, axis=1)[None]
-    binary = np.minimum(
-        T.take(o1 * T.shape[1] + o2),
-        f1.odel.take(r, axis=1)[:, None] + f2.odel.take(c, axis=1)[None],
-    )
-    if sc <= 2 and sd <= 2:
-        return binary
-    side = np.full((sc, sd) + binary.shape[2:], np.inf)
-    side[:2, :2] = binary
-    return side
-
-
-def _wide_sides(f1: _Flat, f2: _Flat, T, h1, h2):
-    """Matching costs of the node pairs of heights (h1, h2) that involve a
-    saddle of degree 3 or more: a list of ``(r0, r1, c0, c1, side)``, one per
-    pair of saddle runs with child counts (c, d), with the state rows
-    ``r0:r1`` and columns ``c0:c1`` of its node pairs and ``side[i, j, r,
-    c]``, the cost of matching the children other than slot i against those
-    other than slot j, batched by :func:`matching_costs`."""
-    out = []
-    for c, p0, p1, r0, r1 in f1.saddles[h1]:
-        # tip rows of the children other than slot i of node x, at [x, i]
-        t1 = f1.ctip[:c, p0:p1].T[:, _others(c)]
-        for d, q0, q1, c0, c1 in f2.saddles[h2]:
-            if c == d == 2:
+    ncols = T.shape[1]
+    if sc == sd == 2:
+        # binary saddles and leaves only, the common case: one batch, no
+        # grouping; each slot's other child, the pad row (+inf to match and
+        # to delete) at a leaf
+        o1 = np.minimum(f1.ctip[1::-1].take(x, axis=1), f1.S)
+        o2 = np.minimum(f2.ctip[1::-1].take(y, axis=1), f2.S)
+        P = T.take(o1[:, None] * ncols + o2[None])
+        return matching_costs(P[..., None, None], f1.D[o1][:, None, :, None], f2.D[o2][None, :, :, None])
+    side = np.full((sc, sd, len(x)), np.inf)
+    deg1, deg2 = f1.deg[x], f2.deg[y]
+    for c in range(2, sc + 1):
+        for d in range(2, sd + 1):
+            n = np.flatnonzero((deg1 == c) & (deg2 == d))
+            if not len(n):
                 continue
-            t2 = f2.ctip[:d, q0:q1].T[:, _others(d)]
-            side = matching_costs(  # axes: node x, node y, slot i, slot j
-                T.take(t1[:, None, :, None, :, None] * T.shape[1] + t2[None, :, None, :, None, :]),
-                f1.D[t1][:, None, :, None],
+            # tip rows of the children other than slot i of each node, at [n, i]
+            t1 = f1.ctip[:c].take(x[n], axis=1).T[:, _others(c)]
+            t2 = f2.ctip[:d].take(y[n], axis=1).T[:, _others(d)]
+            side[:c, :d, n] = matching_costs(  # axes: pair n, slot i, slot j
+                T.take(t1[:, :, None, :, None] * ncols + t2[:, None, :, None, :]),
+                f1.D[t1][:, :, None],
                 f2.D[t2][:, None],
-            )
-            x, y = f1.pos[r0:r1] - p0, f2.pos[c0:c1] - q0
-            out.append((r0, r1, c0, c1, side[x][:, y].transpose(2, 3, 0, 1)))
-    return out
+            ).transpose(1, 2, 0)
+    return side
 
 
 @cache
@@ -349,48 +326,36 @@ def _others(k):
     return out
 
 
-@cache
-def _codes(NC, ND, sc, sd, dtype):
-    """Codes of the options in their fixed order: tree-1 slots, tree-2 slots,
-    then matched slot pairs; built once per shape."""
-    out = np.array(
-        list(range(sc))
-        + [NC + j for j in range(sd)]
-        + [NC + ND + i * ND + j for i in range(sc) for j in range(sd)],
-        dtype=dtype,
-    )
-    out.setflags(write=False)
-    return out
-
-
-def _fill_slices(f1, f2, T, K, h1, h2):
+def _fill_slices(f1, f2, T, h1, h2):
     """Fill the rectangle of heights (h1, h2) in row chunks."""
     a, b = f1.rows[h1], f1.rows[h1 + 1]
     c, d = f2.rows[h2], f2.rows[h2 + 1]
     sc, sd = f1.dmax[h1], f2.dmax[h2]
-    codes = _codes(f1.degmax, f2.degmax, sc, sd, K.dtype)
-    wide = _wide_sides(f1, f2, T, h1, h2) if sc > 2 or sd > 2 else []
     s1, s2 = f1.slot[:sc], f2.slot[:sd]
-    step = max(1, _CHUNK_VALUES // ((d - c) * len(codes)))
+    if sc and sd:
+        # the saddle pairs' sides, spread over each chunk's states below
+        x0, x1, y0, y1 = f1.first[h1], f1.first[h1 + 1], f2.first[h2], f2.first[h2 + 1]
+        ny = y1 - y0
+        side = _node_sides(f1, f2, T, np.arange(x0, x1).repeat(ny), np.tile(np.arange(y0, y1), x1 - x0), sc, sd)
+        ys = f2.pos[c:d] - y0
+    n = sc + sd + sc * sd
+    step = max(1, _CHUNK_VALUES // ((d - c) * n))
     for r0 in range(a, b, step):
         r1 = min(b, r0 + step)
-        X = np.empty((len(codes), r1 - r0, d - c))
+        X = np.empty((n, r1 - r0, d - c))
         X[:sc] = T[s1[:, r0:r1], c:d]
         X[:sc] += f1.cost[:sc, r0:r1, None]
         np.add(T[r0:r1, s2[:, c:d]].transpose(1, 0, 2), f2.cost[:sd, None, c:d], out=X[sc:sc + sd])
         if sc and sd:
-            side = _sides(f1, f2, T, np.arange(r0, r1)[:, None], np.arange(c, d)[None], sc, sd)
-            for x0, x1, y0, y1, val in wide:
-                lo, hi = max(x0, r0), min(x1, r1)
-                if lo < hi:
-                    side[:val.shape[0], :val.shape[1], lo - r0:hi - r0, y0 - c:y1 - c] = val[:, :, lo - x0:hi - x0]
-            M = X[sc + sd:].reshape(sc, sd, r1 - r0, d - c)
-            M[...] = T.take(s1[:, None, r0:r1, None] * T.shape[1] + s2[None, :, None, c:d])
-            M += side
-        _first_min_into(X, codes, T[r0:r1, c:d], K[r0:r1, c:d])
+            np.add(
+                T.take(s1[:, None, r0:r1, None] * T.shape[1] + s2[None, :, None, c:d]),
+                side.take((f1.pos[r0:r1, None] - x0) * ny + ys, axis=2),
+                out=X[sc + sd:].reshape(sc, sd, r1 - r0, d - c),
+            )
+        np.minimum.reduce(X, axis=0, out=T[r0:r1, c:d])
 
 
-def _fill_flat(f1, f2, T, K, rects):
+def _fill_flat(f1, f2, T, rects):
     """Fill the small rectangles ``rects`` of one wave as one flat batch."""
     r1, r2 = f1.rows, f2.rows
     corners, counts = [], []  # first row, first column, width, first batch position
@@ -405,47 +370,40 @@ def _fill_flat(f1, f2, T, K, rects):
     rr, cc = a + i, c + j
     sc = max(f1.dmax[h1] for h1, _ in rects)
     sd = max(f2.dmax[h2] for _, h2 in rects)
-    codes = _codes(f1.degmax, f2.degmax, sc, sd, K.dtype)
-    if not any(h1 and h2 for h1, h2 in rects):
-        codes = codes[:sc + sd]  # a leaf on one side everywhere: nothing to match
-    # T and K are indexed through their flat views, T.ravel()[r * ncols + c]
-    # being T[r, c]: one flat index array is faster than a pair of them
+    matched = any(h1 and h2 for h1, h2 in rects)  # else a leaf on one side everywhere
+    # T is indexed through its flat view, T.ravel()[r * ncols + c] being
+    # T[r, c]: one flat index array is faster than a pair of them
     ncols = T.shape[1]
     s1 = f1.slot[:sc].take(rr, axis=1) * ncols
     s2 = f2.slot[:sd].take(cc, axis=1)
     at = rr * ncols + cc
-    X = np.empty((len(codes), len(rr)))
+    X = np.empty((sc + sd + (sc * sd if matched else 0), n))
     X[:sc] = T.take(s1 + cc)
     X[:sc] += f1.cost[:sc].take(rr, axis=1)
     X[sc:sc + sd] = T.take(at - cc + s2)
     X[sc:sc + sd] += f2.cost[:sd].take(cc, axis=1)
-    if len(codes) > sc + sd:
-        side = _sides(f1, f2, T, rr, cc, sc, sd)
-        if sc > 2 or sd > 2:
-            for (h1, h2), (ra, ca, w, s0), m in zip(rects, corners, counts):
-                block = side[:, :, s0:s0 + m].reshape(sc, sd, -1, w)  # a view: the rectangle's rows
-                for x0, x1, y0, y1, val in _wide_sides(f1, f2, T, h1, h2):
-                    block[:val.shape[0], :val.shape[1], x0 - ra:x1 - ra, y0 - ca:y1 - ca] = val
-        M = X[sc + sd:].reshape(sc, sd, len(rr))
+    if matched:
+        M = X[sc + sd:].reshape(sc, sd, n)
         M[...] = T.take(s1[:, None] + s2[None])
-        M += side
-    T.ravel()[at], K.ravel()[at] = _first_min(X, codes)
+        x, y = f1.pos[rr], f2.pos[cc]
+        if sc > 2 or sd > 2:  # cost each pair of nodes once: wide matchings cost too much per state
+            pairs, each = np.unique(x * len(f2.deg) + y, return_inverse=True)
+            M += _node_sides(f1, f2, T, *np.divmod(pairs, len(f2.deg)), sc, sd)[..., each]
+        else:
+            M += _node_sides(f1, f2, T, x, y, sc, sd)
+    T.ravel()[at] = np.minimum.reduce(X, axis=0)
 
 
 def _pair_table(f1: _Flat, f2: _Flat, metric: BaseMetric, squared: bool):
     """T[r1, r2]: cheapest mapping between the subtrees of two states.
 
-    K holds the winning option's code: ``s < NC`` continues tree 1's branch
-    through child slot s, ``NC + s`` tree 2's, and ``NC + ND + i * ND + j``
-    continues both through slots (i, j) and matches the remaining children,
-    where NC and ND are the trees' largest saddle degrees.
+    Only the values are kept: :meth:`_Flat.winner` re-derives the option an
+    entry took when the walk reaches it.
     """
     S1, S2 = f1.S, f2.S
-    NC, ND = f1.degmax, f2.degmax
     T = np.empty((S1 + 1, S2 + 1))
     T[S1, :] = np.inf
     T[:, S2] = np.inf
-    K = np.zeros((S1 + 1, S2 + 1), dtype=_code_dtype(NC + ND + NC * ND))
     # wave 0: leaf states against leaf states
     r1, r2 = f1.rows, f2.rows
     step = max(1, _CHUNK_VALUES // r2[1])
@@ -458,28 +416,28 @@ def _pair_table(f1: _Flat, f2: _Flat, metric: BaseMetric, squared: bool):
         for h1 in range(max(0, t - f2.H), min(f1.H, t) + 1):
             h2 = t - h1
             if (r1[h1 + 1] - r1[h1]) * (r2[h2 + 1] - r2[h2]) >= _SLICE_STATES:
-                _fill_slices(f1, f2, T, K, h1, h2)
+                _fill_slices(f1, f2, T, h1, h2)
             else:
                 small.append((h1, h2))
         if small:
-            _fill_flat(f1, f2, T, K, small)
-    return T, K
+            _fill_flat(f1, f2, T, small)
+    return T
 
 
-def _walk(f1: _States, f2: _States | None, T, K, metric: BaseMetric, start):
-    """Pairs, pair costs, deletions, insertions and each tree's continuation
+def _walk(f1: _States, f2: _States | None, T, start):
+    """Leaf pairs, deleted and inserted leaves and each tree's continuation
     map of an optimal mapping.
 
     One explicit stack of work items: ``(v, i, w, j)`` maps the subtrees of
     the states (v, i) and (w, j); ``(0, v, i)`` deletes tree 1's subtree of
-    state (v, i) and ``(1, w, j)`` inserts tree 2's. ``f2``, ``T`` and ``K``
-    are None for a one-sided mapping. Matched siblings are pushed in
-    reverse, so pairs come out in the order of the recursive definition.
-    Every inner non-root node is left exactly once, through the child its
-    branch continues into, so the continuation maps cover them all.
+    state (v, i) and ``(1, w, j)`` inserts tree 2's. ``f2`` and ``T`` are
+    None for a one-sided mapping. Matched siblings are pushed in reverse, so
+    pairs come out in the order of the recursive definition. Every inner
+    non-root node is left exactly once, through the child its branch
+    continues into, so the continuation maps cover them all.
     """
     flats = (f1, f2)
-    pairs, pair_costs = [], []
+    pairs = []
     out = ([], [])
     cont = ({}, {})
     stack = [start]
@@ -490,9 +448,9 @@ def _walk(f1: _States, f2: _States | None, T, K, metric: BaseMetric, start):
             f = flats[k]
             cs = f.children[v]
             if not cs:
-                out[k].append(f.branch(v, p))
+                out[k].append(v)
                 continue
-            keep = int(f.KD[f.off[v] + p])
+            keep = f.keep(v, p)
             cont[k][v] = cs[keep]
             for x, c in enumerate(cs):
                 stack.append((k, c, p if x == keep else f.last[c]))
@@ -500,28 +458,23 @@ def _walk(f1: _States, f2: _States | None, T, K, metric: BaseMetric, start):
         v, pi, w, pj = item
         cs, ds = f1.children[v], f2.children[w]
         if not cs and not ds:
-            a, b = f1.branch(v, pi), f2.branch(w, pj)
-            pairs.append((a, b))
-            pair_costs.append(metric.pair(a.low, a.high, b.low, b.high))
+            pairs.append((v, w))
             continue
-        NC, ND = f1.degmax, f2.degmax
-        code = int(K[f1.off[v] + pi, f2.off[w] + pj])
-        if code < NC:
-            cont[0][v] = cs[code]
+        i, j = f1.winner(f2, T, v, pi, w, pj)
+        if j is None:
+            cont[0][v] = cs[i]
             for x, c in enumerate(cs):
-                if x != code:
+                if x != i:
                     stack.append((0, c, f1.last[c]))
-            stack.append((cs[code], pi, w, pj))
+            stack.append((cs[i], pi, w, pj))
             continue
-        if code < NC + ND:
-            code -= NC
-            cont[1][w] = ds[code]
+        if i is None:
+            cont[1][w] = ds[j]
             for y, d in enumerate(ds):
-                if y != code:
+                if y != j:
                     stack.append((1, d, f2.last[d]))
-            stack.append((v, pi, ds[code], pj))
+            stack.append((v, pi, ds[j], pj))
             continue
-        i, j = divmod(code - NC - ND, ND)
         cont[0][v], cont[1][w] = cs[i], ds[j]
         rest_c = cs[:i] + cs[i + 1:]
         rest_d = ds[:j] + ds[j + 1:]
@@ -544,7 +497,7 @@ def _walk(f1: _States, f2: _States | None, T, K, metric: BaseMetric, start):
         for ii, jj in reversed(matched):
             c, d = rest_c[ii], rest_d[jj]
             stack.append((c, f1.last[c], d, f2.last[d]))
-    return pairs, pair_costs, out, cont
+    return pairs, out, cont
 
 
 # ---------------------------------------------------------------------------
@@ -556,41 +509,34 @@ class _Fixed(_States):
     """One tree under a fixed decomposition, in the layout :func:`_walk` reads.
 
     Every non-root node v has the single state ``(v, 0)``, row v (the
-    root's row is unused): ``ancrow[v]`` is the start of the branch through
-    v, ``low[v]`` and ``high[v]`` the values of that start and of v (at a
-    leaf, its branch's label), ``KD[v]`` the slot of v's continuation child
-    and ``D[v]`` the cost of deleting every branch whose leaf lies under v.
-    ``inner[v]`` is None at a leaf and otherwise ``(slot, child, others,
+    root's row is unused): ``low[v]`` and ``high[v]`` are the values of the
+    start of the branch through v and of v (at a leaf, its branch's label),
+    and ``D[v]`` is the cost of deleting every branch whose leaf lies under
+    v. ``inner[v]`` is None at a leaf and otherwise ``(slot, child, others,
     dels, total)``: the continuation slot and child, the other children,
-    their deletion costs and the sum of those. Like :class:`_Flat`, it
-    holds tuples only, as a driver's layout memo shares it between pairs.
+    their deletion costs and the sum of those. Like :class:`_Flat`, it holds
+    tuples only, as a driver's layout memo shares it between pairs.
     """
 
-    __slots__ = (
-        "children", "values", "entry", "post", "S", "degmax", "off", "last", "ancrow", "low", "high", "KD", "D",
-        "inner",
-    )
+    __slots__ = ("children", "entry", "post", "S", "off", "last", "low", "high", "D", "inner")
 
     def __init__(self, tree: MergeTree, dec: BranchDecomposition, metric: BaseMetric, squared: bool):
         self.children = children = tree.children
-        self.values = values = tree.values
+        values = tree.values
         self.entry = children[tree.root][0]
         self.post = post = tree.preorder[:0:-1]  # children before parents, root excluded
         n = len(children)
         self.S = len(post)
-        self.degmax = max(len(children[v]) for v in post)
         self.off, self.last = range(n), (0,) * n
-        self.ancrow = start = tuple(dec.branch_through(v).start for v in range(n))
-        self.low = low = tuple(float(values[s]) for s in start)
+        self.low = low = tuple(float(values[dec.branch_through(v).start]) for v in range(n))
         self.high = high = tuple(values.tolist())
-        self.KD = tuple(cs.index(dec.continuation[v]) if cs else 0 for v, cs in enumerate(children))
         D = [0.0] * n
         inner = [None] * n
         for v in post:
             cs = children[v]
             if cs:
                 D[v] = sum(D[c] for c in cs)
-                i = self.KD[v]
+                i = cs.index(dec.continuation[v])
                 others = cs[:i] + cs[i + 1:]
                 dels = tuple(D[c] for c in others)
                 inner[v] = (i, cs[i], others, dels, sum(dels))
@@ -599,48 +545,55 @@ class _Fixed(_States):
                 D[v] = c * c if squared else c
         self.D, self.inner = tuple(D), tuple(inner)
 
+    def keep(self, v, i):
+        return self.inner[v][0]
+
+    def winner(self, f2, T, v, i, w, j):
+        # the fill's order: tree 1's continuation, tree 2's, then both
+        a, b = self.inner[v], f2.inner[w]
+        if b is None:
+            return a[0], None
+        if a is None:
+            return None, b[0]
+        t = T[v, w]
+        if T[a[1], w] + a[4] == t:
+            return a[0], None
+        if T[v, b[1]] + b[4] == t:
+            return None, b[0]
+        return a[0], b[0]
+
 
 def _fixed_tables(f1: _Fixed, f2: _Fixed, metric: BaseMetric, squared: bool):
-    """F[v, w]: cheapest mapping between the subtrees of two nodes, and in K
-    the winning option in :func:`_pair_table`'s codes, filled one node pair
-    at a time."""
-    NC, ND = f1.degmax, f2.degmax
+    """F[v, w]: cheapest mapping between the subtrees of two nodes, filled
+    one node pair at a time."""
     n2 = len(f2.children)
     F = [[0.0] * n2 for _ in f1.children]
-    K = [[0] * n2 for _ in f1.children]
     low2, high2, inner2 = f2.low, f2.high, f2.inner
     for v in f1.post:
-        Fv, Kv = F[v], K[v]
+        Fv = F[v]
         if f1.inner[v] is None:
             a_low, a_high = f1.low[v], f1.high[v]
             for w in f2.post:
                 if inner2[w] is not None:
-                    j, d_main, _, _, ins_sides = inner2[w]
+                    _, d_main, _, _, ins_sides = inner2[w]
                     Fv[w] = Fv[d_main] + ins_sides
-                    Kv[w] = NC + j
                 else:
                     c = metric.pair(a_low, a_high, low2[w], high2[w])
                     Fv[w] = c * c if squared else c
             continue
-        i, c_main, c_side, dels, del_sides = f1.inner[v]
+        _, c_main, c_side, dels, del_sides = f1.inner[v]
         Fc = F[c_main]
         for w in f2.post:
             if inner2[w] is None:
                 Fv[w] = Fc[w] + del_sides
-                Kv[w] = i
                 continue
-            j, d_main, d_side, inss, ins_sides = inner2[w]
+            _, d_main, d_side, inss, ins_sides = inner2[w]
             side_cost, _ = _assignment([[F[c][d] for d in d_side] for c in c_side], dels, inss)
             a = Fc[w] + del_sides
             b = Fv[d_main] + ins_sides
             m = Fc[d_main] + side_cost
-            if a <= b and a <= m:
-                Fv[w], Kv[w] = a, i
-            elif b <= m:
-                Fv[w], Kv[w] = b, NC + j
-            else:
-                Fv[w], Kv[w] = m, NC + ND + i * ND + j
-    return np.array(F), np.array(K, dtype=_code_dtype(NC + ND + NC * ND))
+            Fv[w] = a if a <= b and a <= m else b if b <= m else m
+    return np.array(F)
 
 
 # ---------------------------------------------------------------------------
@@ -680,19 +633,19 @@ def branch_mapping_distance(
                 raise PreconditionError(f"fixed decomposition does not belong to tree {k + 1}")
     decs = (None, None) if fixed is None else fixed
     f1, f2 = (None if t is None else _states(t, d, metric, squared) for t, d in zip(trees, decs))
-    pairs, pair_costs, out, cont = [], [], [[], []], [{}, {}]
+    pairs, out, cont = [], [[], []], [{}, {}]
     total, keys, bound = 0.0, 0, 0
     if f1 is not None and f2 is not None:
-        T, K = (_pair_table if fixed is None else _fixed_tables)(f1, f2, metric, squared)
+        T = (_pair_table if fixed is None else _fixed_tables)(f1, f2, metric, squared)
         total = T[f1.off[f1.entry], f2.off[f2.entry]]
-        pairs, pair_costs, out, cont = _walk(f1, f2, T, K, metric, (f1.entry, 0, f2.entry, 0))
+        pairs, out, cont = _walk(f1, f2, T, (f1.entry, 0, f2.entry, 0))
         keys = f1.S * f2.S
         bound = len(tree1) * tree1.depth * len(tree2) * tree2.depth
     else:
         for k, f in enumerate((f1, f2)):
             if f is not None:
                 total = f.D[f.off[f.entry]]
-                _, _, (out[k], _), (cont[k], _) = _walk(f, None, None, None, metric, (0, f.entry, 0))
+                _, (out[k], _), (cont[k], _) = _walk(f, None, None, (0, f.entry, 0))
     null_keys = sum(f.S for f in (f1, f2) if f is not None)
     decs = [
         None if t is None
@@ -700,16 +653,21 @@ def branch_mapping_distance(
         else BranchDecomposition(t, {t.root: f.entry, **cont[k]})
         for k, (t, d, f) in enumerate(zip(trees, decs, (f1, f2)))
     ]
+    # every branch is its decomposition's object
+    pairs = tuple((decs[0].branch_of_leaf(v), decs[1].branch_of_leaf(w)) for v, w in pairs)
+    deletions, insertions = (
+        tuple(sorted(dec.branch_of_leaf(v) for v in leaves)) for dec, leaves in zip(decs, out)
+    )
     distance = finalize(total, mode)
     return distance, BranchMapping(
         tree1=tree1,
         tree2=tree2,
         decomposition1=decs[0],
         decomposition2=decs[1],
-        pairs=tuple(pairs),
-        pair_costs=tuple(pair_costs),
-        deletions=tuple(sorted(out[0])),
-        insertions=tuple(sorted(out[1])),
+        pairs=pairs,
+        pair_costs=tuple(metric.pair(a.low, a.high, b.low, b.high) for a, b in pairs),
+        deletions=deletions,
+        insertions=insertions,
         total_cost=distance,
         metric=metric,
         mode=mode,

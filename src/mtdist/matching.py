@@ -4,6 +4,8 @@ Used wherever unordered children have to be paired optimally: the branch
 mapping recursion and both baseline edit distances. The dynamic programs
 cost their many instances in batches through :func:`matching_costs`:
 
+* a 1 x 1 instance costs the cheaper of its match and its deletion plus
+  insertion, as :func:`min_cost_matching` costs it;
 * up to ``SMALL`` rows and columns, :func:`small_matching_costs`
   enumerates every partial matching once per shape and takes the first
   cheapest;
@@ -338,11 +340,14 @@ def _mask_matching(P, dels, inss, want_pairs):
 
 def matching_costs(P, dels, inss):
     """Costs of many matching instances of one shape, as :func:`min_cost_matching`
-    gives them: in one :func:`small_matching_costs` batch up to ``SMALL`` x
+    gives them: at 1 x 1 the cheaper of the match and the deletion plus the
+    insertion, in one :func:`small_matching_costs` batch up to ``SMALL`` x
     ``SMALL``, in one :func:`mask_matching_costs` batch up to ``WIDE``
     columns, one call per instance beyond. Shapes as there."""
     P = np.asarray(P, dtype=np.float64)
     *lead, r, s = P.shape
+    if r == s == 1:
+        return np.minimum(P[..., 0, 0], np.add(dels, inss)[..., 0])
     if r <= SMALL and s <= SMALL:
         return small_matching_costs(P, dels, inss)
     if s <= WIDE:

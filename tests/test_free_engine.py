@@ -5,6 +5,8 @@ the same options in the same order on the same float64 values, so distances
 must be equal exactly and the mappings identical, ties included.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -89,6 +91,61 @@ def test_both_fill_paths_equal_reference(monkeypatch, slice_states, chunk_values
             assert_same_as_reference(t2, t1, metric, mode)
 
 
+def test_peak_memory_is_the_table_and_a_few_chunks(monkeypatch):
+    # The pair table is the one allocation that grows with the number of
+    # state pairs: no per-state record of the winning options beside it, and
+    # no temporary larger than a row chunk's options. Every rectangle takes
+    # the chunked slice path here; the two trees' layouts take about 0.3 MB.
+    monkeypatch.setattr(mapping_module, "_SLICE_STATES", 1)
+    monkeypatch.setattr(mapping_module, "_CHUNK_VALUES", 1 << 14)
+    rng = np.random.default_rng(5)
+    t1, t2 = grow_merge_tree(rng, 150, 0.05), grow_merge_tree(rng, 150, 0.05)
+    table = (sum(t1.depths) + 1) * (sum(t2.depths) + 1) * 8
+    tracemalloc.start()
+    try:
+        branch_mapping_distance(t1, t2, BaseMetric("euclidean"), "l2")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    chunk = 8 * (1 << 14)  # bytes of one row chunk's values
+    assert table > 7 * 2**20
+    assert peak <= table + 8 * chunk
+
+
+def bushy_tree(rng, degrees):
+    """Root, entry, then one saddle per entry of ``degrees``, each grown at a
+    random leaf with that many children; integer value steps, so values
+    repeat across the two trees of a pair."""
+    values, parent, leaves = [0.0, 1.0], [-1, 0], [1]
+    for k in degrees:
+        leaf = leaves.pop(int(rng.integers(len(leaves))))
+        for _ in range(k):
+            leaves.append(len(values))
+            values.append(values[leaf] + float(rng.integers(1, 4)))
+            parent.append(leaf)
+    return MergeTree(values, parent)
+
+
+@pytest.mark.parametrize("slice_states", [1, 10**9], ids=["all-slices", "all-flat"])
+def test_wide_saddles_on_both_fill_paths_equal_reference(monkeypatch, slice_states):
+    # Saddles of 4-8 children: their sides are costed per pair of nodes and,
+    # on the slice path, spread over row chunks of one row each; the walk
+    # re-derives the matched options through all three matching routes,
+    # (c - 1) x (d - 1) instances of at most 3 x 3, at most WIDE columns and
+    # wider.
+    monkeypatch.setattr(mapping_module, "_SLICE_STATES", slice_states)
+    monkeypatch.setattr(mapping_module, "_CHUNK_VALUES", 64)
+    rng = np.random.default_rng(17)
+    metric = BaseMetric("birth-persistence")
+    for degrees in ([8, 2, 4], [5, 2, 6], [4, 7, 2, 3]):
+        t1 = bushy_tree(rng, degrees)
+        t2 = bushy_tree(rng, degrees[::-1] + [2])
+        assert max(map(len, t1.children)) >= 4 and max(map(len, t2.children)) >= 4
+        for mode in MODE_NAMES:
+            assert_same_as_reference(t1, t2, metric, mode)
+            assert_same_as_reference(t2, t1, metric, mode)
+
+
 def wide_tree(width, entry, shift):
     """Root 0, then a saddle at ``entry`` with ``width`` children: the first a
     saddle with two leaves, the last the highest leaf (value 20)."""
@@ -103,20 +160,13 @@ def wide_tree(width, entry, shift):
 
 
 def test_degree_16_saddles_need_wide_option_codes():
-    # 16 + 16 + 16 * 16 option codes do not fit in uint8. The saddles sit at
-    # different heights, so the cheapest mapping pairs the two value-20 leaves
-    # on the main branches, through the last child slots: code 287.
+    # 16 + 16 + 16 * 16 options per state, the last 256 matching 15 x 15
+    # children by the Hungarian method. The saddles sit at different heights,
+    # so the cheapest mapping pairs the two value-20 leaves on the main
+    # branches, through the last child slots, the last of all options.
     t1, t2 = wide_tree(16, 1.0, 0), wide_tree(16, 3.0, 3)
     for mode in MODE_NAMES:
         assert_same_as_reference(t1, t2, BaseMetric("birth-persistence"), mode)
         _, mapping = branch_mapping_distance(t1, t2, BaseMetric("birth-persistence"), mode)
         assert mapping.pairs[-1][0].label == (0.0, 20.0)
         assert mapping.pairs[-1][1].label == (0.0, 20.0)
-
-
-def test_option_codes_are_built_once_per_shape():
-    # tree-1 slots 0-2, tree-2 slots NC + 0..1, then NC + ND + i * ND + j
-    codes = mapping_module._codes(4, 3, 3, 2, np.dtype(np.uint8))
-    assert codes.tolist() == [0, 1, 2, 4, 5, 7, 8, 10, 11, 13, 14]
-    assert codes is mapping_module._codes(4, 3, 3, 2, np.dtype(np.uint8))
-    assert not codes.flags.writeable

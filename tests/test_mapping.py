@@ -113,6 +113,38 @@ class TestDeleteTree:
         assert d == pytest.approx(np.sqrt(sum(b.persistence ** 2 for b in fixed[0].branches)))
 
 
+class TestBranchIdentity:
+    """A mapping's branches are its decompositions' own objects, so a kept
+    mapping holds no second copy of them."""
+
+    @staticmethod
+    def assert_shared(mapping):
+        decs = (mapping.decomposition1, mapping.decomposition2)
+        for a, b in mapping.pairs:
+            assert a is decs[0].branch_of_leaf(a.leaf)
+            assert b is decs[1].branch_of_leaf(b.leaf)
+        for dec, branches in zip(decs, (mapping.deletions, mapping.insertions)):
+            for b in branches:
+                assert b is dec.branch_of_leaf(b.leaf)
+
+    def test_free_fixed_and_one_sided(self):
+        rng = np.random.default_rng(21)
+        t1 = grow_merge_tree(rng, 40, extra_child_prob=0.3)
+        t2 = grow_merge_tree(rng, 30, extra_child_prob=0.3)
+        fixed = (elder_rule_decomposition(t1), elder_rule_decomposition(t2))
+        mappings = [
+            branch_mapping_distance(t1, t2, BP, "sum")[1],
+            branch_mapping_distance(t1, t2, BP, "sum", fixed=fixed)[1],
+            branch_mapping_distance(t1, None, BP, "sum")[1],
+            branch_mapping_distance(None, t2, BP, "sum", fixed=fixed)[1],
+        ]
+        assert mappings[0].pairs and mappings[0].deletions and mappings[0].insertions
+        assert mappings[1].decomposition1 is fixed[0] and mappings[1].pairs
+        assert mappings[2].deletions and mappings[3].insertions
+        for mapping in mappings:
+            self.assert_shared(mapping)
+
+
 class TestReferenceCycles:
     def test_free_call_leaves_no_garbage(self):
         rng = np.random.default_rng(3)

@@ -209,3 +209,41 @@ def test_tall_instance_within_wide():
         rows, cols = matching_module.linear_sum_assignment(big)
         assert cost == big[rows, cols].sum()
     assert matching_module._mask_tables.cache_info().currsize <= WIDE + 1
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([(1, 1), (1, 3), (3, 3), (4, 2), (3, WIDE), (2, WIDE + 1), (WIDE + 1, WIDE + 2)]),
+    st.sampled_from(["integers", "halves", "floats"]),
+)
+def test_batch_equals_each_sub_batch(seed, shape, kind):
+    """The free engine's fill costs the saddle pairs of a rectangle in one
+    (x, y, i, j) batch, and its walk re-derives one pair's options from that
+    pair's (x, y) sub-batch: the batch equals each sub-batch, and each single
+    instance, bit for bit, on every route (1 x 1, enumeration, mask and
+    Hungarian)."""
+    rng = np.random.default_rng(seed)
+    r, s = shape
+
+    def draw(*size):
+        if kind == "integers":
+            return rng.integers(0, 10, size).astype(float)
+        if kind == "halves":
+            return rng.integers(0, 4, size) / 2
+        return rng.uniform(0.0, 10.0, size)
+
+    nx, ny, ni, nj = 3, 2, 2, 3
+    # one deletion cost per row of node x and slot i, one insertion per column of y and j
+    P, dels, inss = draw(nx, ny, ni, nj, r, s), draw(nx, 1, ni, 1, r), draw(1, ny, 1, nj, s)
+    batch = matching_costs(P, dels, inss)
+    assert batch.shape == (nx, ny, ni, nj)
+    for x in range(nx):
+        for y in range(ny):
+            assert np.array_equal(matching_costs(P[x, y], dels[x, 0], inss[0, y]), batch[x, y])
+            for i in range(ni):
+                for j in range(nj):
+                    single, _ = min_cost_matching(
+                        P[x, y, i, j].tolist(), dels[x, 0, i, 0].tolist(), inss[0, y, 0, j].tolist()
+                    )
+                    assert single == batch[x, y, i, j]
