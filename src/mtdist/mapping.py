@@ -270,8 +270,9 @@ class _Flat(_States):
             if T[r, s] + f2.cost[y, c] == t:
                 return None, y
         if len(cs) == len(ds) == 2:
-            # one child left on each side: matching_costs's 1 x 1 route, in
-            # Python, cheaper than a numpy batch for one pair of nodes
+            # one child left on each side: matching_costs's 1 x 1 route in
+            # Python; a _node_sides batch for this one pair of nodes made
+            # small-tree matrices about 4 % slower
             t1, t2 = self.tips(cs)[::-1], f2.tips(ds)[::-1]
             side = [[min(T[a, b], self.D[a] + f2.D[b]) for b in t2] for a in t1]
         else:
@@ -386,7 +387,10 @@ def _fill_flat(f1, f2, T, rects):
         M = X[sc + sd:].reshape(sc, sd, n)
         M[...] = T.take(s1[:, None] + s2[None])
         x, y = f1.pos[rr], f2.pos[cc]
-        if sc > 2 or sd > 2:  # cost each pair of nodes once: wide matchings cost too much per state
+        # binary saddles per state, as np.unique costs more than it saves on
+        # small trees; wider ones once per pair of nodes, as their matchings
+        # cost too much per state
+        if sc > 2 or sd > 2:
             pairs, each = np.unique(x * len(f2.deg) + y, return_inverse=True)
             M += _node_sides(f1, f2, T, *np.divmod(pairs, len(f2.deg)), sc, sd)[..., each]
         else:

@@ -92,24 +92,33 @@ def test_both_fill_paths_equal_reference(monkeypatch, slice_states, chunk_values
 
 
 def test_peak_memory_is_the_table_and_a_few_chunks(monkeypatch):
-    # The pair table is the one allocation that grows with the number of
-    # state pairs: no per-state record of the winning options beside it, and
-    # no temporary larger than a row chunk's options. Every rectangle takes
-    # the chunked slice path here; the two trees' layouts take about 0.3 MB.
+    # Beside the pair table and the two trees' layouts (measured here), the
+    # call keeps no per-state record of the winning options, and row chunks
+    # bound its per-state temporaries: wave 0's grid and each slice chunk's
+    # options take a few chunk-sized buffers at a time. Saddle sides are
+    # costed once per node pair of a rectangle, unchunked (about 20 KB on
+    # these trees); only their spread over the states is chunked. Every
+    # rectangle takes the chunked slice path here.
     monkeypatch.setattr(mapping_module, "_SLICE_STATES", 1)
     monkeypatch.setattr(mapping_module, "_CHUNK_VALUES", 1 << 14)
     rng = np.random.default_rng(5)
     t1, t2 = grow_merge_tree(rng, 150, 0.05), grow_merge_tree(rng, 150, 0.05)
+    metric = BaseMetric("euclidean")
     table = (sum(t1.depths) + 1) * (sum(t2.depths) + 1) * 8
     tracemalloc.start()
     try:
-        branch_mapping_distance(t1, t2, BaseMetric("euclidean"), "l2")
-        peak = tracemalloc.get_traced_memory()[1]
+        layouts = [mapping_module._Flat(t, metric, True) for t in (t1, t2)]
+        layout_bytes = tracemalloc.get_traced_memory()[0]
+        del layouts
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        branch_mapping_distance(t1, t2, metric, "l2")
+        peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
     chunk = 8 * (1 << 14)  # bytes of one row chunk's values
     assert table > 7 * 2**20
-    assert peak <= table + 8 * chunk
+    assert peak <= table + layout_bytes + 8 * chunk
 
 
 def bushy_tree(rng, degrees):
