@@ -15,14 +15,14 @@ and support the sum and root-of-squared-sum aggregation modes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, groupby, repeat
+from itertools import groupby
 
 import numpy as np
 
 from .branches import build_bdt, elder_rule_decomposition
 from .errors import PreconditionError
 from .matching import SMALL, matching_costs, small_matching_costs
-from .metrics import MODE_NAMES, BaseMetric, finalize
+from .metrics import MODE_NAMES, BaseMetric, dp_terms, finalize
 from .trees import MergeTree, _memoized, require_valid
 
 
@@ -81,18 +81,6 @@ def _labeled(tree: MergeTree, dec, target: str) -> LabeledTree:
     )
 
 
-def _costs(metric: BaseMetric, squared: bool):
-    def pair(la, lb):
-        c = metric.pair(la[0], la[1], lb[0], lb[1])
-        return c * c if squared else c
-
-    def null(la):
-        c = metric.deletion(la[0], la[1])
-        return c * c if squared else c
-
-    return pair, null
-
-
 def _postorder(root, kids):
     """Nodes reachable from ``root``, every child before its parent."""
     order = [root]
@@ -114,24 +102,26 @@ class _Levels:
     position: ``deg`` the child count; ``kids`` the children's positions,
     padded with ``n``; ``sub`` the cost of deleting the subtree (0 at the
     padding ``n``); ``rest`` that of deleting the children's subtrees;
-    ``null`` that of deleting the node alone; and ``label`` the index of its
-    label in ``labels``. As tree 2 of a pair, :func:`_fill` reads a
-    :meth:`_group` per child count (``groups``; ``wide`` those above
-    ``SMALL``) and one of all inner nodes with at most ``SMALL`` children
-    (``small``), and per height above the leaves the insert terms
-    (``inserts``). A driver's layout memo shares one layout between pairs,
-    so its sequences are tuples and its arrays read-only.
+    ``null`` that of deleting the node alone, by the :func:`dp_terms`
+    ``deletion`` the layout is built with; and ``label[:, k]`` its label.
+    As tree 2 of a pair, :func:`_fill` reads a :meth:`_group` per child
+    count (``groups``; ``wide`` those above ``SMALL``) and one of all inner
+    nodes with at most ``SMALL`` children (``small``), and per height above
+    the leaves the insert terms (``inserts``). A driver's layout memo shares
+    one layout between pairs, so its sequences are tuples and its arrays
+    read-only.
     """
 
     __slots__ = (
-        "n", "root", "levels", "runs", "deg", "kids", "sub", "rest", "null", "label", "labels",
-        "groups", "wide", "small", "inserts",
+        "n", "root", "levels", "runs", "deg", "kids", "sub", "rest", "null", "label", "groups", "wide",
+        "small", "inserts",
     )
 
     def __init__(self, t: LabeledTree, null):
         kids = t.children
         post = _postorder(t.root, kids)
-        nulls = [null(label) for label in t.labels]
+        labels = np.array(t.labels, dtype=np.float64).T  # one label of two arrays
+        nulls = null(labels).tolist()
         height, rest, sub = [0] * len(kids), [0.0] * len(kids), [0.0] * len(kids)
         for v in post:
             cs = kids[v]
@@ -164,9 +154,7 @@ class _Levels:
         self.sub = np.array([sub[v] for v in order] + [0.0])
         self.rest = np.array([rest[v] for v in order])
         self.null = np.array([nulls[v] for v in order])
-        index = {}
-        self.label = np.array([index.setdefault(t.labels[v], len(index)) for v in order], dtype=np.intp)
-        self.labels = tuple(index)
+        self.label = labels[:, order]
         for a in (self.kids, self.sub, self.rest, self.null, self.label):
             a.setflags(write=False)
         inner = range(levels[0][2], n)
@@ -215,21 +203,11 @@ def _fill(t1: LabeledTree, t2: LabeledTree, metric: BaseMetric, mode: str, edits
     if mode not in MODE_NAMES:
         raise PreconditionError(f"unknown aggregation mode {mode!r}, expected one of {MODE_NAMES}")
     squared = mode == "l2"
-    _, null = _costs(metric, squared)
+    pair, null = dp_terms(metric, squared)
     key = ("levels", metric.kind, squared)
     a = _memoized(t1, key, lambda: _Levels(t1, null))
     b = _memoized(t2, key, lambda: _Levels(t2, null))
-    # one scalar metric.pair call per distinct label pair: the vectorised
-    # forms can round differently in the last bit
-    lows, highs = [y[0] for y in b.labels], [y[1] for y in b.labels]
-    L = np.fromiter(
-        chain.from_iterable(map(metric.pair, repeat(x0), repeat(x1), lows, highs) for x0, x1 in a.labels),
-        np.float64,
-        len(a.labels) * len(b.labels),
-    )
-    if squared:
-        L = L * L
-    L = L.reshape(len(a.labels), -1).take(a.label, axis=0).take(b.label, axis=1)
+    L = pair(a.label[:, :, None], b.label)
     n2 = b.n
     dist = np.full((a.n + 1, n2 + 1), np.inf)  # the last row and column pad missing children
     flat = dist.reshape(-1)

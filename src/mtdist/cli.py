@@ -11,7 +11,6 @@ or invalid inputs, I/O failures).
 from __future__ import annotations
 
 import argparse
-import codecs
 import errno
 import json
 import math
@@ -21,7 +20,7 @@ import sys
 from pathlib import Path
 
 from .errors import MTDistError
-from .fields import compute_merge_tree, read_scalar_field, simplify, write_scalar_field
+from .fields import compute_merge_tree, parse_scalar_field, read_scalar_field, simplify, write_scalar_field
 from .generators import (
     four_peak_spec,
     generate_ensemble,
@@ -40,7 +39,7 @@ from .matrix import (
 )
 from .metrics import METRIC_NAMES, MODE_NAMES
 from .tracking import build_tracks
-from .trees import read_merge_tree, read_text, write_merge_tree
+from .trees import _content_rows, parse_merge_tree, read_text, write_merge_tree
 
 
 class _Parser(argparse.ArgumentParser):
@@ -72,16 +71,17 @@ def _collect_inputs(paths):
 
 
 def _load_tree(path, args):
-    """Read an MT file, or build a tree from an SF2 field using the flags."""
-    with open(path, "rb") as fh:
-        head = fh.read(6)
-    if head.removeprefix(codecs.BOM_UTF8).startswith(b"SF2"):
-        field = read_scalar_field(path, connectivity=args.connectivity)
+    """Read an MT file, or build a tree from an SF2 field using the flags;
+    the first line the parsers read, past blanks and comments, tells which."""
+    text = read_text(path)
+    rows = _content_rows(text)
+    if rows and rows[0][1].startswith("SF2"):
+        field = parse_scalar_field(text, str(path), connectivity=args.connectivity)
         tree = compute_merge_tree(field, direction=args.direction)
         if args.simplify > 0:
             tree = simplify(tree, args.simplify)
         return tree
-    return read_merge_tree(path)
+    return parse_merge_tree(text, str(path))
 
 
 def _add_tree_flags(p):

@@ -23,4 +23,5 @@ class PreconditionError(MTDistError):
 
 
 class SizeLimitError(MTDistError):
-    """An enumeration-only operation was asked to run beyond its size cap."""
+    """An operation was asked to run beyond its size cap: an enumeration past
+    its leaf cap, or a free-mode table larger than the memory it may take."""

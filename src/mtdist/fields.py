@@ -22,7 +22,7 @@ import numpy as np
 
 from .branches import elder_rule_decomposition
 from .errors import MTDistError, ParseError
-from .trees import MergeTree, read_text, require_valid
+from .trees import MergeTree, _content_rows, read_text, require_valid
 
 _EPS = 1e-9
 
@@ -68,9 +68,7 @@ class ScalarField2D:
 # ---------------------------------------------------------------------------
 
 def parse_scalar_field(text: str, path: str = "<string>", connectivity: int = 8) -> ScalarField2D:
-    lines = text.splitlines()
-    rows = [(i + 1, ln.strip()) for i, ln in enumerate(lines)]
-    rows = [(no, ln) for no, ln in rows if ln and not ln.startswith("#")]
+    rows = _content_rows(text)
     if not rows:
         raise ParseError(path, 1, "empty file, expected 'SF2 <rows> <cols>' header")
     no, header = rows[0]

@@ -32,15 +32,16 @@ The first minimum wins, which makes reported mappings reproducible.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
 
 from .branches import Branch, BranchDecomposition
-from .errors import PreconditionError
+from .errors import PreconditionError, SizeLimitError
 from .matching import matching_costs, min_cost_matching as _assignment
-from .metrics import MODE_NAMES, BaseMetric, aggregate, finalize
+from .metrics import MODE_NAMES, BaseMetric, aggregate, dp_terms, finalize
 from .trees import MergeTree, ValidationReport, _memoized, require_valid
 
 
@@ -127,6 +128,12 @@ class BranchMapping:
 # values; a flat batch evaluates all its options at once, unchunked.
 _SLICE_STATES = 2048
 _CHUNK_VALUES = 1 << 18
+
+
+try:  # the most bytes a free table may take: half the physical memory
+    _TABLE_LIMIT = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") // 2
+except (AttributeError, ValueError, OSError):  # os.sysconf cannot tell: no limit
+    _TABLE_LIMIT = None
 
 
 class _States:
@@ -235,8 +242,7 @@ class _Flat(_States):
         # delete table, one height at a time
         D = np.empty(S + 2)
         D[S:] = np.inf, 0.0
-        d = metric.deletion_vec(self.lows, self.highs)
-        D[:rows[1]] = d * d if squared else d
+        D[:rows[1]] = dp_terms(metric, squared)[1]((self.lows, self.highs))
         cost = np.zeros((degmax, S + 1))
         for h in range(1, H + 1):
             a, b = rows[h], rows[h + 1]
@@ -296,7 +302,9 @@ def _node_sides(f1: _Flat, f2: _Flat, T, x, y, sc, sd):
     if sc == sd == 2:
         # binary saddles and leaves only, the common case: one batch, no
         # grouping; each slot's other child, the pad row (+inf to match and
-        # to delete) at a leaf
+        # to delete) at a leaf. Through the grouped route below, the two
+        # branch matrices of the matrix-small benchmark took 0.21 -> 0.25 s
+        # (CPU time, min of 5, seed 1, 2-core Xeon).
         o1 = np.minimum(f1.ctip[1::-1].take(x, axis=1), f1.S)
         o2 = np.minimum(f2.ctip[1::-1].take(y, axis=1), f2.S)
         P = T.take(o1[:, None] * ncols + o2[None])
@@ -398,8 +406,9 @@ def _fill_flat(f1, f2, T, rects):
     T.ravel()[at] = np.minimum.reduce(X, axis=0)
 
 
-def _pair_table(f1: _Flat, f2: _Flat, metric: BaseMetric, squared: bool):
-    """T[r1, r2]: cheapest mapping between the subtrees of two states.
+def _pair_table(f1: _Flat, f2: _Flat, pair):
+    """T[r1, r2]: cheapest mapping between the subtrees of two states, its
+    leaf pairs costed by the term ``pair`` of :func:`dp_terms`.
 
     Only the values are kept: :meth:`_Flat.winner` re-derives the option an
     entry took when the walk reaches it.
@@ -413,8 +422,7 @@ def _pair_table(f1: _Flat, f2: _Flat, metric: BaseMetric, squared: bool):
     step = max(1, _CHUNK_VALUES // r2[1])
     for r0 in range(0, r1[1], step):
         rs = slice(r0, min(r1[1], r0 + step))
-        G = metric.pair_grid(f1.lows[rs], f1.highs[rs, None], f2.lows, f2.highs)
-        T[rs, :r2[1]] = G * G if squared else G
+        T[rs, :r2[1]] = pair((f1.lows[rs, None], f1.highs[rs, None]), (f2.lows, f2.highs))
     for t in range(1, f1.H + f2.H + 1):
         small = []
         for h1 in range(max(0, t - f2.H), min(f1.H, t) + 1):
@@ -513,28 +521,31 @@ class _Fixed(_States):
     """One tree under a fixed decomposition, in the layout :func:`_walk` reads.
 
     Every non-root node v has the single state ``(v, 0)``, row v (the
-    root's row is unused): ``low[v]`` and ``high[v]`` are the values of the
-    start of the branch through v and of v (at a leaf, its branch's label),
-    and ``D[v]`` is the cost of deleting every branch whose leaf lies under
-    v. ``inner[v]`` is None at a leaf and otherwise ``(slot, child, others,
+    root's row is unused): ``label[:, v]`` holds the values of the start of
+    the branch through v and of v (at a leaf, its branch's label), and
+    ``D[v]`` is the cost of deleting every branch whose leaf lies under v.
+    ``inner[v]`` is None at a leaf and otherwise ``(slot, child, others,
     dels, total)``: the continuation slot and child, the other children,
-    their deletion costs and the sum of those. Like :class:`_Flat`, it holds
-    tuples only, as a driver's layout memo shares it between pairs.
+    their deletion costs and the sum of those; ``forks`` lists ``(v,
+    inner[v])`` for the inner nodes, children before parents. Like
+    :class:`_Flat`, it holds tuples and read-only arrays only, as a
+    driver's layout memo shares it between pairs.
     """
 
-    __slots__ = ("children", "entry", "post", "S", "off", "last", "low", "high", "D", "inner")
+    __slots__ = ("children", "entry", "leaves", "forks", "S", "off", "last", "label", "D", "inner")
 
     def __init__(self, tree: MergeTree, dec: BranchDecomposition, metric: BaseMetric, squared: bool):
         self.children = children = tree.children
         values = tree.values
         self.entry = children[tree.root][0]
-        self.post = post = tree.preorder[:0:-1]  # children before parents, root excluded
+        post = tree.preorder[:0:-1]  # children before parents, root excluded
+        self.leaves = tree.leaves
         n = len(children)
-        self.S = len(post)
+        self.S = n - 1
         self.off, self.last = range(n), (0,) * n
-        self.low = low = tuple(float(values[dec.branch_through(v).start]) for v in range(n))
-        self.high = high = tuple(values.tolist())
-        D = [0.0] * n
+        self.label = np.array([values[[dec.branch_through(v).start for v in range(n)]], values])
+        self.label.setflags(write=False)
+        D = dp_terms(metric, squared)[1](self.label).tolist()  # kept at the leaves
         inner = [None] * n
         for v in post:
             cs = children[v]
@@ -544,10 +555,8 @@ class _Fixed(_States):
                 others = cs[:i] + cs[i + 1:]
                 dels = tuple(D[c] for c in others)
                 inner[v] = (i, cs[i], others, dels, sum(dels))
-            else:
-                c = metric.deletion(low[v], high[v])
-                D[v] = c * c if squared else c
         self.D, self.inner = tuple(D), tuple(inner)
+        self.forks = tuple((v, inner[v]) for v in post if inner[v] is not None)
 
     def keep(self, v, i):
         return self.inner[v][0]
@@ -567,32 +576,28 @@ class _Fixed(_States):
         return a[0], b[0]
 
 
-def _fixed_tables(f1: _Fixed, f2: _Fixed, metric: BaseMetric, squared: bool):
+def _fixed_tables(f1: _Fixed, f2: _Fixed, pair):
     """F[v, w]: cheapest mapping between the subtrees of two nodes, filled
-    one node pair at a time."""
-    n2 = len(f2.children)
-    F = [[0.0] * n2 for _ in f1.children]
-    low2, high2, inner2 = f2.low, f2.high, f2.inner
-    for v in f1.post:
+    one node pair at a time; the term ``pair`` of :func:`dp_terms` costs
+    every node pair's labels in one call, and the leaf pairs keep theirs."""
+    F = pair(f1.label[:, :, None], f2.label).tolist()
+    for v in f1.leaves:
         Fv = F[v]
-        if f1.inner[v] is None:
-            a_low, a_high = f1.low[v], f1.high[v]
-            for w in f2.post:
-                if inner2[w] is not None:
-                    _, d_main, _, _, ins_sides = inner2[w]
-                    Fv[w] = Fv[d_main] + ins_sides
-                else:
-                    c = metric.pair(a_low, a_high, low2[w], high2[w])
-                    Fv[w] = c * c if squared else c
-            continue
-        _, c_main, c_side, dels, del_sides = f1.inner[v]
-        Fc = F[c_main]
-        for w in f2.post:
-            if inner2[w] is None:
-                Fv[w] = Fc[w] + del_sides
-                continue
-            _, d_main, d_side, inss, ins_sides = inner2[w]
-            side_cost, _ = _assignment([[F[c][d] for d in d_side] for c in c_side], dels, inss)
+        for w, (_, d_main, _, _, ins_sides) in f2.forks:
+            Fv[w] = Fv[d_main] + ins_sides
+    for v, (_, c_main, c_side, dels, del_sides) in f1.forks:
+        Fv, Fc = F[v], F[c_main]
+        for w in f2.leaves:
+            Fv[w] = Fc[w] + del_sides
+        for w, (_, d_main, d_side, inss, ins_sides) in f2.forks:
+            if len(dels) == len(inss) == 1:
+                # one other child on each side: min_cost_matching's 1 x 1
+                # route inline, as in _Flat.winner; through the call, the
+                # matrix-small benchmark's fixed matrices took 0.037 -> 0.041 s
+                # (CPU time, min of 7, seed 1, 2-core Xeon)
+                side_cost = min(F[c_side[0]][d_side[0]], dels[0] + inss[0])
+            else:
+                side_cost, _ = _assignment([[F[c][d] for d in d_side] for c in c_side], dels, inss)
             a = Fc[w] + del_sides
             b = Fv[d_main] + ins_sides
             m = Fc[d_main] + side_cost
@@ -636,11 +641,20 @@ def branch_mapping_distance(
             if tree is not None and (dec is None or (dec.tree is not tree and dec.tree != tree)):
                 raise PreconditionError(f"fixed decomposition does not belong to tree {k + 1}")
     decs = (None, None) if fixed is None else fixed
+    if fixed is None and tree1 is not None and tree2 is not None and _TABLE_LIMIT is not None:
+        # refused before any layout: (S1 + 1) x (S2 + 1) float64 values, a
+        # tree's state count S being the sum of its node depths
+        rows, cols = sum(tree1.depths) + 1, sum(tree2.depths) + 1
+        if rows * cols * 8 > _TABLE_LIMIT:
+            raise SizeLimitError(
+                f"free-mode table of {rows} x {cols} entries needs {rows * cols * 8 / 2**30:.1f} GiB, "
+                f"over {_TABLE_LIMIT / 2**30:.1f} GiB, half the physical memory"
+            )
     f1, f2 = (None if t is None else _states(t, d, metric, squared) for t, d in zip(trees, decs))
     pairs, out, cont = [], [[], []], [{}, {}]
     total, keys, bound = 0.0, 0, 0
     if f1 is not None and f2 is not None:
-        T = (_pair_table if fixed is None else _fixed_tables)(f1, f2, metric, squared)
+        T = (_pair_table if fixed is None else _fixed_tables)(f1, f2, dp_terms(metric, squared)[0])
         total = T[f1.off[f1.entry], f2.off[f2.entry]]
         pairs, out, cont = _walk(f1, f2, T, (f1.entry, 0, f2.entry, 0))
         keys = f1.S * f2.S

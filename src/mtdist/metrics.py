@@ -14,6 +14,11 @@ the infimum cost against a degenerate (zero-persistence) partner:
 Each kind satisfies the triangle inequality on labels and is 1-Lipschitz in
 the deletion cost (|del(a) - del(b)| <= cost(a, b)), which is what the
 mapping-level triangle inequality needs.
+
+Both forms broadcast over floats and numpy arrays with one arithmetic per
+kind, so a cost has the same bits alone and as an entry of a table; scalar
+inputs give a Python float. The dynamic programs add up the terms of
+:func:`dp_terms`: the costs under ``sum``, their squares under ``l2``.
 """
 
 from __future__ import annotations
@@ -39,55 +44,50 @@ class BaseMetric:
         if self.kind not in METRIC_NAMES:
             raise ValueError(f"unknown metric {self.kind!r}, expected one of {METRIC_NAMES}")
 
-    # scalar forms -----------------------------------------------------
-
     def pair(self, a_low, a_high, b_low, b_high):
         k = self.kind
         if k == "persistence":
-            return abs((a_high - a_low) - (b_high - b_low))
-        if k == "birth-persistence":
-            return abs(a_low - b_low) + abs((a_high - a_low) - (b_high - b_low))
-        if k == "euclidean":
-            return math.hypot(a_low - b_low, a_high - b_high)
-        return max(abs(a_low - b_low), abs(a_high - b_high))
+            c = abs((a_high - a_low) - (b_high - b_low))
+        elif k == "birth-persistence":
+            c = abs(a_low - b_low) + abs((a_high - a_low) - (b_high - b_low))
+        elif k == "euclidean":
+            c = np.hypot(a_low - b_low, a_high - b_high)
+        else:
+            c = np.maximum(abs(a_low - b_low), abs(a_high - b_high))
+        return _float_if_scalar(c)
 
     def deletion(self, low, high):
         p = high - low
         if self.kind == "euclidean":
-            return p / _SQRT2
-        if self.kind == "linf":
-            return p / 2.0
-        return p
+            p = p / _SQRT2
+        elif self.kind == "linf":
+            p = p / 2.0
+        return _float_if_scalar(p)
 
-    # vectorized forms used by the dynamic program ----------------------
 
-    def pair_grid(self, a_lows, a_high, b_lows, b_high):
-        """Costs for one branch-end pair over all start combinations.
+def _float_if_scalar(c):
+    return c if isinstance(c, np.ndarray) else float(c)
 
-        ``a_lows``/``b_lows`` are 1-d arrays of candidate start values; the
-        result has shape ``(len(a_lows), len(b_lows))``. The leaf values
-        ``a_high``/``b_high`` are scalars, or arrays of shape
-        ``(len(a_lows), 1)`` and ``(len(b_lows),)`` giving each start its own
-        branch end.
-        """
-        al = np.asarray(a_lows, dtype=np.float64)[:, None]
-        bl = np.asarray(b_lows, dtype=np.float64)[None, :]
-        k = self.kind
-        if k == "persistence":
-            return np.abs((a_high - al) - (b_high - bl))
-        if k == "birth-persistence":
-            return np.abs(al - bl) + np.abs((a_high - al) - (b_high - bl))
-        if k == "euclidean":
-            return np.hypot(al - bl, a_high - b_high)
-        return np.maximum(np.abs(al - bl), abs(a_high - b_high))
 
-    def deletion_vec(self, lows, high):
-        p = high - np.asarray(lows, dtype=np.float64)
-        if self.kind == "euclidean":
-            return p / _SQRT2
-        if self.kind == "linf":
-            return p / 2.0
-        return p
+def dp_terms(metric: BaseMetric, squared: bool):
+    """``(pair, deletion)``: the metric's forms as the dynamic programs add
+    them up, on labels ``(low, high)`` whose values may be arrays.
+
+    A term is the cost itself, or its square when ``squared`` (the ``l2``
+    mode, whose distance :func:`finalize` takes as the root of the sum).
+    """
+
+    def pair(a, b):
+        return _term(metric.pair(a[0], a[1], b[0], b[1]), squared)
+
+    def deletion(a):
+        return _term(metric.deletion(a[0], a[1]), squared)
+
+    return pair, deletion
+
+
+def _term(cost, squared):
+    return cost * cost if squared else cost
 
 
 def branch_cost(metric: BaseMetric, a, b):
@@ -106,11 +106,7 @@ def branch_cost(metric: BaseMetric, a, b):
 
 def aggregate(pair_costs, mode: str) -> float:
     """Total cost of a set of edit operations under the given mode."""
-    if mode == "sum":
-        return float(sum(pair_costs))
-    if mode == "l2":
-        return float(math.sqrt(sum(c * c for c in pair_costs)))
-    raise ValueError(f"unknown aggregation mode {mode!r}, expected one of {MODE_NAMES}")
+    return finalize(sum(_term(c, mode == "l2") for c in pair_costs), mode)
 
 
 def finalize(total: float, mode: str) -> float:

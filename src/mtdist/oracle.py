@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from .branches import build_bdt, enumerate_branch_decompositions
 from .errors import SizeLimitError
-from .metrics import BaseMetric, finalize
+from .metrics import BaseMetric, dp_terms, finalize
 from .trees import MergeTree, require_valid
 
 
@@ -24,24 +24,15 @@ def oracle_distance(
     mode: str = "sum",
     max_leaves: int = 7,
 ) -> float:
-    squared = mode == "l2"
-
-    def pair_cost(la, lb):
-        c = metric.pair(la[0], la[1], lb[0], lb[1])
-        return c * c if squared else c
-
-    def del_cost(la):
-        c = metric.deletion(la[0], la[1])
-        return c * c if squared else c
-
     if tree1 is None and tree2 is None:
         return 0.0
     if tree1 is None or tree2 is None:
         tree = tree1 if tree2 is None else tree2
         require_valid(tree)
         _check_cap(tree, max_leaves)
+        _, dels, _ = _label_terms(tree, tree, metric, mode == "l2")
         best = min(
-            sum(del_cost(b.label) for b in dec.branches)
+            sum(dels[b.start][tree.leaves.index(b.leaf)] for b in dec.branches)
             for dec in enumerate_branch_decompositions(tree, max_leaves)
         )
         return finalize(best, mode)
@@ -50,15 +41,27 @@ def oracle_distance(
     require_valid(tree2)
     _check_cap(tree1, max_leaves)
     _check_cap(tree2, max_leaves)
+    pairs, dels1, dels2 = _label_terms(tree1, tree2, metric, mode == "l2")
     decs1 = enumerate_branch_decompositions(tree1, max_leaves)
     decs2 = enumerate_branch_decompositions(tree2, max_leaves)
-    views2 = [_BdtView(tree2, d2, del_cost) for d2 in decs2]
+    views2 = [_BdtView(tree2, d2, dels2) for d2 in decs2]
     best = float("inf")
     for d1 in decs1:
-        b1 = _BdtView(tree1, d1, del_cost)
+        b1 = _BdtView(tree1, d1, dels1)
         for b2 in views2:
-            best = min(best, _best_mapping(b1, b2, pair_cost))
+            best = min(best, _best_mapping(b1, b2, pairs))
     return finalize(best, mode)
+
+
+def _label_terms(tree1, tree2, metric, squared):
+    """``(pairs, dels1, dels2)``: the :func:`dp_terms` of every branch that
+    could be, ``dels[s][l]`` for the one from node s to the l-th of the
+    tree's leaves, and of every pair of them, ``pairs[s1][l1][s2][l2]``;
+    one call per form."""
+    pair, deletion = dp_terms(metric, squared)
+    label1, label2 = ((t.values[:, None], t.values[list(t.leaves)]) for t in (tree1, tree2))
+    pairs = pair([x[..., None, None] for x in label1], label2).tolist()
+    return pairs, deletion(label1).tolist(), deletion(label2).tolist()
 
 
 def _check_cap(tree, max_leaves):
@@ -68,14 +71,13 @@ def _check_cap(tree, max_leaves):
 
 
 class _BdtView:
-    __slots__ = ("labels", "children", "root", "subdel", "start_depth", "start_node")
+    __slots__ = ("ends", "children", "root", "subdel", "start_depth")
 
-    def __init__(self, tree, dec, del_cost):
+    def __init__(self, tree, dec, dels):
         bdt = build_bdt(dec)
-        self.labels = [b.label for b in bdt.branches]
+        self.ends = [(b.start, tree.leaves.index(b.leaf)) for b in bdt.branches]
         self.children = bdt.children
         self.root = bdt.root
-        self.start_node = [b.start for b in bdt.branches]
         self.start_depth = [tree.depths[b.start] for b in bdt.branches]
         self.subdel = [0.0] * len(bdt.branches)
         done = [False] * len(bdt.branches)
@@ -83,7 +85,8 @@ class _BdtView:
         def rec(i):
             if done[i]:
                 return self.subdel[i]
-            total = del_cost(self.labels[i]) + sum(rec(c) for c in self.children[i])
+            s, leaf = self.ends[i]
+            total = dels[s][leaf] + sum(rec(c) for c in self.children[i])
             self.subdel[i] = total
             done[i] = True
             return total
@@ -93,12 +96,12 @@ class _BdtView:
 
 def _relation(view, i, j):
     """-1, 0, +1: is branch i's start above, equal to, or below branch j's."""
-    if view.start_node[i] == view.start_node[j]:
+    if view.ends[i][0] == view.ends[j][0]:
         return 0
     return -1 if view.start_depth[i] < view.start_depth[j] else 1
 
 
-def _best_mapping(b1: _BdtView, b2: _BdtView, pair_cost):
+def _best_mapping(b1: _BdtView, b2: _BdtView, pairs):
     memo = {}
 
     def match(i, j):
@@ -107,7 +110,8 @@ def _best_mapping(b1: _BdtView, b2: _BdtView, pair_cost):
             return memo[key]
         ca = b1.children[i]
         cb = b2.children[j]
-        base = pair_cost(b1.labels[i], b2.labels[j])
+        (s1, l1), (s2, l2) = b1.ends[i], b2.ends[j]
+        base = pairs[s1][l1][s2][l2]
         best = [float("inf")]
 
         def rec(k, used, acc, chosen):

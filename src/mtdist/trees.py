@@ -212,10 +212,15 @@ def _memoized(source, key, build):
 # MT text format: header "MT <nodeCount>", then "<id> <value> <parentId|-1>".
 # ---------------------------------------------------------------------------
 
+def _content_rows(text: str):
+    """``(line number, stripped line)`` of every line of ``text`` that is
+    neither blank nor a ``#`` comment: what the MT and SF2 parsers read."""
+    rows = enumerate(map(str.strip, text.splitlines()), start=1)
+    return [(no, ln) for no, ln in rows if ln and not ln.startswith("#")]
+
+
 def parse_merge_tree(text: str, path: str = "<string>") -> MergeTree:
-    lines = text.splitlines()
-    rows = [(i + 1, ln.strip()) for i, ln in enumerate(lines)]
-    rows = [(no, ln) for no, ln in rows if ln and not ln.startswith("#")]
+    rows = _content_rows(text)
     if not rows:
         raise ParseError(path, 1, "empty file, expected 'MT <nodeCount>' header")
     no, header = rows[0]

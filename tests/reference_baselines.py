@@ -8,9 +8,9 @@ Kept verbatim (``_subtree_null``, ``one_degree_distance``,
 
 from __future__ import annotations
 
-from mtdist.baselines import LabeledTree, _costs
+from mtdist.baselines import LabeledTree
 from mtdist.matching import min_cost_matching
-from mtdist.metrics import BaseMetric, finalize
+from mtdist.metrics import BaseMetric, dp_terms, finalize
 
 
 def _subtree_null(t: LabeledTree, null):
@@ -32,7 +32,7 @@ def reference_one_degree_distance(
     subtree is either matched to a child subtree of the partner node or
     deleted/inserted as a whole."""
     squared = mode == "l2"
-    pair, null = _costs(metric, squared)
+    pair, null = dp_terms(metric, squared)
     sub1 = _subtree_null(t1, null)
     sub2 = _subtree_null(t2, null)
     kids1, kids2 = t1.children, t2.children
@@ -62,7 +62,7 @@ def reference_constrained_edit_distance(
     symmetric root insertion.
     """
     squared = mode == "l2"
-    pair, null = _costs(metric, squared)
+    pair, null = dp_terms(metric, squared)
     sub1 = _subtree_null(t1, null)
     sub2 = _subtree_null(t2, null)
     kids1, kids2 = t1.children, t2.children

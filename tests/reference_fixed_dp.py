@@ -14,7 +14,7 @@ from mtdist.branches import BranchDecomposition
 from mtdist.errors import PreconditionError
 from mtdist.mapping import BranchMapping, MemoStats
 from mtdist.matching import min_cost_matching as _assignment
-from mtdist.metrics import finalize
+from mtdist.metrics import dp_terms, finalize
 from mtdist.trees import MergeTree, require_valid
 
 
@@ -69,8 +69,7 @@ class _FixedSide:
         for v in side.post:
             if side.is_leaf[v]:
                 b = dec.branch_of_leaf(v)
-                c = metric.deletion(b.low, b.high)
-                self.W[v] = c * c if squared else c
+                self.W[v] = dp_terms(metric, squared)[1](b.label)
             else:
                 self.W[v] = sum(self.W[c] for c in side.children[v])
 
@@ -100,8 +99,8 @@ def _fixed_tables(f1: _FixedSide, f2: _FixedSide, metric, squared):
                 d_side = [d for d in ds if d != d_main]
                 ins_sides = sum(f2.W[d] for d in d_side)
             if v_leaf and w_leaf:
-                c = metric.pair(f1.low[v], float(s1.values[v]), f2.low[w], float(s2.values[w]))
-                F[v][w] = c * c if squared else c
+                pair = dp_terms(metric, squared)[0]
+                F[v][w] = pair((f1.low[v], float(s1.values[v])), (f2.low[w], float(s2.values[w])))
                 continue
             if v_leaf:
                 F[v][w] = F[v][d_main] + ins_sides
@@ -196,10 +195,7 @@ def _fixed_reconstruct(f1, f2, F, K, metric):
 def _one_sided(tree, metric, mode, squared, deleting, fixed_dec):
     side = _Side(require_valid(tree))
     branches = fixed_dec.branches
-    total = sum(
-        (metric.deletion(b.low, b.high) ** 2 if squared else metric.deletion(b.low, b.high))
-        for b in branches
-    )
+    total = sum(dp_terms(metric, squared)[1](b.label) for b in branches)
     dec = fixed_dec
     null_keys = sum(side.depth)
     stats = MemoStats(keys=0, null_keys=null_keys, bound=0)

@@ -14,7 +14,7 @@ import numpy as np
 from mtdist.branches import Branch
 from mtdist.errors import PreconditionError
 from mtdist.matching import min_cost_matching as _assignment
-from mtdist.metrics import BaseMetric, finalize
+from mtdist.metrics import BaseMetric, dp_terms, finalize
 from mtdist.trees import MergeTree
 
 
@@ -69,10 +69,7 @@ def _delete_tables(side: _Side, metric: BaseMetric, squared: bool):
     for v in side.post:
         lows = side.anc_low[v]
         if side.is_leaf[v]:
-            d = metric.deletion_vec(lows, float(side.values[v]))
-            if squared:
-                d = d * d
-            D[v] = d
+            D[v] = dp_terms(metric, squared)[1]((lows, float(side.values[v])))
         else:
             cs = side.children[v]
             tips = [D[c][-1] for c in cs]
@@ -103,10 +100,7 @@ def _free_tables(s1: _Side, s2: _Side, metric: BaseMetric, squared: bool):
             la2 = s2.anc_low[w]
             h2 = float(s2.values[w])
             if v_leaf and w_leaf:
-                G = metric.pair_grid(la1, h1, la2, h2)
-                if squared:
-                    G = G * G
-                T[v][w] = G
+                T[v][w] = dp_terms(metric, squared)[0]((la1[:, None], h1), (la2, h2))
                 continue
             if not w_leaf:
                 itip = [D2[d][-1] for d in ds]

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import mtdist.mapping as mapping_module
 from mtdist import MergeTree
 from mtdist.cli import main
 from mtdist.fields import read_scalar_field
@@ -333,6 +334,36 @@ class TestGen:
         rc = main(["gen", "peaks", "--out-dir", str(tmp_path / "g4"), "--config", str(cfg)])
         assert rc == 2
         assert capsys.readouterr().err.startswith("mtdist: error: ")
+
+
+class TestLeadingComments:
+    """The first line the parsers read, past blank lines and comments, tells
+    an SF2 file from an MT file."""
+
+    @pytest.mark.parametrize("command", ["dist", "matrix", "track"])
+    def test_sf2_after_comment_lines(self, tmp_path, capsys, command):
+        fields = ["SF2 3 4\n0 1 0 2\n1 3 1 0\n0 2 5 1\n", "SF2 3 4\n0 2 0 1\n1 4 1 0\n3 0 5 1\n"]
+        outputs = []
+        for folder, prefix in (("plain", ""), ("commented", "# note\n\n  # indented note\n")):
+            (tmp_path / folder).mkdir()
+            paths = []
+            for k, text in enumerate(fields):
+                paths.append(tmp_path / folder / f"f{k}.sf2")
+                paths[-1].write_text(prefix + text)
+            out = tmp_path / folder / "out"
+            args = [command, *map(str, paths)] + ([] if command == "dist" else ["--out", str(out)])
+            assert main(args) == 0, capsys.readouterr().err
+            outputs.append((capsys.readouterr().out, out.read_text() if out.exists() else None))
+        assert outputs[0] == outputs[1]
+
+    def test_free_table_over_the_limit_is_data_error(self, tmp_path, capsys):
+        if mapping_module._TABLE_LIMIT is None:
+            pytest.skip("os.sysconf cannot tell the physical memory here")
+        cat = tmp_path / "cat.mt"
+        write_merge_tree(cat, caterpillar())
+        assert main(["dist", str(cat), str(cat)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("mtdist: error: ") and "Traceback" not in err
 
 
 class TestTrack:

@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import mtdist.mapping as mapping_module
 from mtdist import (
     MergeTree,
     PreconditionError,
+    SizeLimitError,
     branch_mapping_distance,
     delete_tree_cost,
     elder_rule_decomposition,
@@ -479,3 +481,44 @@ class TestExport:
         assert {p["t1Start"] for p in doc["pairs"]} <= set(range(len(fig5a)))
         text = json.dumps(doc)
         assert json.loads(text) == doc
+
+
+class TestTableLimit:
+    """A free table over the limit is refused before any layout or table."""
+
+    @staticmethod
+    def table_bytes(t1, t2):
+        return (sum(t1.depths) + 1) * (sum(t2.depths) + 1) * 8
+
+    def test_caterpillar_pair_is_refused(self):
+        if mapping_module._TABLE_LIMIT is None:
+            pytest.skip("os.sysconf cannot tell the physical memory here")
+        tree = caterpillar()
+        assert self.table_bytes(tree, tree) > mapping_module._TABLE_LIMIT  # about 37 TiB
+        with pytest.raises(SizeLimitError, match="half the physical memory"):
+            branch_mapping_distance(tree, tree, BP, "sum")
+
+    def test_refusal_comes_before_any_table(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        t1, t2 = grow_merge_tree(rng, 150), grow_merge_tree(rng, 150)
+        need = self.table_bytes(t1, t2)
+        monkeypatch.setattr(mapping_module, "_TABLE_LIMIT", need // 100)
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeLimitError):
+                branch_mapping_distance(t1, t2, BP, "sum")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert need > 5_000_000 and peak < need / 100
+
+    def test_pair_at_the_limit_runs(self, monkeypatch):
+        rng = np.random.default_rng(6)
+        t1, t2 = random_merge_tree(rng), random_merge_tree(rng)
+        want = branch_mapping_distance(t1, t2, BP, "sum")[0]
+        monkeypatch.setattr(mapping_module, "_TABLE_LIMIT", self.table_bytes(t1, t2))
+        assert branch_mapping_distance(t1, t2, BP, "sum")[0] == want
+        # fixed mode builds no free table
+        monkeypatch.setattr(mapping_module, "_TABLE_LIMIT", 0)
+        fixed = (elder_rule_decomposition(t1), elder_rule_decomposition(t2))
+        branch_mapping_distance(t1, t2, BP, "sum", fixed=fixed)

@@ -86,17 +86,30 @@ class TestAggregate:
 
 
 class TestVectorizedAgainstScalar:
+    """One arithmetic per kind: a cost computed alone has the bits of the
+    same cost computed as an entry of a broadcast table."""
+
     @pytest.mark.parametrize("kind", METRIC_NAMES)
     def test_grid_matches_scalar(self, kind):
         m = BaseMetric(kind)
         rng = np.random.default_rng(9)
-        a_lows = rng.uniform(0, 5, 4)
-        b_lows = rng.uniform(0, 5, 3)
-        a_high, b_high = 8.0, 9.5
-        grid = m.pair_grid(a_lows, a_high, b_lows, b_high)
-        for i, al in enumerate(a_lows):
-            for j, bl in enumerate(b_lows):
-                assert grid[i, j] == pytest.approx(m.pair(al, a_high, bl, b_high), abs=1e-15)
-        dels = m.deletion_vec(a_lows, a_high)
-        for i, al in enumerate(a_lows):
-            assert dels[i] == pytest.approx(m.deletion(al, a_high), abs=1e-15)
+
+        def values(n):
+            # half on a coarse grid of negative and positive values (ties),
+            # half continuous
+            return np.where(rng.random(n) < 0.5, rng.integers(-3, 4, n).astype(float), rng.uniform(-10, 10, n))
+
+        a_low, a_high, b_low, b_high = values(400), values(400), values(250), values(250)
+        grid = m.pair(a_low[:, None], a_high[:, None], b_low, b_high)
+        assert grid.shape == (400, 250)  # 100,000 label pairs
+        rows = zip(a_low.tolist(), a_high.tolist(), grid.tolist())
+        bl, bh = b_low.tolist(), b_high.tolist()
+        assert all(
+            [m.pair(al, ah, x, y) for x, y in zip(bl, bh)] == row for al, ah, row in rows
+        )
+        for low, high in ((a_low, a_high), (b_low, b_high)):
+            dels = m.deletion(low, high)
+            assert dels.tolist() == [m.deletion(x, y) for x, y in zip(low.tolist(), high.tolist())]
+        for args in ((1.0, 4.0, -2.0, 3.0), tuple(np.float64([1.0, 4.0, -2.0, 3.0]))):
+            assert type(m.pair(*args)) is float
+            assert type(m.deletion(*args[:2])) is float

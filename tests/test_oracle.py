@@ -46,7 +46,7 @@ def test_matches_dp_on_nonbinary_trees():
 
 def test_fixed_mode_matches_per_decomposition_enumeration():
     from mtdist import enumerate_branch_decompositions
-    from mtdist.oracle import _BdtView, _best_mapping
+    from mtdist.oracle import _BdtView, _best_mapping, _label_terms
 
     rng = np.random.default_rng(29)
     for _ in range(20):
@@ -58,13 +58,6 @@ def test_fixed_mode_matches_per_decomposition_enumeration():
         d2 = decs2[int(rng.integers(0, len(decs2)))]
         fixed = branch_mapping_distance(t1, t2, BP, "sum", fixed=(d1, d2))[0]
 
-        def del_cost(label):
-            return BP.deletion(*label)
-
-        def pair_cost(la, lb):
-            return BP.pair(la[0], la[1], lb[0], lb[1])
-
-        enumerated = _best_mapping(
-            _BdtView(t1, d1, del_cost), _BdtView(t2, d2, del_cost), pair_cost
-        )
+        pairs, dels1, dels2 = _label_terms(t1, t2, BP, False)
+        enumerated = _best_mapping(_BdtView(t1, d1, dels1), _BdtView(t2, d2, dels2), pairs)
         assert fixed == pytest.approx(enumerated, abs=1e-9)
