@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError, SizeLimitError
-from .trees import MergeTree, _memoized, require_valid
+from .trees import MergeTree, _children, _memoized, require_valid
 
 
 @dataclass(frozen=True, order=True, slots=True)
@@ -150,14 +150,23 @@ def elder_rule_decomposition(tree: MergeTree) -> BranchDecomposition:
 
 
 def _elder(tree: MergeTree) -> BranchDecomposition:
+    submax = _submax(tree)
+    return BranchDecomposition(tree, {v: _elder_child(cs, submax) for v, cs in enumerate(tree.children) if cs})
+
+
+def _submax(tree: MergeTree) -> list[float]:
+    """``out[v]``: the highest value of a leaf under ``v`` (its own at a leaf)."""
     submax = tree.values.tolist()
     for v in reversed(tree.preorder):
         if tree.children[v]:
             submax[v] = max(submax[c] for c in tree.children[v])
-    continuation = {
-        v: min(cs, key=lambda c: (-submax[c], c)) for v, cs in enumerate(tree.children) if cs
-    }
-    return BranchDecomposition(tree, continuation)
+    return submax
+
+
+def _elder_child(children, submax) -> int:
+    """The elder rule's choice among ``children``: the one whose subtree
+    reaches highest by ``submax``, the smallest id on ties."""
+    return min(children, key=lambda c: (-submax[c], c))
 
 
 def count_branch_decompositions(tree: MergeTree) -> int:
@@ -190,11 +199,7 @@ class BranchDecompTree:
 
     @property
     def children(self):
-        kids = [[] for _ in self.branches]
-        for i, p in enumerate(self.parent):
-            if p >= 0:
-                kids[p].append(i)
-        return tuple(tuple(k) for k in kids)
+        return _children(self.parent)
 
     def __len__(self):
         return len(self.branches)

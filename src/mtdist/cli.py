@@ -20,7 +20,7 @@ import sys
 from pathlib import Path
 
 from .errors import MTDistError
-from .fields import compute_merge_tree, parse_scalar_field, read_scalar_field, simplify, write_scalar_field
+from .fields import compute_merge_tree, parse_scalar_field, simplify, write_scalar_field
 from .generators import (
     four_peak_spec,
     generate_ensemble,
@@ -76,12 +76,17 @@ def _load_tree(path, args):
     text = read_text(path)
     rows = _content_rows(text)
     if rows and rows[0][1].startswith("SF2"):
-        field = parse_scalar_field(text, str(path), connectivity=args.connectivity)
-        tree = compute_merge_tree(field, direction=args.direction)
-        if args.simplify > 0:
-            tree = simplify(tree, args.simplify)
-        return tree
+        return _field_tree(text, path, args)
     return parse_merge_tree(text, str(path))
+
+
+def _field_tree(text, path, args):
+    """The merge tree of the SF2 field ``text``, simplified, by the flags."""
+    field = parse_scalar_field(text, str(path), connectivity=args.connectivity)
+    tree = compute_merge_tree(field, direction=args.direction)
+    if args.simplify > 0:
+        tree = simplify(tree, args.simplify)
+    return tree
 
 
 def _add_tree_flags(p):
@@ -143,11 +148,7 @@ def build_parser():
 
 
 def cmd_tree(args):
-    field = read_scalar_field(args.field, connectivity=args.connectivity)
-    tree = compute_merge_tree(field, direction=args.direction)
-    if args.simplify > 0:
-        tree = simplify(tree, args.simplify)
-    write_merge_tree(args.out, tree)
+    write_merge_tree(args.out, _field_tree(read_text(args.field), args.field, args))
     return 0
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .branches import elder_rule_decomposition
+from .branches import _elder_child, _submax, elder_rule_decomposition
 from .errors import MTDistError, ParseError
 from .trees import MergeTree, _content_rows, read_text, require_valid
 
@@ -340,11 +340,12 @@ def simplify(tree: MergeTree, threshold: float) -> MergeTree:
     The greedy is event-driven. ``submax(v)``, the highest leaf value below
     ``v``, never changes: only non-preferred leaves are removed, so every
     saddle keeps its highest-reaching child, and a spliced saddle's only
-    child has the saddle's ``submax``. It is computed once, children first.
-    A removal at saddle ``s`` changes only ``s`` and, when ``s`` is spliced
-    out, the child list of its parent ``p``; there the child id changes from
-    ``s`` to ``only``, which can flip an id tie-break, so ``preferred(p)``
-    is recomputed and ``only`` and the previously preferred child are
+    child has the saddle's ``submax``. It is computed once, as the elder rule
+    computes it. A removal at saddle ``s`` changes only ``s`` and, when ``s``
+    is spliced out, the child list of its parent ``p``; there the child id
+    changes from ``s`` to ``only``, which can flip an id tie-break, so the
+    elder choice at ``p`` is made again and ``only`` and the previously
+    preferred child are
     offered again. Candidates wait in a heap keyed ``(persistence, id)``,
     the order in which the greedy picks them; an entry whose leaf is gone,
     whose parent changed or which has become preferred is skipped when
@@ -359,15 +360,8 @@ def simplify(tree: MergeTree, threshold: float) -> MergeTree:
     root = tree.root
     gone = -2
 
-    submax = values[:]
-    for v in reversed(tree.preorder):
-        if children[v]:
-            submax[v] = max(submax[c] for c in children[v])
-
-    def preferred(s):
-        return min(children[s], key=lambda c: (-submax[c], c))
-
-    pref = [preferred(s) if children[s] else -1 for s in range(len(values))]
+    submax = _submax(tree)
+    pref = [_elder_child(cs, submax) if cs else -1 for cs in children]
 
     heap = []
 
@@ -397,7 +391,7 @@ def simplify(tree: MergeTree, threshold: float) -> MergeTree:
             parent[only] = p
             parent[s] = gone
             was = pref[p]
-            pref[p] = preferred(p)
+            pref[p] = _elder_child(siblings, submax)
             offer(only)
             if was != s:
                 offer(was)

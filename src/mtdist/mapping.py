@@ -42,7 +42,7 @@ from .branches import Branch, BranchDecomposition
 from .errors import PreconditionError, SizeLimitError
 from .matching import matching_costs, min_cost_matching as _assignment
 from .metrics import MODE_NAMES, BaseMetric, aggregate, dp_terms, finalize
-from .trees import MergeTree, ValidationReport, _memoized, require_valid
+from .trees import MergeTree, ValidationReport, _layout_order, _memoized, require_valid
 
 
 @dataclass(frozen=True)
@@ -130,10 +130,21 @@ _SLICE_STATES = 2048
 _CHUNK_VALUES = 1 << 18
 
 
-try:  # the most bytes a free table may take: half the physical memory
+try:  # the most bytes a table may take: half the physical memory
     _TABLE_LIMIT = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") // 2
 except (AttributeError, ValueError, OSError):  # os.sysconf cannot tell: no limit
     _TABLE_LIMIT = None
+
+
+def _check_table(what, rows, cols, per_entry):
+    """Refuse a table of ``rows`` x ``cols`` entries, before it is built,
+    if its call would take ``per_entry`` bytes per entry over the limit."""
+    need = rows * cols * per_entry
+    if _TABLE_LIMIT is not None and need > _TABLE_LIMIT:
+        raise SizeLimitError(
+            f"{what} of {rows} x {cols} entries needs {need / 2**30:.1f} GiB, "
+            f"over {_TABLE_LIMIT / 2**30:.1f} GiB, half the physical memory"
+        )
 
 
 class _States:
@@ -179,18 +190,12 @@ class _Flat(_States):
         self.children = children = tree.children
         values = tree.values
         self.entry = entry = children[tree.root][0]
-        # the non-root nodes, children before parents; depth[v] counts v's
-        # strict ancestors, the candidate starts of its branch
-        post, depth = tree.preorder[:0:-1], tree.depths
-        n = len(values)
-        height = [0] * n
-        for v in post:
-            cs = children[v]
-            if cs:
-                height[v] = 1 + max([height[c] for c in cs])
+        # the non-root nodes; depth[v] counts v's strict ancestors, the
+        # candidate starts of its branch
+        height, order = _layout_order(tree.preorder[:0:-1], children)
+        depth = tree.depths
         self.H = H = height[entry]
-        order = tuple(sorted(post, key=lambda v: (height[v], len(children[v]), v)))
-        off = [0] * n
+        off = [0] * len(values)
         rows = [0] * (H + 2)
         first = [0] * (H + 2)
         dmax = [0] * (H + 1)
@@ -300,15 +305,14 @@ def _node_sides(f1: _Flat, f2: _Flat, T, x, y, sc, sd):
     """
     ncols = T.shape[1]
     if sc == sd == 2:
-        # binary saddles and leaves only, the common case: one batch, no
-        # grouping; each slot's other child, the pad row (+inf to match and
-        # to delete) at a leaf. Through the grouped route below, the two
-        # branch matrices of the matrix-small benchmark took 0.21 -> 0.25 s
-        # (CPU time, min of 5, seed 1, 2-core Xeon).
+        # binary saddles and leaves only, the common case: no grouping; each
+        # slot's other child, the pad row (+inf to match and to delete) at a
+        # leaf, costed as matching_costs costs 1 x 1. Through the grouped
+        # route below, the two branch matrices of the matrix-small benchmark
+        # took 0.21 -> 0.25 s (CPU time, min of 5, seed 1, 2-core Xeon).
         o1 = np.minimum(f1.ctip[1::-1].take(x, axis=1), f1.S)
         o2 = np.minimum(f2.ctip[1::-1].take(y, axis=1), f2.S)
-        P = T.take(o1[:, None] * ncols + o2[None])
-        return matching_costs(P[..., None, None], f1.D[o1][:, None, :, None], f2.D[o2][None, :, :, None])
+        return np.minimum(T.take(o1[:, None] * ncols + o2[None]), f1.D[o1][:, None] + f2.D[o2][None])
     side = np.full((sc, sd, len(x)), np.inf)
     deg1, deg2 = f1.deg[x], f2.deg[y]
     for c in range(2, sc + 1):
@@ -443,72 +447,62 @@ def _walk(f1: _States, f2: _States | None, T, start):
     One explicit stack of work items: ``(v, i, w, j)`` maps the subtrees of
     the states (v, i) and (w, j); ``(0, v, i)`` deletes tree 1's subtree of
     state (v, i) and ``(1, w, j)`` inserts tree 2's. ``f2`` and ``T`` are
-    None for a one-sided mapping. Matched siblings are pushed in reverse, so
-    pairs come out in the order of the recursive definition. Every inner
-    non-root node is left exactly once, through the child its branch
+    None for a one-sided mapping. A step pushes the children left over as
+    deletions or insertions, then the continued item, then matched pairs in
+    reverse, so pairs come out in the order of the recursive definition.
+    Every inner non-root node is left once, through the child its branch
     continues into, so the continuation maps cover them all.
     """
     flats = (f1, f2)
     pairs = []
     out = ([], [])
     cont = ({}, {})
+
+    def branch_off(k, v, s):
+        # the node v's branch goes on at (slot s, v itself if None), and v's other children
+        if s is None:
+            return v, ()
+        cs = flats[k].children[v]
+        cont[k][v] = cs[s]
+        return cs[s], cs[:s] + cs[s + 1:]
+
     stack = [start]
     while stack:
         item = stack.pop()
         if len(item) == 3:
             k, v, p = item
             f = flats[k]
-            cs = f.children[v]
-            if not cs:
+            if not f.children[v]:
                 out[k].append(v)
                 continue
-            keep = f.keep(v, p)
-            cont[k][v] = cs[keep]
-            for x, c in enumerate(cs):
-                stack.append((k, c, p if x == keep else f.last[c]))
+            c, rest = branch_off(k, v, f.keep(v, p))
+            for d in rest:
+                stack.append((k, d, f.last[d]))
+            stack.append((k, c, p))
             continue
         v, pi, w, pj = item
-        cs, ds = f1.children[v], f2.children[w]
-        if not cs and not ds:
+        if not f1.children[v] and not f2.children[w]:
             pairs.append((v, w))
             continue
         i, j = f1.winner(f2, T, v, pi, w, pj)
-        if j is None:
-            cont[0][v] = cs[i]
-            for x, c in enumerate(cs):
-                if x != i:
-                    stack.append((0, c, f1.last[c]))
-            stack.append((cs[i], pi, w, pj))
-            continue
-        if i is None:
-            cont[1][w] = ds[j]
-            for y, d in enumerate(ds):
-                if y != j:
-                    stack.append((1, d, f2.last[d]))
-            stack.append((v, pi, ds[j], pj))
-            continue
-        cont[0][v], cont[1][w] = cs[i], ds[j]
-        rest_c = cs[:i] + cs[i + 1:]
-        rest_d = ds[:j] + ds[j + 1:]
-        t1, t2 = f1.tips(rest_c), f2.tips(rest_d)
-        _, matched = _assignment(
-            [[T[a, b] for b in t2] for a in t1],
-            [f1.D[a] for a in t1],
-            [f2.D[b] for b in t2],
-            want_pairs=True,
-        )
-        hit_c = {ii for ii, _ in matched}
-        hit_d = {jj for _, jj in matched}
-        for ii, c in enumerate(rest_c):
-            if ii not in hit_c:
-                stack.append((0, c, f1.last[c]))
-        for jj, d in enumerate(rest_d):
-            if jj not in hit_d:
-                stack.append((1, d, f2.last[d]))
-        stack.append((cs[i], pi, ds[j], pj))
-        for ii, jj in reversed(matched):
-            c, d = rest_c[ii], rest_d[jj]
-            stack.append((c, f1.last[c], d, f2.last[d]))
+        c, rest1 = branch_off(0, v, i)
+        d, rest2 = branch_off(1, w, j)
+        matched = hit1 = hit2 = ()
+        if rest1 and rest2:
+            t1, t2 = f1.tips(rest1), f2.tips(rest2)
+            P = [[T[a, b] for b in t2] for a in t1]
+            _, matched = _assignment(P, [f1.D[a] for a in t1], [f2.D[b] for b in t2], want_pairs=True)
+            hit1, hit2 = {x for x, _ in matched}, {y for _, y in matched}
+        for x, a in enumerate(rest1):
+            if x not in hit1:
+                stack.append((0, a, f1.last[a]))
+        for y, b in enumerate(rest2):
+            if y not in hit2:
+                stack.append((1, b, f2.last[b]))
+        stack.append((c, pi, d, pj))
+        for x, y in reversed(matched):
+            a, b = rest1[x], rest2[y]
+            stack.append((a, f1.last[a], b, f2.last[b]))
     return pairs, out, cont
 
 
@@ -641,15 +635,15 @@ def branch_mapping_distance(
             if tree is not None and (dec is None or (dec.tree is not tree and dec.tree != tree)):
                 raise PreconditionError(f"fixed decomposition does not belong to tree {k + 1}")
     decs = (None, None) if fixed is None else fixed
-    if fixed is None and tree1 is not None and tree2 is not None and _TABLE_LIMIT is not None:
-        # refused before any layout: (S1 + 1) x (S2 + 1) float64 values, a
-        # tree's state count S being the sum of its node depths
-        rows, cols = sum(tree1.depths) + 1, sum(tree2.depths) + 1
-        if rows * cols * 8 > _TABLE_LIMIT:
-            raise SizeLimitError(
-                f"free-mode table of {rows} x {cols} entries needs {rows * cols * 8 / 2**30:.1f} GiB, "
-                f"over {_TABLE_LIMIT / 2**30:.1f} GiB, half the physical memory"
-            )
+    # refused before any layout: the free table's (S1 + 1) x (S2 + 1) float64
+    # values, S being the sum of a tree's node depths; in fixed mode a Python
+    # float in a list and a float64 per node pair, whose tracemalloc peak
+    # read 40.2-42.3 bytes per node pair on grown trees of 200-1600 nodes
+    if tree1 is not None and tree2 is not None:
+        if fixed is None:
+            _check_table("free-mode table", sum(tree1.depths) + 1, sum(tree2.depths) + 1, 8)
+        else:
+            _check_table("fixed-mode table", len(tree1), len(tree2), 40)
     f1, f2 = (None if t is None else _states(t, d, metric, squared) for t, d in zip(trees, decs))
     pairs, out, cont = [], [[], []], [{}, {}]
     total, keys, bound = 0.0, 0, 0

@@ -27,7 +27,8 @@ also gives its matched pairs.
 from __future__ import annotations
 
 import math
-from functools import cache
+from functools import cache, reduce
+from operator import add
 
 import numpy as np
 
@@ -56,10 +57,12 @@ def min_cost_matching(P, dels, inss, want_pairs=False):
     the Hungarian method.
     """
     r, s = len(dels), len(inss)
+    # added left to right, as the kernels add; from Python 3.12 on the
+    # builtin sum compensates, also in _search
     if r == 0:
-        return float(sum(inss)), []
+        return float(reduce(add, inss, 0.0)), []
     if s == 0:
-        return float(sum(dels)), []
+        return float(reduce(add, dels, 0.0)), []
     if r == 1 and s == 1:
         m = P[0][0]
         d = dels[0] + inss[0]
@@ -100,7 +103,7 @@ def _search(P, dels, inss, i, used, acc, chosen, best):
     if acc >= best[0]:
         return
     if i == len(dels):
-        total = acc + sum(inss[j] for j in range(len(inss)) if j not in used)
+        total = acc + reduce(add, (inss[j] for j in range(len(inss)) if j not in used), 0.0)
         if total < best[0]:
             best[0] = total
             best[1] = list(chosen)

@@ -14,7 +14,7 @@ from __future__ import annotations
 from .branches import build_bdt, enumerate_branch_decompositions
 from .errors import SizeLimitError
 from .metrics import BaseMetric, dp_terms, finalize
-from .trees import MergeTree, require_valid
+from .trees import MergeTree, _preorder, require_valid
 
 
 def oracle_distance(
@@ -79,19 +79,10 @@ class _BdtView:
         self.children = bdt.children
         self.root = bdt.root
         self.start_depth = [tree.depths[b.start] for b in bdt.branches]
-        self.subdel = [0.0] * len(bdt.branches)
-        done = [False] * len(bdt.branches)
-
-        def rec(i):
-            if done[i]:
-                return self.subdel[i]
+        self.subdel = subdel = [0.0] * len(bdt.branches)
+        for i in reversed(_preorder(self.root, self.children)):
             s, leaf = self.ends[i]
-            total = dels[s][leaf] + sum(rec(c) for c in self.children[i])
-            self.subdel[i] = total
-            done[i] = True
-            return total
-
-        rec(self.root)
+            subdel[i] = dels[s][leaf] + sum(subdel[c] for c in self.children[i])
 
 
 def _relation(view, i, j):

@@ -8,7 +8,10 @@ values. The shape contract (checked by :func:`validate_merge_tree`):
 * every child's value strictly exceeds its parent's value.
 
 Node ids are dense integers ``0..n-1`` assigned at construction. Trees are
-immutable after construction and safe to share between threads.
+immutable after construction and safe to share between threads. Every
+tree-shaped input (merge trees, labelled trees, BDTs) takes its child lists
+from :func:`_children` and its walks from :func:`_preorder`; both table
+families order nodes by :func:`_layout_order`.
 
 Layouts derived from a tree (its elder-rule decomposition, the baselines'
 labelled inputs, the distance tables' state layouts) are built per call.
@@ -63,19 +66,10 @@ class MergeTree:
             raise MTDistError("parent ids out of range")
         root = int(roots[0])
         par = parent.tolist()
-        children: list[list[int]] = [[] for _ in range(n)]
-        for v, p in enumerate(par):
-            if p >= 0:
-                children[p].append(v)
-        # children are pushed in reverse, so they pop in id order. Every node
-        # has one parent, so the walk meets each reached node once; a cycle
-        # or a disconnected part leaves nodes unreached
-        preorder = []
-        stack = [root]
-        while stack:
-            v = stack.pop()
-            preorder.append(v)
-            stack += children[v][::-1]
+        children = _children(par)
+        # every node has one parent, so the walk meets each reached node
+        # once; a cycle or a disconnected part leaves nodes unreached
+        preorder = _preorder(root, children)
         if len(preorder) != n:
             raise MTDistError("parent pointers do not form a single connected tree")
         depths = [0] * n
@@ -102,7 +96,7 @@ class MergeTree:
         parent.setflags(write=False)
         self.values = values
         self.parent = parent
-        self.children = tuple(map(tuple, children))
+        self.children = children
         self.root = root
         self.preorder = tuple(preorder)
         self.depths = tuple(depths)
@@ -145,13 +139,41 @@ class MergeTree:
 
     def subtree_nodes(self, v):
         """All nodes of the classic subtree under ``v`` (inclusive), preorder."""
-        out = []
-        stack = [v]
-        while stack:
-            x = stack.pop()
-            out.append(x)
-            stack.extend(reversed(self.children[x]))
-        return out
+        return _preorder(v, self.children)
+
+
+def _children(parent):
+    """``out[v]``: the children of node v in id order, from each node's
+    parent id (-1 at the root)."""
+    kids = [[] for _ in parent]
+    for v, p in enumerate(parent):
+        if p >= 0:
+            kids[p].append(v)
+    return tuple(map(tuple, kids))
+
+
+def _preorder(root, children):
+    """The nodes reachable from ``root``, parents first and siblings in id
+    order; reversed, it lists every child before its parent."""
+    order = []
+    stack = [root]
+    while stack:
+        v = stack.pop()
+        order.append(v)
+        stack += children[v][::-1]  # so that they pop in id order
+    return order
+
+
+def _layout_order(post, children):
+    """``(height, order)``: the height, edges down to the farthest leaf, of
+    every node of ``post`` (children first) and those nodes sorted by
+    (height, child count, id)."""
+    height = [0] * len(children)
+    for v in post:
+        cs = children[v]
+        if cs:
+            height[v] = 1 + max([height[c] for c in cs])
+    return height, sorted(post, key=lambda v: (height[v], len(children[v]), v))
 
 
 @dataclass(frozen=True)

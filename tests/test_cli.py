@@ -365,6 +365,16 @@ class TestLeadingComments:
         err = capsys.readouterr().err
         assert err.startswith("mtdist: error: ") and "Traceback" not in err
 
+    @pytest.mark.parametrize("distance", ["branch-fixed", "constrained", "one-degree"])
+    def test_fixed_and_baseline_tables_over_the_limit_are_data_errors(
+        self, monkeypatch, fig5_files, capsys, distance
+    ):
+        monkeypatch.setattr(mapping_module, "_TABLE_LIMIT", 1)
+        assert main(["dist", *map(str, fig5_files), "--distance", distance]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("mtdist: error: ") and "half the physical memory" in err
+        assert "Traceback" not in err
+
 
 class TestTrack:
     def test_track_json(self, tmp_path, fig5a, capsys):

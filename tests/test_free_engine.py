@@ -168,7 +168,7 @@ def wide_tree(width, entry, shift):
     return MergeTree(values, parent)
 
 
-def test_degree_16_saddles_need_wide_option_codes():
+def test_degree_16_saddles_take_the_last_of_all_options():
     # 16 + 16 + 16 * 16 options per state, the last 256 matching 15 x 15
     # children by the Hungarian method. The saddles sit at different heights,
     # so the cheapest mapping pairs the two value-20 leaves on the main

@@ -12,7 +12,9 @@ from mtdist import (
     PreconditionError,
     SizeLimitError,
     branch_mapping_distance,
+    constrained_edit_distance,
     delete_tree_cost,
+    elder_labeled_inputs,
     elder_rule_decomposition,
     enumerate_branch_decompositions,
     induced_node_mapping,
@@ -515,10 +517,39 @@ class TestTableLimit:
     def test_pair_at_the_limit_runs(self, monkeypatch):
         rng = np.random.default_rng(6)
         t1, t2 = random_merge_tree(rng), random_merge_tree(rng)
-        want = branch_mapping_distance(t1, t2, BP, "sum")[0]
-        monkeypatch.setattr(mapping_module, "_TABLE_LIMIT", self.table_bytes(t1, t2))
-        assert branch_mapping_distance(t1, t2, BP, "sum")[0] == want
-        # fixed mode builds no free table
-        monkeypatch.setattr(mapping_module, "_TABLE_LIMIT", 0)
         fixed = (elder_rule_decomposition(t1), elder_rule_decomposition(t2))
-        branch_mapping_distance(t1, t2, BP, "sum", fixed=fixed)
+        a, b = (elder_labeled_inputs(t, "merge-tree") for t in (t1, t2))
+        # each table is held to its own estimate: the free table's, one per
+        # node pair in fixed mode, and the baseline's with its pad row and column
+        runs = [
+            (self.table_bytes(t1, t2), lambda: branch_mapping_distance(t1, t2, BP, "sum")[0]),
+            (len(t1) * len(t2) * 40, lambda: branch_mapping_distance(t1, t2, BP, "sum", fixed=fixed)[0]),
+            ((len(a) + 1) * (len(b) + 1) * 48, lambda: constrained_edit_distance(a, b, BP, "sum")),
+        ]
+        for limit, run in runs:
+            want = run()
+            monkeypatch.setattr(mapping_module, "_TABLE_LIMIT", limit)
+            assert run() == want
+            monkeypatch.undo()
+
+    @pytest.mark.parametrize("distance", ["branch-fixed", "constrained"])
+    def test_fixed_and_baseline_tables_refused_before_any_table(self, monkeypatch, distance):
+        rng = np.random.default_rng(7)
+        t1, t2 = grow_merge_tree(rng, 400), grow_merge_tree(rng, 400)
+        if distance == "branch-fixed":
+            fixed = (elder_rule_decomposition(t1), elder_rule_decomposition(t2))
+            need = len(t1) * len(t2) * 40
+            run = lambda: branch_mapping_distance(t1, t2, BP, "sum", fixed=fixed)  # noqa: E731
+        else:
+            a, b = (elder_labeled_inputs(t, "merge-tree") for t in (t1, t2))
+            need = (len(a) + 1) * (len(b) + 1) * 48
+            run = lambda: constrained_edit_distance(a, b, BP, "sum")  # noqa: E731
+        monkeypatch.setattr(mapping_module, "_TABLE_LIMIT", need // 100)
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeLimitError, match="half the physical memory"):
+                run()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert need > 5_000_000 and peak < need / 100

@@ -1,4 +1,7 @@
+import math
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -247,3 +250,19 @@ def test_batch_equals_each_sub_batch(seed, shape, kind):
                         P[x, y, i, j].tolist(), dels[x, 0, i, 0].tolist(), inss[0, y, 0, j].tolist()
                     )
                     assert single == batch[x, y, i, j]
+
+
+@pytest.mark.parametrize("r", [0, 1])
+def test_single_costs_add_left_to_right(monkeypatch, r):
+    # From Python 3.12 on the builtin sum compensates Python floats, while
+    # the kernels add left to right; fsum in its place shows the difference
+    # on any Python. A 1 x 3 row here can never match.
+    monkeypatch.setattr(matching_module, "sum", math.fsum, raising=False)
+    rng = np.random.default_rng(21)
+    bad = 0
+    for _ in range(2000):
+        dels = (rng.uniform(0, 1, r) * 10.0 ** rng.uniform(-4, 4, r)).tolist()
+        inss = (rng.uniform(0, 1, 3) * 10.0 ** rng.uniform(-4, 4, 3)).tolist()
+        P = np.full((r, 3), np.inf)
+        bad += min_cost_matching(P.tolist(), dels, inss)[0] != matching_costs(P, dels, inss)
+    assert bad == 0

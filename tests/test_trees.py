@@ -119,8 +119,13 @@ class TestStoredWalk:
         trees = [random_parent_tree(rng, int(rng.integers(1, 30))) for _ in range(40)]
         trees += [random_merge_tree(rng, max_leaves=8) for _ in range(20)]
         assert any(not validate_merge_tree(t).ok for t in trees)
+
+        def preorder(t, v):  # the definition, recursively; the trees are small
+            return [v] + [x for c in t.children[v] for x in preorder(t, c)]
+
         for t in trees:
-            assert t.preorder == tuple(t.subtree_nodes(t.root))
+            assert t.children == tuple(tuple(np.flatnonzero(t.parent == v)) for v in range(len(t)))
+            assert t.preorder == tuple(t.subtree_nodes(t.root)) == tuple(preorder(t, t.root))
             assert t.depths == tuple(len(t.ancestors(v)) for v in range(len(t)))
             assert t.depth == max(t.depths)
             assert validate_merge_tree(t) is validate_merge_tree(t)
