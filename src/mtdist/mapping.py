@@ -10,7 +10,11 @@ tracked. Because the base costs are pure branch distances, only the start
 *values* matter, so the states of one tree are the pairs (node, ancestor).
 Free mode numbers them into the rows and columns of one flat table and
 fills it with numpy in anti-diagonal waves of node heights, which keeps
-large instances (hundreds of nodes) fast. In fixed mode the decompositions
+large instances (hundreds of nodes) fast. The row chunks of a wave that
+holds at least two full chunks are filled on the calling thread and up to
+one helper thread per further CPU the process may run on; every other step,
+and every wave of a multiprocessing child such as a ``compute_matrix`` pool
+worker, runs on the calling thread alone. In fixed mode the decompositions
 fix every branch start, so each node has one state and a plain loop over
 node pairs fills the table. Both modes keep one value per state and no
 record of the winning option: one walker reconstructs the mapping from
@@ -33,8 +37,10 @@ The first minimum wins, which makes reported mappings reproducible.
 from __future__ import annotations
 
 import os
+import queue
+import threading
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, partial
 
 import numpy as np
 
@@ -118,6 +124,27 @@ class BranchMapping:
 # A pair-table entry depends only on entries whose heights sum to less, so
 # the table is filled in anti-diagonal waves t = height(v) + height(w); the
 # (h1, t - h1) rectangles of one wave are independent of each other.
+#
+# Threads. The row chunks of one wave write disjoint entries and read only
+# earlier waves. So when a wave's slice rectangles (or wave 0's leaf grid)
+# hold at least two full _CHUNK_VALUES chunks, helper threads fill chunks
+# while the calling thread costs the next rectangle's saddle sides, and then
+# the calling thread fills chunks too: one helper per further CPU the process
+# may run on, but no more threads than the wave holds full chunks. The
+# threads split one chunk's budget, and a wave whose widest row would not fit
+# a thread's share gets fewer threads, so the temporaries in flight stay one
+# chunk's worth. A wave's saddle sides, a few values per node pair, are all
+# costed before the calling thread fills a chunk. The helpers are joined at
+# the end of the wave, also when a step raises, so no thread outlives the
+# fill and a later fork (compute_matrix's pool) forks no fill thread.
+# A chunk's size changes no entry's arithmetic: the table is the same bit for
+# bit. The saddle sides (_node_sides, and through it matching_costs and
+# min_cost_matching) and the flat batch stay on the calling thread: a flat
+# batch is bound by per-call overhead, and a profiler or tracer that wraps
+# those functions sees their calls nested as without threads. The trees of
+# small-tree matrices and tracks never reach the gate. A multiprocessing
+# child, such as a compute_matrix pool worker, fills with one thread, as the
+# pool already spreads pairs over the CPUs.
 # ---------------------------------------------------------------------------
 
 # Rectangles of a wave with at least this many states are filled with row and
@@ -339,9 +366,10 @@ def _others(k):
     return out
 
 
-def _fill_slices(f1, f2, T, h1, h2):
-    """Fill the rectangle of heights (h1, h2) in row chunks."""
-    a, b = f1.rows[h1], f1.rows[h1 + 1]
+def _slice_fill(f1, f2, T, h1, h2):
+    """``fill(r0, r1)``, which fills rows r0:r1 of the rectangle of heights
+    (h1, h2) with row and column slices. Its saddle pairs' sides are costed
+    here, on the calling thread."""
     c, d = f2.rows[h2], f2.rows[h2 + 1]
     sc, sd = f1.dmax[h1], f2.dmax[h2]
     s1, s2 = f1.slot[:sc], f2.slot[:sd]
@@ -352,9 +380,8 @@ def _fill_slices(f1, f2, T, h1, h2):
         side = _node_sides(f1, f2, T, np.arange(x0, x1).repeat(ny), np.tile(np.arange(y0, y1), x1 - x0), sc, sd)
         ys = f2.pos[c:d] - y0
     n = sc + sd + sc * sd
-    step = max(1, _CHUNK_VALUES // ((d - c) * n))
-    for r0 in range(a, b, step):
-        r1 = min(b, r0 + step)
+
+    def fill(r0, r1):
         X = np.empty((n, r1 - r0, d - c))
         X[:sc] = T[s1[:, r0:r1], c:d]
         X[:sc] += f1.cost[:sc, r0:r1, None]
@@ -366,6 +393,73 @@ def _fill_slices(f1, f2, T, h1, h2):
                 out=X[sc + sd:].reshape(sc, sd, r1 - r0, d - c),
             )
         np.minimum.reduce(X, axis=0, out=T[r0:r1, c:d])
+
+    return fill
+
+
+def _fill_threads():
+    """Threads a wave that crosses the gate is filled on: one in a
+    multiprocessing child, such as a compute_matrix pool worker, whose pool
+    already spreads the pairs over the CPUs; else one per CPU the process
+    may run on."""
+    from multiprocessing import parent_process  # not at import: it takes about 12 ms
+
+    if parent_process() is not None:
+        return 1
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity on this platform
+        return os.cpu_count() or 1
+
+
+def _fill_chunks(rects):
+    """Fill the rectangles ``rects`` of one wave in row chunks. Each is
+    ``(a, b, per_row, prepare)``: its rows a:b, the option values of one
+    row, and ``prepare()``, which does the rectangle's calling-thread work
+    and returns ``fill(r0, r1)``, filling rows r0:r1. The calling thread
+    prepares the rectangles in turn and queues their chunks; when the wave
+    crosses the gate, helper threads fill the queued chunks meanwhile. Then
+    the calling thread fills what is left, and the helpers are joined before
+    this returns, also when a step raises."""
+    k = 1
+    full = sum((b - a) * per_row for a, b, per_row, _ in rects) // _CHUNK_VALUES
+    if full >= 2:
+        # one thread per full chunk at most, and each row within its share
+        widest = max(per_row for _, _, per_row, _ in rects)
+        k = max(1, min(_fill_threads(), full, _CHUNK_VALUES // widest))
+    budget = _CHUNK_VALUES // k  # the threads split one chunk's budget
+    todo, errors = queue.SimpleQueue(), []
+
+    def drain():
+        for fill, r0, r1 in iter(todo.get, None):
+            if not errors:
+                try:
+                    fill(r0, r1)
+                except BaseException as e:  # raised again on the calling thread
+                    errors.append(e)
+
+    helpers = []
+    try:
+        for _ in range(k - 1):
+            helper = threading.Thread(target=drain, name="mtdist-fill")
+            helper.start()
+            helpers.append(helper)
+        for a, b, per_row, prepare in rects:
+            fill = prepare()
+            step = max(1, budget // per_row)
+            for r0 in range(a, b, step):
+                todo.put((fill, r0, min(b, r0 + step)))
+    except BaseException as e:  # raised again once the helpers are joined
+        errors.append(e)
+    for _ in range(len(helpers) + 1):
+        todo.put(None)
+    try:
+        drain()
+    finally:
+        for helper in helpers:
+            helper.join()
+    if errors:
+        raise errors[0]
 
 
 def _fill_flat(f1, f2, T, rects):
@@ -421,20 +515,24 @@ def _pair_table(f1: _Flat, f2: _Flat, pair):
     T = np.empty((S1 + 1, S2 + 1))
     T[S1, :] = np.inf
     T[:, S2] = np.inf
-    # wave 0: leaf states against leaf states
     r1, r2 = f1.rows, f2.rows
-    step = max(1, _CHUNK_VALUES // r2[1])
-    for r0 in range(0, r1[1], step):
-        rs = slice(r0, min(r1[1], r0 + step))
-        T[rs, :r2[1]] = pair((f1.lows[rs, None], f1.highs[rs, None]), (f2.lows, f2.highs))
+
+    def leaves(a, b):  # wave 0: leaf states against leaf states
+        T[a:b, :r2[1]] = pair((f1.lows[a:b, None], f1.highs[a:b, None]), (f2.lows, f2.highs))
+
+    _fill_chunks([(0, r1[1], r2[1], lambda: leaves)])
     for t in range(1, f1.H + f2.H + 1):
-        small = []
+        rects, small = [], []
         for h1 in range(max(0, t - f2.H), min(f1.H, t) + 1):
             h2 = t - h1
-            if (r1[h1 + 1] - r1[h1]) * (r2[h2 + 1] - r2[h2]) >= _SLICE_STATES:
-                _fill_slices(f1, f2, T, h1, h2)
+            a, b, width = r1[h1], r1[h1 + 1], r2[h2 + 1] - r2[h2]
+            if (b - a) * width >= _SLICE_STATES:
+                sc, sd = f1.dmax[h1], f2.dmax[h2]
+                rects.append((a, b, width * (sc + sd + sc * sd), partial(_slice_fill, f1, f2, T, h1, h2)))
             else:
                 small.append((h1, h2))
+        if rects:
+            _fill_chunks(rects)
         if small:
             _fill_flat(f1, f2, T, small)
     return T
