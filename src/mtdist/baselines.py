@@ -20,7 +20,7 @@ from itertools import groupby
 import numpy as np
 
 from .branches import build_bdt, elder_rule_decomposition
-from .errors import PreconditionError
+from .errors import PreconditionError, _choice
 from .mapping import _check_table
 from .matching import SMALL, matching_costs, small_matching_costs
 from .metrics import MODE_NAMES, BaseMetric, dp_terms, finalize
@@ -57,8 +57,7 @@ def elder_labeled_inputs(tree: MergeTree, target: str) -> LabeledTree:
     driver's layout memo is open.
     """
     require_valid(tree)
-    if target not in ("bdt", "merge-tree"):
-        raise ValueError(f"unknown target {target!r}, expected 'bdt' or 'merge-tree'")
+    _choice("target", target, ("bdt", "merge-tree"))
     dec = elder_rule_decomposition(tree)
     return _memoized(tree, ("labeled", target), lambda: _labeled(tree, dec, target))
 
@@ -186,8 +185,7 @@ def _fill(t1: LabeledTree, t2: LabeledTree, metric: BaseMetric, mode: str, edits
     of the unpadded instance. The other pairs of the height go in one
     :func:`matching_costs` call per pair of child counts.
     """
-    if mode not in MODE_NAMES:
-        raise PreconditionError(f"unknown aggregation mode {mode!r}, expected one of {MODE_NAMES}")
+    _choice("aggregation mode", mode, MODE_NAMES)
     squared = mode == "l2"
     # refused before any layout: a tracemalloc peak of 29.0-46.2 bytes per
     # node pair on grown trees of 800-1600 nodes and their BDTs

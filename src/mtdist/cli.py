@@ -137,10 +137,10 @@ def build_parser():
     p.set_defaults(func=cmd_track)
 
     p = sub.add_parser("gen", help="generate synthetic scalar fields")
-    p.add_argument("kind", choices=("peaks", "outlier", "periodic"))
+    p.add_argument("kind", choices=tuple(_GEN_KINDS))
     p.add_argument("--out-dir", required=True)
     p.add_argument("--config", help="key=value file overriding generator defaults")
-    for key, (kind, _) in _GEN_KEYS.items():
+    for key, kind in _GEN_KEYS.items():
         p.add_argument("--" + key.replace("_", "-"), type=kind)
     p.set_defaults(func=cmd_gen)
 
@@ -169,8 +169,6 @@ def cmd_dist(args):
 
 def cmd_matrix(args):
     files = _collect_inputs(args.inputs)
-    if len(files) < 2:
-        raise MTDistError("matrix needs at least two members")
     trees = [_load_tree(p, args) for p in files]
     labels = tuple(p.stem for p in files)
     opts = DistanceOptions(distance=args.distance, metric=args.metric, mode=args.mode)
@@ -185,8 +183,6 @@ def cmd_matrix(args):
 
 def cmd_track(args):
     files = _collect_inputs(args.inputs)
-    if len(files) < 2:
-        raise MTDistError("tracking needs at least two time steps")
     trees = [_load_tree(p, args) for p in files]
     opts = DistanceOptions(distance=args.distance, metric=args.metric, mode=args.mode)
     result = build_tracks(trees, opts)
@@ -200,10 +196,7 @@ def cmd_track(args):
 def _read_config(path):
     """``key -> (line number, raw value)`` of a ``key=value`` file."""
     out = {}
-    for no, line in enumerate(read_text(path).splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
+    for no, line in _content_rows(read_text(path)):
         if "=" not in line:
             raise MTDistError(f"{path}:{no}: expected key=value, got {line!r}")
         key, value = line.split("=", 1)
@@ -211,29 +204,43 @@ def _read_config(path):
     return out
 
 
-# generator keys, each a ``gen`` flag and a ``--config`` key: (type, default)
+# generator keys, each a ``gen`` flag and a ``--config`` key, and their types
 _GEN_KEYS = {
-    "members": (int, 20),
-    "outlier_index": (int, 7),
-    "seed": (int, 1),
-    "rows": (int, None),
-    "cols": (int, None),
-    "noise": (float, 0.0),
-    "length": (int, 225),
-    "period": (int, 75),
-    "variation": (float, 0.001),
-    "bumps": (int, 3),
-    "drift": (float, None),
+    "members": int,
+    "outlier_index": int,
+    "seed": int,
+    "rows": int,
+    "cols": int,
+    "noise": float,
+    "length": int,
+    "period": int,
+    "variation": float,
+    "bumps": int,
+    "drift": float,
+}
+# the CLI's own defaults; every other key left unset takes the generator's
+_GEN_DEFAULTS = {"seed": 1, "length": 225, "period": 75}
+_SHARED_KEYS = ("seed", "rows", "cols")  # taken by every generator
+# gen kind -> (generator, the keys it takes)
+_GEN_KINDS = {
+    "peaks": (lambda **kw: generate_ensemble(four_peak_spec(**kw)), _SHARED_KEYS + ("members", "noise")),
+    "outlier": (
+        lambda **kw: generate_ensemble(outlier_spec(**kw)),
+        _SHARED_KEYS + ("members", "noise", "outlier_index"),
+    ),
+    "periodic": (generate_periodic_series, _SHARED_KEYS + ("length", "period", "variation", "bumps", "drift")),
 }
 
 
 def _gen_params(args):
-    params = {key: default for key, (_, default) in _GEN_KEYS.items()}
+    """The generator keys set by the CLI's defaults, ``--config`` and the
+    flags, each overriding the ones before."""
+    params = dict(_GEN_DEFAULTS)
     if args.config:
         for key, (no, raw) in _read_config(args.config).items():
             if key not in _GEN_KEYS:
                 raise MTDistError(f"{args.config}:{no}: unknown generator key {key!r}")
-            kind = _GEN_KEYS[key][0]
+            kind = _GEN_KEYS[key]
             try:
                 params[key] = kind(raw)
             except ValueError:
@@ -249,35 +256,8 @@ def cmd_gen(args):
     params = _gen_params(args)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    grid = {}
-    if params["rows"] is not None:
-        grid["rows"] = params["rows"]
-    if params["cols"] is not None:
-        grid["cols"] = params["cols"]
-    if args.kind == "peaks":
-        spec = four_peak_spec(
-            members=params["members"], seed=params["seed"], noise=params["noise"], **grid
-        )
-        fields = generate_ensemble(spec)
-    elif args.kind == "outlier":
-        spec = outlier_spec(
-            members=params["members"],
-            outlier_index=params["outlier_index"],
-            seed=params["seed"],
-            noise=params["noise"],
-            **grid,
-        )
-        fields = generate_ensemble(spec)
-    else:
-        fields = generate_periodic_series(
-            length=params["length"],
-            period=params["period"],
-            seed=params["seed"],
-            variation=params["variation"],
-            bumps=params["bumps"],
-            drift=params["drift"],
-            **grid,
-        )
+    generate, keys = _GEN_KINDS[args.kind]
+    fields = generate(**{key: params[key] for key in keys if key in params})
     for k, field in enumerate(fields):
         write_scalar_field(out_dir / f"member_{k}.sf2", field)
     print(f"wrote {len(fields)} fields to {out_dir}")

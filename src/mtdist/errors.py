@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, all of them an
+:class:`MTDistError` (CLI exit 2), and :func:`_choice`, the one check of a
+named choice. A broken precondition, such as an unknown name, raises
+:class:`PreconditionError`, which is also a ``ValueError``."""
 
 
 class MTDistError(Exception):
@@ -18,10 +21,16 @@ class InvalidTreeError(MTDistError):
     """An operation received a tree that fails merge-tree validation."""
 
 
-class PreconditionError(MTDistError):
+class PreconditionError(MTDistError, ValueError):
     """An operation's documented precondition was violated."""
 
 
 class SizeLimitError(MTDistError):
     """An operation was asked to run beyond its size cap: an enumeration past
     its leaf cap, or a free-mode table larger than the memory it may take."""
+
+
+def _choice(what, value, names):
+    """Raise :class:`PreconditionError` unless ``value`` is one of ``names``."""
+    if value not in names:
+        raise PreconditionError(f"unknown {what} {value!r}, expected one of {names}")

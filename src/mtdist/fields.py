@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .branches import _elder_child, _submax, elder_rule_decomposition
-from .errors import MTDistError, ParseError
-from .trees import MergeTree, _content_rows, read_text, require_valid
+from .errors import MTDistError, ParseError, PreconditionError, _choice
+from .trees import MergeTree, _header, read_text, require_valid
 
 _EPS = 1e-9
 
@@ -45,8 +45,7 @@ class ScalarField2D:
             )
         if not np.isfinite(vals).all():
             raise MTDistError("field values must be finite")
-        if self.connectivity not in (4, 8):
-            raise MTDistError("connectivity must be 4 or 8")
+        _choice("connectivity", self.connectivity, (4, 8))
         vals.setflags(write=False)
 
     def grid(self):
@@ -68,17 +67,7 @@ class ScalarField2D:
 # ---------------------------------------------------------------------------
 
 def parse_scalar_field(text: str, path: str = "<string>", connectivity: int = 8) -> ScalarField2D:
-    rows = _content_rows(text)
-    if not rows:
-        raise ParseError(path, 1, "empty file, expected 'SF2 <rows> <cols>' header")
-    no, header = rows[0]
-    parts = header.split()
-    if len(parts) != 3 or parts[0] != "SF2":
-        raise ParseError(path, no, f"bad header {header!r}, expected 'SF2 <rows> <cols>'")
-    try:
-        r, c = int(parts[1]), int(parts[2])
-    except ValueError:
-        raise ParseError(path, no, f"bad dimensions in header {header!r}") from None
+    rows, (r, c) = _header(text, path, "SF2", ("rows", "cols"))
     try:
         # float()'s syntax, in one call; the loop only names a bad token
         values = np.array([tok for _, ln in rows[1:] for tok in ln.split()], dtype=np.float64)
@@ -276,8 +265,7 @@ def compute_merge_tree(f: ScalarField2D, direction: str = "max") -> MergeTree:
     gives its first saddle the value 3e15+0.5 and its two leaves a
     persistence of 0.5 instead of 1.
     """
-    if direction not in ("max", "min"):
-        raise ValueError(f"direction must be 'max' or 'min', got {direction!r}")
+    _choice("direction", direction, ("max", "min"))
     work = f.values if direction == "max" else -f.values
     n = len(work)
     order = np.lexsort((np.arange(n), -work))
@@ -352,8 +340,8 @@ def simplify(tree: MergeTree, threshold: float) -> MergeTree:
     popped. The whole pass costs O(n log n).
     """
     require_valid(tree)
-    if threshold < 0:
-        raise ValueError("threshold must be >= 0")
+    if not threshold >= 0:
+        raise PreconditionError(f"threshold must be >= 0, got {threshold!r}")
     values = tree.values.tolist()
     parent = tree.parent.tolist()
     children = [list(c) for c in tree.children]

@@ -45,7 +45,7 @@ from functools import cache, partial
 import numpy as np
 
 from .branches import Branch, BranchDecomposition
-from .errors import PreconditionError, SizeLimitError
+from .errors import PreconditionError, SizeLimitError, _choice
 from .matching import matching_costs, min_cost_matching as _assignment
 from .metrics import MODE_NAMES, BaseMetric, aggregate, dp_terms, finalize
 from .trees import MergeTree, ValidationReport, _layout_order, _memoized, require_valid
@@ -90,27 +90,22 @@ class BranchMapping:
         return out
 
     def to_json_dict(self):
+        costs = [round(c, 9) for c in self.edit_costs()]
+        p, d = len(self.pairs), len(self.deletions)
         return {
             "metric": self.metric.kind,
             "mode": self.mode,
             "totalCost": round(self.total_cost, 9),
             "pairs": [
-                {
-                    "t1Start": a.start,
-                    "t1Leaf": a.leaf,
-                    "t2Start": b.start,
-                    "t2Leaf": b.leaf,
-                    "cost": round(c, 9),
-                }
-                for (a, b), c in zip(self.pairs, self.pair_costs)
+                {"t1Start": a.start, "t1Leaf": a.leaf, "t2Start": b.start, "t2Leaf": b.leaf, "cost": c}
+                for (a, b), c in zip(self.pairs, costs)
             ],
             "deletions": [
-                {"start": b.start, "leaf": b.leaf, "cost": round(self.metric.deletion(b.low, b.high), 9)}
-                for b in self.deletions
+                {"start": b.start, "leaf": b.leaf, "cost": c}
+                for b, c in zip(self.deletions, costs[p:])
             ],
             "insertions": [
-                {"start": b.start, "leaf": b.leaf, "cost": round(self.metric.deletion(b.low, b.high), 9)}
-                for b in self.insertions
+                {"start": b.start, "leaf": b.leaf, "cost": c} for b, c in zip(self.insertions, costs[p + d:])
             ],
         }
 
@@ -723,8 +718,7 @@ def branch_mapping_distance(
     of deletions or insertions only. With ``fixed=(B1, B2)`` the search is
     restricted to mappings between exactly those two decompositions.
     """
-    if mode not in MODE_NAMES:
-        raise PreconditionError(f"unknown aggregation mode {mode!r}, expected one of {MODE_NAMES}")
+    _choice("aggregation mode", mode, MODE_NAMES)
     squared = mode == "l2"
     trees = (tree1, tree2)
     if fixed is not None:
@@ -836,45 +830,40 @@ def validate_branch_mapping(mapping: BranchMapping) -> ValidationReport:
             expect |= set(m.decomposition2.branches)
         if covered != expect or m.pairs:
             bad.append("one-sided mapping must delete or insert exactly all branches")
-        costs = m.edit_costs()
-        if abs(aggregate(costs, m.mode) - m.total_cost) > 1e-9:
-            bad.append("total cost does not match the aggregated edit costs")
-        return ValidationReport(ok=not bad, violations=tuple(bad))
-
-    left = [a for a, _ in m.pairs]
-    right = [b for _, b in m.pairs]
-    if len(set(left)) != len(left) or len(set(right)) != len(right):
-        bad.append("condition 1 (one-to-one) violated")
-    if m.decomposition1 is None or m.decomposition2 is None:
-        bad.append("mapping lacks its decompositions")
-        return ValidationReport(ok=False, violations=tuple(bad))
-    if (m.decomposition1.main, m.decomposition2.main) not in set(m.pairs):
-        bad.append("condition 2 (main branches paired) violated")
-    paired = set(m.pairs)
-    for a, b in m.pairs:
-        pa = m.decomposition1.parent_branch(a)
-        pb = m.decomposition2.parent_branch(b)
-        if (pa is None) != (pb is None):
-            bad.append(f"condition 3 (upward closure) violated at ({a.label},{b.label})")
-        elif pa is not None and (pa, pb) not in paired:
-            bad.append(f"condition 3 (upward closure) violated at ({a.label},{b.label})")
-    differ = (
-        _weak_ancestry(m.tree1, [a.start for a in left])
-        != _weak_ancestry(m.tree2, [b.start for b in right])
-    )
-    # row-major order of i < j, as a loop over pairs and later pairs
-    for i, j in zip(*np.nonzero(np.triu(differ | differ.T, 1))):
-        (a, b), (a2, b2) = m.pairs[i], m.pairs[j]
-        bad.append(
-            f"condition 4 (order preservation) violated between "
-            f"({a.label},{b.label}) and ({a2.label},{b2.label})"
+    else:
+        left = [a for a, _ in m.pairs]
+        right = [b for _, b in m.pairs]
+        if len(set(left)) != len(left) or len(set(right)) != len(right):
+            bad.append("condition 1 (one-to-one) violated")
+        if m.decomposition1 is None or m.decomposition2 is None:
+            bad.append("mapping lacks its decompositions")
+            return ValidationReport(ok=False, violations=tuple(bad))
+        if (m.decomposition1.main, m.decomposition2.main) not in set(m.pairs):
+            bad.append("condition 2 (main branches paired) violated")
+        paired = set(m.pairs)
+        for a, b in m.pairs:
+            pa = m.decomposition1.parent_branch(a)
+            pb = m.decomposition2.parent_branch(b)
+            if (pa is None) != (pb is None):
+                bad.append(f"condition 3 (upward closure) violated at ({a.label},{b.label})")
+            elif pa is not None and (pa, pb) not in paired:
+                bad.append(f"condition 3 (upward closure) violated at ({a.label},{b.label})")
+        differ = (
+            _weak_ancestry(m.tree1, [a.start for a in left])
+            != _weak_ancestry(m.tree2, [b.start for b in right])
         )
-    if set(left) | set(m.deletions) != set(m.decomposition1.branches):
-        bad.append("pairs plus deletions do not cover decomposition 1")
-    if set(right) | set(m.insertions) != set(m.decomposition2.branches):
-        bad.append("pairs plus insertions do not cover decomposition 2")
-    costs = m.edit_costs()
-    if abs(aggregate(costs, m.mode) - m.total_cost) > 1e-9:
+        # row-major order of i < j, as a loop over pairs and later pairs
+        for i, j in zip(*np.nonzero(np.triu(differ | differ.T, 1))):
+            (a, b), (a2, b2) = m.pairs[i], m.pairs[j]
+            bad.append(
+                f"condition 4 (order preservation) violated between "
+                f"({a.label},{b.label}) and ({a2.label},{b2.label})"
+            )
+        if set(left) | set(m.deletions) != set(m.decomposition1.branches):
+            bad.append("pairs plus deletions do not cover decomposition 1")
+        if set(right) | set(m.insertions) != set(m.decomposition2.branches):
+            bad.append("pairs plus insertions do not cover decomposition 2")
+    if abs(aggregate(m.edit_costs(), m.mode) - m.total_cost) > 1e-9:
         bad.append("total cost does not match the aggregated edit costs")
     return ValidationReport(ok=not bad, violations=tuple(bad))
 

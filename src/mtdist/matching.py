@@ -320,12 +320,7 @@ def _mask_matching(P, dels, inss, want_pairs):
     whose sum reproduces the minimum, so they sum to the returned cost.
     """
     r, s = len(dels), len(inss)
-    X = np.empty((r, s + 1, 1))
-    X[:, :s, 0] = P
-    X[:, s, 0] = dels
-    I = np.zeros((s + 1, 1))
-    I[:s, 0] = inss
-    total, rows = _mask_dp(X, I, keep=True)
+    total, rows = _mask_dp(*_mask_instances(np.asarray(P, dtype=np.float64), dels, inss), keep=True)
     x = int(total[:, 0].argmin())
     if not want_pairs:
         return float(total[x, 0]), []

@@ -8,9 +8,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .baselines import constrained_edit_distance, elder_labeled_inputs, one_degree_distance
+from . import baselines
 from .branches import elder_rule_decomposition
-from .errors import MTDistError
+from .errors import MTDistError, PreconditionError, _choice
 from .mapping import branch_mapping_distance
 from .metrics import METRIC_NAMES, MODE_NAMES, BaseMetric
 from .trees import MergeTree, _layout_memo
@@ -26,9 +26,7 @@ class DistanceOptions:
 
     def __post_init__(self):
         for field, names in (("distance", DISTANCE_NAMES), ("metric", METRIC_NAMES), ("mode", MODE_NAMES)):
-            value = getattr(self, field)
-            if value not in names:
-                raise MTDistError(f"unknown {field} {value!r}, expected one of {names}")
+            _choice(field, getattr(self, field), names)
 
 
 def branch_mapping(t1: MergeTree, t2: MergeTree, opts: DistanceOptions):
@@ -46,16 +44,20 @@ def branch_mapping(t1: MergeTree, t2: MergeTree, opts: DistanceOptions):
     return branch_mapping_distance(t1, t2, BaseMetric(opts.metric), opts.mode, fixed=fixed)
 
 
+# baseline name -> (the labelled input it compares, its distance in
+# :mod:`baselines`); the distance is looked up per call, so that a wrapper
+# set on the module attribute, a profiler's or a test's, sees every call
+_BASELINES = {
+    "constrained": ("merge-tree", "constrained_edit_distance"),
+    "one-degree": ("bdt", "one_degree_distance"),
+}
+
+
 def pairwise_distance(t1: MergeTree, t2: MergeTree, opts: DistanceOptions) -> float:
-    metric = BaseMetric(opts.metric)
-    if opts.distance == "constrained":
-        a = elder_labeled_inputs(t1, "merge-tree")
-        b = elder_labeled_inputs(t2, "merge-tree")
-        return constrained_edit_distance(a, b, metric, opts.mode)
-    if opts.distance == "one-degree":
-        a = elder_labeled_inputs(t1, "bdt")
-        b = elder_labeled_inputs(t2, "bdt")
-        return one_degree_distance(a, b, metric, opts.mode)
+    if opts.distance in _BASELINES:
+        target, distance = _BASELINES[opts.distance]
+        a, b = (baselines.elder_labeled_inputs(t, target) for t in (t1, t2))
+        return getattr(baselines, distance)(a, b, BaseMetric(opts.metric), opts.mode)
     return branch_mapping(t1, t2, opts)[0]
 
 
@@ -154,28 +156,28 @@ def single_linkage_order(values: np.ndarray):
     Deterministic: merges the closest active cluster pair, breaking ties by
     the smallest (i, j); a merged cluster concatenates the member lists of
     its parts. The result is the dendrogram's left-to-right leaf order.
+    ``values`` must be a square matrix of finite values; only its upper
+    triangle is read.
     """
     values = np.asarray(values, dtype=np.float64)
-    n = values.shape[0]
-    clusters: dict[int, list[int]] = {i: [i] for i in range(n)}
-    dist = {
-        (i, j): float(values[i, j]) for i in range(n) for j in range(i + 1, n)
-    }
-    while len(clusters) > 1:
-        best = min(dist.items(), key=lambda kv: (kv[1], kv[0]))
-        (a, b), _ = best
-        merged = clusters[a] + clusters[b]
-        del clusters[b]
-        clusters[a] = merged
-        del dist[(a, b)]
-        for c in list(clusters):
-            if c == a:
-                continue
-            ka = (min(a, c), max(a, c))
-            kb = (min(b, c), max(b, c))
-            dist[ka] = min(dist[ka], dist.pop(kb))
-    (_, order), = clusters.items()
-    return order
+    n = len(values)
+    if values.shape != (n, n) or not np.isfinite(values).all():
+        raise PreconditionError("single linkage needs a square matrix of finite distances")
+    # cluster distances, symmetric, with +inf on the diagonal and at merged
+    # clusters; so the first minimum in row-major order is the smallest
+    # (i, j), i < j, among the closest pairs, and a merge keeps the smaller id
+    dist = np.triu(values, 1)
+    dist += dist.T
+    np.fill_diagonal(dist, np.inf)
+    members = [[i] for i in range(n)]
+    for _ in range(n - 1):
+        a, b = divmod(int(dist.argmin()), n)
+        members[a] += members[b]
+        row = np.minimum(dist[a], dist[b])
+        row[a] = np.inf
+        dist[a] = dist[:, a] = row
+        dist[b] = dist[:, b] = np.inf
+    return members[0] if n else []
 
 
 def format_csv(matrix: DistanceMatrix) -> str:

@@ -28,6 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import PreconditionError, _choice
+
 METRIC_NAMES = ("persistence", "birth-persistence", "euclidean", "linf")
 MODE_NAMES = ("sum", "l2")
 
@@ -41,8 +43,7 @@ class BaseMetric:
     kind: str
 
     def __post_init__(self):
-        if self.kind not in METRIC_NAMES:
-            raise ValueError(f"unknown metric {self.kind!r}, expected one of {METRIC_NAMES}")
+        _choice("metric", self.kind, METRIC_NAMES)
 
     def pair(self, a_low, a_high, b_low, b_high):
         k = self.kind
@@ -96,7 +97,7 @@ def branch_cost(metric: BaseMetric, a, b):
     ``a`` and ``b`` are (low, high) labels or ``None`` for the null branch.
     """
     if a is None and b is None:
-        raise ValueError("branch_cost needs at least one real branch")
+        raise PreconditionError("branch_cost needs at least one real branch")
     if a is None:
         return metric.deletion(*b)
     if b is None:
@@ -111,8 +112,5 @@ def aggregate(pair_costs, mode: str) -> float:
 
 def finalize(total: float, mode: str) -> float:
     """Map a DP total (sum of per-pair terms) to the reported distance."""
-    if mode == "sum":
-        return float(total)
-    if mode == "l2":
-        return float(math.sqrt(total))
-    raise ValueError(f"unknown aggregation mode {mode!r}, expected one of {MODE_NAMES}")
+    _choice("aggregation mode", mode, MODE_NAMES)
+    return float(math.sqrt(total) if mode == "l2" else total)

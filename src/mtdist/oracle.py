@@ -12,8 +12,8 @@ whole subtrees. Intentionally brute force; capped at small trees.
 from __future__ import annotations
 
 from .branches import build_bdt, enumerate_branch_decompositions
-from .errors import SizeLimitError
-from .metrics import BaseMetric, dp_terms, finalize
+from .errors import SizeLimitError, _choice
+from .metrics import MODE_NAMES, BaseMetric, dp_terms, finalize
 from .trees import MergeTree, _preorder, require_valid
 
 
@@ -24,6 +24,7 @@ def oracle_distance(
     mode: str = "sum",
     max_leaves: int = 7,
 ) -> float:
+    _choice("aggregation mode", mode, MODE_NAMES)
     if tree1 is None and tree2 is None:
         return 0.0
     if tree1 is None or tree2 is None:

@@ -241,19 +241,27 @@ def _content_rows(text: str):
     return [(no, ln) for no, ln in rows if ln and not ln.startswith("#")]
 
 
-def parse_merge_tree(text: str, path: str = "<string>") -> MergeTree:
+def _header(text: str, path: str, magic: str, names):
+    """``(rows, fields)``: the :func:`_content_rows` of ``text``, whose first
+    is the header ``<magic> <name> ...``, and the header's integer fields,
+    one per name. A missing or malformed header raises :class:`ParseError`."""
     rows = _content_rows(text)
+    form = " ".join([magic] + [f"<{name}>" for name in names])
     if not rows:
-        raise ParseError(path, 1, "empty file, expected 'MT <nodeCount>' header")
+        raise ParseError(path, 1, f"empty file, expected '{form}' header")
     no, header = rows[0]
     parts = header.split()
-    if len(parts) != 2 or parts[0] != "MT":
-        raise ParseError(path, no, f"bad header {header!r}, expected 'MT <nodeCount>'")
+    if len(parts) != 1 + len(names) or parts[0] != magic:
+        raise ParseError(path, no, f"bad header {header!r}, expected '{form}'")
     try:
-        count = int(parts[1])
+        return rows, [int(part) for part in parts[1:]]
     except ValueError:
-        raise ParseError(path, no, f"bad node count {parts[1]!r}") from None
-    body = rows[1:]
+        raise ParseError(path, no, f"non-integer field in header {header!r}, expected '{form}'") from None
+
+
+def parse_merge_tree(text: str, path: str = "<string>") -> MergeTree:
+    rows, (count,) = _header(text, path, "MT", ("nodeCount",))
+    no, body = rows[0][0], rows[1:]
     if len(body) != count:
         raise ParseError(path, no, f"header announces {count} nodes, file has {len(body)}")
     values = np.full(count, np.nan)

@@ -11,7 +11,9 @@ import numpy as np
 import pytest
 
 from mtdist import (
+    BranchDecomposition,
     MergeTree,
+    aggregate,
     branch_mapping_distance,
     delete_tree_cost,
     elder_rule_decomposition,
@@ -32,7 +34,7 @@ from mtdist.generators import (
     generate_periodic_series,
     outlier_spec,
 )
-from mtdist.matrix import DistanceOptions, compute_matrix
+from mtdist.matrix import DISTANCE_NAMES, DistanceOptions, compute_matrix, pairwise_distance
 from mtdist.metrics import METRIC_NAMES, BaseMetric
 from conftest import grow_merge_tree, random_merge_tree
 
@@ -317,3 +319,55 @@ def test_c12_memo_table_bound():
         ok &= mapping.stats.keys <= mapping.stats.bound
         worst = max(worst, mapping.stats.keys / mapping.stats.bound)
     report("C12 memo keys within |T1| d1 |T2| d2", ok, f"max fill ratio {worst:.2f}")
+
+
+def test_c13_stability_under_small_perturbations():
+    """The abstract's claim: branch mappings are less susceptible to
+    instabilities from small-scale perturbations. Swapping the values
+    10 + eps and 10 - eps of two leaves flips the elder rule at the root's
+    saddle: the free distance follows eps (4 eps here), while the distances
+    bound to the elder decomposition stay large."""
+
+    def tree(eps):
+        # root 0, saddle 5; under it saddle 8 (leaves 10 + eps and 9) and leaf 10 - eps
+        return MergeTree([0.0, 5.0, 8.0, 10.0 + eps, 9.0, 10.0 - eps], [-1, 0, 1, 2, 2, 1])
+
+    ok = True
+    details = []
+    for eps in (0.1, 0.01, 0.001):
+        d = {
+            name: pairwise_distance(tree(eps), tree(-eps), DistanceOptions(distance=name, metric="euclidean"))
+            for name in DISTANCE_NAMES
+        }
+        ok &= d["branch"] <= 4 * eps + TOL
+        ok &= min(d["branch-fixed"], d["constrained"], d["one-degree"]) >= 1.4
+        details.append(f"eps {eps:g}: " + ", ".join(f"{k} {v:.6g}" for k, v in d.items()))
+    report("C13 free distance -> 0 under a flip of the elder rule", ok, "; ".join(details))
+
+
+def test_c14_identity_bound():
+    """A check that reaches every size without the oracle. An order-preserving
+    perturbation of a tree (the same parents, each value moved by less than
+    a third of the smallest parent-child gap) is decomposed by the tree's
+    elder continuation map, and pairing each branch with its same-leaf
+    counterpart is a valid mapping. So free <= fixed(those decompositions)
+    <= the aggregated cost of that pairing."""
+    rng = np.random.default_rng(9009)
+    ok = True
+    details = []
+    for n, extra in ((60, 0.05), (80, 0.35), (150, 0.05)):
+        t1 = grow_merge_tree(rng, n, extra)
+        inner = t1.parent >= 0
+        gap = float((t1.values[inner] - t1.values[t1.parent[inner]]).min())
+        t2 = MergeTree(t1.values + rng.uniform(-gap / 3, gap / 3, len(t1)), t1.parent)
+        dec1 = elder_rule_decomposition(t1)
+        dec2 = BranchDecomposition(t2, dec1.continuation)
+        for metric in (BaseMetric("euclidean"), BP):
+            costs = [metric.pair(*b.label, *dec2.branch_of_leaf(b.leaf).label) for b in dec1.branches]
+            for mode in ("sum", "l2"):
+                free = branch_mapping_distance(t1, t2, metric, mode)[0]
+                fixed = branch_mapping_distance(t1, t2, metric, mode, fixed=(dec1, dec2))[0]
+                bound = aggregate(costs, mode)
+                ok &= free <= fixed + TOL and fixed <= bound + TOL
+                details.append(f"{len(t1)} nodes {metric.kind} {mode}: {free:.4g} <= {fixed:.4g} <= {bound:.4g}")
+    report("C14 free <= fixed <= identity pairing under small perturbations", ok, "; ".join(details))

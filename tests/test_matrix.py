@@ -13,7 +13,7 @@ import mtdist.matrix as matrix_module
 import mtdist.trees as trees_module
 from mtdist import branch_mapping_distance, elder_rule_decomposition, induced_node_mapping
 from mtdist.cli import main
-from mtdist.errors import MTDistError
+from mtdist.errors import MTDistError, PreconditionError
 from mtdist.matrix import (
     DISTANCE_NAMES,
     DistanceMatrix,
@@ -29,6 +29,7 @@ from mtdist.metrics import BaseMetric
 from mtdist.tracking import build_tracks, step_leaf_pairs
 from mtdist.trees import write_merge_tree
 from conftest import random_merge_tree
+from reference_linkage import reference_single_linkage_order
 
 
 def make_trees(n, seed=0):
@@ -274,6 +275,18 @@ class TestMappingDispatch:
         assert capsys.readouterr().out.strip() == f"{d:.9f}"
         assert json.loads(out.read_text()) == json.loads(json.dumps(mapping.to_json_dict()))
 
+    @pytest.mark.parametrize(
+        "distance, name, target",
+        [("constrained", "constrained_edit_distance", "merge-tree"), ("one-degree", "one_degree_distance", "bdt")],
+    )
+    def test_baselines_called_through_the_module(self, monkeypatch, distance, name, target):
+        """A wrapper set on the ``baselines`` attribute sees every call, with
+        the labelled inputs of the distance's target."""
+        t1, t2 = make_trees(2, seed=6)
+        inputs = count_builds(monkeypatch, baselines_module, name)
+        pairwise_distance(t1, t2, DistanceOptions(distance=distance))
+        assert inputs == [baselines_module.elder_labeled_inputs(t1, target)]
+
     @pytest.mark.parametrize("distance", ["constrained", "one-degree"])
     def test_non_mapping_names_raise(self, distance):
         t1, t2 = make_trees(2, seed=6)
@@ -301,6 +314,28 @@ class TestClusterOrder:
         pos = {m: i for i, m in enumerate(order)}
         assert abs(pos[0] - pos[1]) == 1
         assert abs(pos[2] - pos[3]) == 1
+
+    def test_same_order_as_reference(self):
+        """Against the dict version of ``reference_linkage.py``, on random
+        matrices, on matrices of few distinct values (many ties), and on
+        asymmetric ones, whose lower triangle is never read."""
+        rng = np.random.default_rng(41)
+        for k in range(600):
+            n = int(rng.integers(1, 16))
+            raw = rng.integers(0, 3, (n, n)).astype(float) if k % 2 else rng.uniform(0, 1, (n, n))
+            vals = raw if k % 3 == 0 else raw + raw.T
+            assert single_linkage_order(vals) == reference_single_linkage_order(vals)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_distances_rejected(self, bad):
+        vals = np.zeros((3, 3))
+        vals[0, 2] = vals[2, 0] = bad
+        with pytest.raises(PreconditionError, match="finite"):
+            single_linkage_order(vals)
+
+    def test_non_square_matrix_rejected(self):
+        with pytest.raises(PreconditionError, match="square"):
+            single_linkage_order(np.zeros((2, 3)))
 
     def test_reordered_matrix(self):
         m = DistanceMatrix(
