@@ -71,22 +71,17 @@ def _collect_inputs(paths):
 
 
 def _load_tree(path, args):
-    """Read an MT file, or build a tree from an SF2 field using the flags;
-    the first line the parsers read, past blanks and comments, tells which."""
+    """Read an MT file, or build the tree of an SF2 field by ``--direction``
+    and ``--connectivity``; the first line the parsers read, past blanks and
+    comments, tells which. Either is then simplified by ``--simplify``."""
     text = read_text(path)
     rows = _content_rows(text)
     if rows and rows[0][1].startswith("SF2"):
-        return _field_tree(text, path, args)
-    return parse_merge_tree(text, str(path))
-
-
-def _field_tree(text, path, args):
-    """The merge tree of the SF2 field ``text``, simplified, by the flags."""
-    field = parse_scalar_field(text, str(path), connectivity=args.connectivity)
-    tree = compute_merge_tree(field, direction=args.direction)
-    if args.simplify > 0:
-        tree = simplify(tree, args.simplify)
-    return tree
+        field = parse_scalar_field(text, str(path), connectivity=args.connectivity)
+        tree = compute_merge_tree(field, direction=args.direction)
+    else:
+        tree = parse_merge_tree(text, str(path))
+    return simplify(tree, args.simplify) if args.simplify > 0 else tree
 
 
 def _add_tree_flags(p):
@@ -96,17 +91,17 @@ def _add_tree_flags(p):
 
 
 def _add_distance_flags(p):
-    p.add_argument("--distance", choices=DISTANCE_NAMES, default="branch")
-    p.add_argument("--metric", choices=METRIC_NAMES, default="birth-persistence")
-    p.add_argument("--mode", choices=MODE_NAMES, default="sum")
+    p.add_argument("--distance", choices=DISTANCE_NAMES, default=DistanceOptions.distance)
+    p.add_argument("--metric", choices=METRIC_NAMES, default=DistanceOptions.metric)
+    p.add_argument("--mode", choices=MODE_NAMES, default=DistanceOptions.mode)
 
 
 def build_parser():
     parser = _Parser(prog="mtdist", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    p = sub.add_parser("tree", help="build a merge tree from a scalar field")
-    p.add_argument("field", help="input SF2 file")
+    p = sub.add_parser("tree", help="build a merge tree from a scalar field, or simplify one")
+    p.add_argument("input", help="input SF2 or MT file")
     p.add_argument("--out", required=True, help="output MT file")
     _add_tree_flags(p)
     p.set_defaults(func=cmd_tree)
@@ -137,18 +132,20 @@ def build_parser():
     p.set_defaults(func=cmd_track)
 
     p = sub.add_parser("gen", help="generate synthetic scalar fields")
-    p.add_argument("kind", choices=tuple(_GEN_KINDS))
-    p.add_argument("--out-dir", required=True)
-    p.add_argument("--config", help="key=value file overriding generator defaults")
-    for key, kind in _GEN_KEYS.items():
-        p.add_argument("--" + key.replace("_", "-"), type=kind)
-    p.set_defaults(func=cmd_gen)
+    kinds = p.add_subparsers(dest="kind", required=True, parser_class=_Parser)
+    for kind, (_, keys) in _GEN_KINDS.items():
+        k = kinds.add_parser(kind)
+        k.add_argument("--out-dir", required=True)
+        k.add_argument("--config", help="key=value file overriding generator defaults")
+        for key, type_ in keys.items():
+            k.add_argument("--" + key.replace("_", "-"), type=type_, default=argparse.SUPPRESS)
+        k.set_defaults(func=cmd_gen)
 
     return parser
 
 
 def cmd_tree(args):
-    write_merge_tree(args.out, _field_tree(read_text(args.field), args.field, args))
+    write_merge_tree(args.out, _load_tree(args.input, args))
     return 0
 
 
@@ -204,60 +201,51 @@ def _read_config(path):
     return out
 
 
-# generator keys, each a ``gen`` flag and a ``--config`` key, and their types
-_GEN_KEYS = {
-    "members": int,
-    "outlier_index": int,
-    "seed": int,
-    "rows": int,
-    "cols": int,
-    "noise": float,
-    "length": int,
-    "period": int,
-    "variation": float,
-    "bumps": int,
-    "drift": float,
-}
 # the CLI's own defaults; every other key left unset takes the generator's
 _GEN_DEFAULTS = {"seed": 1, "length": 225, "period": 75}
-_SHARED_KEYS = ("seed", "rows", "cols")  # taken by every generator
-# gen kind -> (generator, the keys it takes)
+# gen kind -> (generator, {key: type}): the keys it takes, each a flag of the
+# kind and a --config key
 _GEN_KINDS = {
-    "peaks": (lambda **kw: generate_ensemble(four_peak_spec(**kw)), _SHARED_KEYS + ("members", "noise")),
+    "peaks": (
+        lambda **kw: generate_ensemble(four_peak_spec(**kw)),
+        {"members": int, "seed": int, "rows": int, "cols": int, "noise": float},
+    ),
     "outlier": (
         lambda **kw: generate_ensemble(outlier_spec(**kw)),
-        _SHARED_KEYS + ("members", "noise", "outlier_index"),
+        {"members": int, "outlier_index": int, "seed": int, "rows": int, "cols": int, "noise": float},
     ),
-    "periodic": (generate_periodic_series, _SHARED_KEYS + ("length", "period", "variation", "bumps", "drift")),
+    "periodic": (
+        generate_periodic_series,
+        {"length": int, "period": int, "seed": int, "rows": int, "cols": int,
+         "variation": float, "bumps": int, "drift": float},
+    ),
 }
 
 
-def _gen_params(args):
-    """The generator keys set by the CLI's defaults, ``--config`` and the
-    flags, each overriding the ones before."""
-    params = dict(_GEN_DEFAULTS)
+def _gen_params(args, keys):
+    """The kind's ``keys`` set by the CLI's defaults, ``--config`` and the
+    flags given (``args`` holds no other), each overriding the ones before."""
+    params = {key: value for key, value in _GEN_DEFAULTS.items() if key in keys}
     if args.config:
         for key, (no, raw) in _read_config(args.config).items():
-            if key not in _GEN_KEYS:
-                raise MTDistError(f"{args.config}:{no}: unknown generator key {key!r}")
-            kind = _GEN_KEYS[key]
+            if key not in keys:
+                raise MTDistError(
+                    f"{args.config}:{no}: gen {args.kind} takes no key {key!r}, expected one of {tuple(keys)}"
+                )
             try:
-                params[key] = kind(raw)
+                params[key] = keys[key](raw)
             except ValueError:
-                raise MTDistError(f"{args.config}:{no}: {key} must be {kind.__name__}, got {raw!r}") from None
-    for key in _GEN_KEYS:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            params[key] = flag
+                raise MTDistError(f"{args.config}:{no}: {key} must be {keys[key].__name__}, got {raw!r}") from None
+    params.update((key, value) for key, value in vars(args).items() if key in keys)
     return params
 
 
 def cmd_gen(args):
-    params = _gen_params(args)
+    generate, keys = _GEN_KINDS[args.kind]
+    params = _gen_params(args, keys)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    generate, keys = _GEN_KINDS[args.kind]
-    fields = generate(**{key: params[key] for key in keys if key in params})
+    fields = generate(**params)
     for k, field in enumerate(fields):
         write_scalar_field(out_dir / f"member_{k}.sf2", field)
     print(f"wrote {len(fields)} fields to {out_dir}")

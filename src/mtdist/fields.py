@@ -298,6 +298,7 @@ def compute_merge_tree(f: ScalarField2D, direction: str = "max") -> MergeTree:
 
 def local_maximum_count(f: ScalarField2D, direction: str = "max") -> int:
     """Independent count of strict local maxima under the sweep tie order."""
+    _choice("direction", direction, ("max", "min"))
     work = f.values if direction == "max" else -f.values
     count = 0
     for idx in range(len(work)):

@@ -67,14 +67,13 @@ def four_peak_spec(
     seed: int = 1,
     rows: int = 64,
     cols: int = 64,
-    with_center_peak: bool = False,
     outlier_index: int | None = None,
     noise: float = 0.0,
 ) -> EnsembleSpec:
     """The four-large/five-small peak layout used by the experiments.
 
-    With ``with_center_peak`` a fifth peak sits between the four large ones;
-    ``outlier_index`` marks the member in which it is omitted.
+    With an ``outlier_index`` a fifth peak sits between the four large ones
+    in every member but that one.
     """
     large = dict(amplitude=1.0, width=0.07, center_jitter=0.012, amplitude_jitter=0.04, width_jitter=0.004)
     peaks = [
@@ -96,7 +95,7 @@ def four_peak_spec(
                 width_jitter=0.002,
             )
         )
-    if with_center_peak:
+    if outlier_index is not None:
         peaks.append(
             PeakSpec(
                 cx=0.5,
@@ -114,16 +113,18 @@ def four_peak_spec(
         peaks=tuple(peaks),
         rows=rows,
         cols=cols,
-        outlier_index=outlier_index if with_center_peak else None,
+        outlier_index=outlier_index,
         noise=noise,
         seed=seed,
     )
 
 
-def outlier_spec(members: int = 20, outlier_index: int = 7, seed: int = 1, **kw) -> EnsembleSpec:
-    return four_peak_spec(
-        members=members, seed=seed, with_center_peak=True, outlier_index=outlier_index, **kw
-    )
+def outlier_spec(members: int = 20, outlier_index: int | None = None, seed: int = 1, **kw) -> EnsembleSpec:
+    """:func:`four_peak_spec` with its outlier at ``outlier_index``, by
+    default member 7, or the last member of a smaller ensemble."""
+    if outlier_index is None:
+        outlier_index = min(7, members - 1)
+    return four_peak_spec(members=members, seed=seed, outlier_index=outlier_index, **kw)
 
 
 def _render(rows, cols, peaks, rng, noise, skip_omitted):
@@ -150,8 +151,7 @@ def generate_ensemble(spec: EnsembleSpec) -> list[ScalarField2D]:
     out = []
     for k in range(spec.members):
         rng = np.random.default_rng([spec.seed, k])
-        is_outlier = spec.outlier_index is not None and k == spec.outlier_index
-        values = _render(spec.rows, spec.cols, spec.peaks, rng, spec.noise, is_outlier)
+        values = _render(spec.rows, spec.cols, spec.peaks, rng, spec.noise, k == spec.outlier_index)
         out.append(ScalarField2D(rows=spec.rows, cols=spec.cols, values=values))
     return out
 

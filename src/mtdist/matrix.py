@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import concurrent.futures
+import numbers
 import os
 from dataclasses import dataclass
 
@@ -114,9 +115,9 @@ def compute_matrix(
 
     ``jobs`` > 1 fans pairs out to a process pool; results are identical to
     the sequential path because each entry is an independent pure call.
-    ``jobs=None`` means the CPU count; ``jobs`` < 1 is an error. Each tree's
-    layouts are prepared once per call (per worker with a pool) and
-    dropped when it returns.
+    ``jobs=None`` means the CPU count, and any other ``jobs`` must be an
+    integer of at least 1. Each tree's layouts are prepared once per call
+    (per worker with a pool) and dropped when it returns.
     """
     trees = list(trees)
     labels = tuple(labels)
@@ -126,8 +127,8 @@ def compute_matrix(
         raise MTDistError("distance matrix needs at least two members")
     if jobs is None:
         jobs = os.cpu_count() or 1
-    if jobs < 1:
-        raise MTDistError(f"jobs must be at least 1, got {jobs}")
+    if not isinstance(jobs, numbers.Integral) or jobs < 1:
+        raise MTDistError(f"jobs must be at least 1 and an integer, got {jobs!r}")
     n = len(trees)
     values = np.zeros((n, n))
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]

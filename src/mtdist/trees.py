@@ -25,6 +25,7 @@ or kept after the driver returns, and other threads never see it.
 from __future__ import annotations
 
 import codecs
+import numbers
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
@@ -51,11 +52,19 @@ class MergeTree:
     __slots__ = ("values", "parent", "children", "root", "preorder", "depths", "depth", "leaves", "_report", "_hash")
 
     def __init__(self, values, parent):
-        # copies, so that freezing them leaves the caller's arrays alone
-        values = np.array(values, dtype=np.float64)
+        # copies, so that freezing them leaves the caller's arrays alone; where
+        # the conversion fails, NaN stands for each value that is no number
+        given = values
+        try:
+            values = np.array(given, dtype=np.float64)
+        except (TypeError, ValueError):
+            values = np.array([x if isinstance(x, numbers.Real) else np.nan for x in given], dtype=np.float64)
         parent = np.array(parent, dtype=np.int64)
         if values.ndim != 1 or parent.shape != values.shape:
             raise MTDistError("values and parent must be 1-d sequences of equal length")
+        bad = np.flatnonzero(~np.isfinite(values))
+        if len(bad):
+            raise MTDistError(f"node {bad[0]} has value {given[bad[0]]!r}, expected a finite number")
         n = len(values)
         if n == 0:
             raise MTDistError("a merge tree needs at least one node")

@@ -419,3 +419,99 @@ class TestGenBadParameters:
     def test_negative_grid_size(self, tmp_path, capsys, args):
         err = self.run_gen(tmp_path, capsys, *args)
         assert "dimensions" in err
+
+
+# the keys each gen kind takes, as flags and as --config keys
+GEN_KEYS = {
+    "peaks": {"members", "seed", "rows", "cols", "noise"},
+    "outlier": {"members", "outlier_index", "seed", "rows", "cols", "noise"},
+    "periodic": {"length", "period", "seed", "rows", "cols", "variation", "bumps", "drift"},
+}
+FOREIGN_KEYS = [
+    (kind, key) for kind in GEN_KEYS for key in sorted(set().union(*GEN_KEYS.values()) - GEN_KEYS[kind])
+]
+
+
+class TestGenKinds:
+    """Each gen kind takes its own keys only; one it does not take is
+    refused, not ignored."""
+
+    @pytest.mark.parametrize("kind, key", FOREIGN_KEYS)
+    def test_flag_of_another_kind_is_usage_error(self, tmp_path, capsys, kind, key):
+        flag = "--" + key.replace("_", "-")
+        rc = main(["gen", kind, "--out-dir", str(tmp_path / "g"), flag, "2"])
+        assert rc == 1
+        assert flag in capsys.readouterr().err
+        assert not (tmp_path / "g").exists()
+
+    @pytest.mark.parametrize("kind, key", FOREIGN_KEYS)
+    def test_config_key_of_another_kind_names_file_and_line(self, tmp_path, capsys, kind, key):
+        cfg = tmp_path / "gen.cfg"
+        cfg.write_text(f"seed=3\n{key.replace('_', '-')}=2\n")
+        rc = main(["gen", kind, "--out-dir", str(tmp_path / "g"), "--config", str(cfg)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"mtdist: error: {cfg}:2: gen {kind} takes no key {key!r}")
+        assert not (tmp_path / "g").exists()
+
+    def test_config_line_without_equals_sign(self, tmp_path, capsys):
+        cfg = tmp_path / "gen.cfg"
+        cfg.write_text("seed=3\n# a comment\nmembers 2\n")
+        rc = main(["gen", "peaks", "--out-dir", str(tmp_path / "g"), "--config", str(cfg)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"mtdist: error: {cfg}:3: expected key=value, got 'members 2'\n"
+
+    def test_outlier_defaults_to_last_member_of_a_small_ensemble(self, tmp_path, capsys):
+        rc = main(["gen", "outlier", "--out-dir", str(tmp_path / "o"), "--members", "5",
+                   "--rows", "32", "--cols", "32"])
+        assert rc == 0
+        capsys.readouterr()
+        fields = [read_scalar_field(tmp_path / "o" / f"member_{k}.sf2") for k in range(5)]
+        assert not (tmp_path / "o" / "member_5.sf2").exists()
+        # the center peak (height about 0.6) in every member but the last
+        center = [f.grid()[15:17, 15:17].max() for f in fields]
+        assert min(center[:4]) > 0.5 and center[4] < 0.1
+
+
+def _trees_of_fields(tmp_path, capsys, folder):
+    """``folder``'s fields written as unsimplified MT files, in one folder,
+    and simplified at 0.05 by ``tree``, in another."""
+    raw, simplified = tmp_path / "raw", tmp_path / "simplified"
+    raw.mkdir()
+    simplified.mkdir()
+    for field in sorted(folder.iterdir()):
+        assert main(["tree", str(field), "--out", str(raw / f"{field.stem}.mt")]) == 0
+        assert main(["tree", str(raw / f"{field.stem}.mt"), "--out", str(simplified / f"{field.stem}.mt"),
+                     "--simplify", "0.05"]) == 0
+    capsys.readouterr()
+    return raw, simplified
+
+
+class TestSimplifyEveryInput:
+    """``--simplify`` acts on MT inputs as on SF2 inputs."""
+
+    @pytest.fixture
+    def fields(self, tmp_path, capsys):
+        assert main(["gen", "outlier", "--out-dir", str(tmp_path / "f"), "--members", "4",
+                     "--rows", "32", "--cols", "32", "--noise", "0.01"]) == 0
+        capsys.readouterr()
+        return tmp_path / "f"
+
+    def matrix(self, tmp_path, capsys, *inputs, simplify="0"):
+        out = tmp_path / "m.csv"
+        assert main(["matrix", *map(str, inputs), "--out", str(out), "--jobs", "1",
+                     "--metric", "euclidean", "--mode", "l2", "--simplify", simplify]) == 0
+        capsys.readouterr()
+        return out.read_text()
+
+    def test_mt_inputs_are_simplified(self, tmp_path, capsys, fields):
+        raw, simplified = _trees_of_fields(tmp_path, capsys, fields)
+        assert read_merge_tree(raw / "member_0.mt") != read_merge_tree(simplified / "member_0.mt")
+        want = self.matrix(tmp_path, capsys, simplified)
+        assert self.matrix(tmp_path, capsys, raw, simplify="0.05") == want
+        assert self.matrix(tmp_path, capsys, fields, simplify="0.05") == want
+
+    def test_mixed_inputs_are_simplified_alike(self, tmp_path, capsys, fields):
+        raw, _ = _trees_of_fields(tmp_path, capsys, fields)
+        mixed = [fields / "member_0.sf2", raw / "member_1.mt", fields / "member_2.sf2", raw / "member_3.mt"]
+        want = self.matrix(tmp_path, capsys, fields, simplify="0.05")
+        assert self.matrix(tmp_path, capsys, *mixed, simplify="0.05") == want

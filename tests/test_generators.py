@@ -51,6 +51,17 @@ class TestEnsemble:
         with pytest.raises(MTDistError):
             outlier_spec(members=5, outlier_index=10)
 
+    def test_center_peak_follows_the_outlier(self):
+        assert len(four_peak_spec().peaks) == 9
+        spec = four_peak_spec(members=4, outlier_index=2)
+        assert spec.outlier_index == 2
+        assert [p.omit_in_outlier for p in spec.peaks] == [False] * 9 + [True]
+
+    @pytest.mark.parametrize("members, index", [(1, 0), (5, 4), (8, 7), (20, 7)])
+    def test_outlier_defaults_to_member_seven_or_the_last(self, members, index):
+        assert outlier_spec(members=members) == outlier_spec(members=members, outlier_index=index)
+        assert outlier_spec(members=members).outlier_index == index
+
 
 class TestPeriodicSeries:
     def test_zero_variation_periodicity(self):

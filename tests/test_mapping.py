@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -284,6 +285,41 @@ class TestValidateAgainstReference:
                     assert report == reference_validate_branch_mapping(broken)
                     crossed += any("condition 4" in v for v in report.violations)
         assert crossed > 20
+
+
+class TestTamperedMappings:
+    """The violations the dynamic program never produces, on tampered copies
+    of one of its mappings: reported as ``reference_validation.py`` reports
+    them, and refused by ``induced_node_mapping``."""
+
+    TAMPER = {
+        "condition 1 (one-to-one) violated": lambda m: dataclasses.replace(
+            m, pairs=m.pairs + m.pairs[-1:], pair_costs=m.pair_costs + m.pair_costs[-1:]
+        ),
+        "mapping lacks its decompositions": lambda m: dataclasses.replace(m, decomposition1=None),
+        "pairs plus deletions do not cover decomposition 1": lambda m: dataclasses.replace(
+            m, deletions=m.deletions[1:]
+        ),
+        "pairs plus insertions do not cover decomposition 2": lambda m: dataclasses.replace(
+            m, insertions=m.insertions[1:]
+        ),
+        "total cost does not match the aggregated edit costs": lambda m: dataclasses.replace(
+            m, total_cost=m.total_cost + 0.5
+        ),
+    }
+
+    @pytest.mark.parametrize("violation", list(TAMPER))
+    def test_violation_is_reported_and_refused(self, violation):
+        rng = np.random.default_rng(5)
+        t1, t2 = grow_merge_tree(rng, 9), grow_merge_tree(rng, 9)
+        _, good = branch_mapping_distance(t1, t2, BP, "sum")
+        assert good.deletions and good.insertions
+        broken = self.TAMPER[violation](good)
+        report = validate_branch_mapping(broken)
+        assert violation in report.violations
+        assert report == reference_validate_branch_mapping(broken)
+        with pytest.raises(PreconditionError, match="^mapping fails validation: .*" + re.escape(violation)):
+            induced_node_mapping(broken)
 
 
 class TestInducedNodeMapping:

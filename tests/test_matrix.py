@@ -111,6 +111,11 @@ class TestDistanceMatrix:
         with pytest.raises(MTDistError, match="jobs must be at least 1"):
             compute_matrix(make_trees(2), "ab", DistanceOptions(), jobs=jobs)
 
+    @pytest.mark.parametrize("jobs", [2.0, "2", 1.5])
+    def test_jobs_must_be_an_integer(self, jobs):
+        with pytest.raises(MTDistError, match="jobs must be at least 1 and an integer"):
+            compute_matrix(make_trees(2), "ab", DistanceOptions(), jobs=jobs)
+
     def test_unknown_distance_rejected(self):
         with pytest.raises(MTDistError):
             DistanceOptions(distance="hausdorff")

@@ -44,6 +44,22 @@ class TestConstruction:
         with pytest.raises(MTDistError):
             MergeTree([0.0, 1.0, 2.0], [-1, 2, 1])
 
+    @pytest.mark.parametrize(
+        "values, node",
+        [
+            ([0.0, 5.0, np.nan, 6.0], 2),
+            ([0.0, 5.0, 7.0, np.inf], 3),
+            ([-np.inf, 5.0, 7.0, 6.0], 0),
+            ([0.0, None, 7.0, 6.0], 1),
+            (["a", "b", "c", "d"], 0),
+            ([0.0, 5.0, "x", 6.0], 2),
+        ],
+    )
+    def test_rejects_a_value_that_is_not_a_finite_number(self, values, node):
+        # NaN and +inf once reached the distances, and -inf at the root gave inf
+        with pytest.raises(MTDistError, match=f"^node {node} has value .*, expected a finite number$"):
+            MergeTree(values, [-1, 0, 1, 1])
+
     def test_children_sorted_and_depth(self, two_peak_asymmetric):
         t = two_peak_asymmetric
         assert t.children[1] == (2, 3)
@@ -85,6 +101,20 @@ class TestFormat:
         with pytest.raises(ParseError) as err:
             read_merge_tree(path)
         assert "byte 0xff at offset 8" in str(err.value) and err.value.line == 2
+
+    @pytest.mark.parametrize(
+        "text, line, message",
+        [
+            ("MT two\n0 0.0 -1\n", 1, "non-integer field in header 'MT two', expected 'MT <nodeCount>'"),
+            ("MT 2\n0 0.0 -1\n2 1.0 0\n", 3, "node id 2 outside 0..1"),
+            ("MT 2\n0 0.0 -1\n\n1 nan 0\n", 4, "non-finite value for node 1"),
+            ("MT 2\n0 -inf -1\n1 1.0 0\n", 2, "non-finite value for node 0"),
+        ],
+    )
+    def test_bad_line_is_named(self, text, line, message):
+        with pytest.raises(ParseError) as err:
+            parse_merge_tree(text, path="f.mt")
+        assert err.value.line == line and str(err.value) == f"f.mt:{line}: {message}"
 
     def test_duplicate_id(self):
         with pytest.raises(ParseError) as err:
