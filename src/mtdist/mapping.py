@@ -10,7 +10,13 @@ tracked. Because the base costs are pure branch distances, only the start
 *values* matter, so the states of one tree are the pairs (node, ancestor).
 Free mode numbers them into the rows and columns of one flat table and
 fills it with numpy in anti-diagonal waves of node heights, which keeps
-large instances (hundreds of nodes) fast. The row chunks of a wave that
+large instances (hundreds of nodes) fast. Tree 2 may also be a forest: the
+layouts of several trees joined into one (``compute_matrix`` joins a group
+of one row's partners), whose table holds each member's pair table as its
+columns, bit for bit, so that each wave serves all of the group's pairs in
+one batch. Each pair's mapping is walked from its own member's columns
+through a view of the forest that carries that member's node ids, so the
+walker reads it as it reads a single tree's layout. The row chunks of a wave that
 holds at least two full chunks are filled on the calling thread and up to
 one helper thread per further CPU the process may run on; every other step,
 and every wave of a multiprocessing child such as a ``compute_matrix`` pool
@@ -39,6 +45,7 @@ from __future__ import annotations
 import os
 import queue
 import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cache, partial
 
@@ -48,7 +55,7 @@ from .branches import Branch, BranchDecomposition
 from .errors import PreconditionError, SizeLimitError, _choice
 from .matching import matching_costs, min_cost_matching as _assignment
 from .metrics import MODE_NAMES, BaseMetric, aggregate, dp_terms, finalize
-from .trees import MergeTree, ValidationReport, _layout_order, _memoized, require_valid
+from .trees import MergeTree, ValidationReport, _layout_order, _memo_entry, _memo_get, _memoized, require_valid
 
 
 @dataclass(frozen=True)
@@ -119,6 +126,15 @@ class BranchMapping:
 # A pair-table entry depends only on entries whose heights sum to less, so
 # the table is filled in anti-diagonal waves t = height(v) + height(w); the
 # (h1, t - h1) rectangles of one wave are independent of each other.
+#
+# Forests. _join lays several trees out as one tree 2, its nodes ordered by
+# (height, child count, member, position), with every member's slot, tip,
+# cost and delete entries remapped onto the joined rows. An entry reads only
+# its own member's rows and the shared pad row S, and evaluates the same
+# options in the same order, so a member's columns equal its own pair
+# table's bit for bit; only the waves are shared. The walker and winner read
+# tree 2 through a member's view: the forest's arrays with that member's
+# children, entry, off and last, so node ids stay the member tree's own.
 #
 # Threads. The row chunks of one wave write disjoint entries and read only
 # earlier waves. So when a wave's slice rectangles (or wave 0's leaf grid)
@@ -195,7 +211,8 @@ class _Flat(_States):
     height form the contiguous rows ``rows[h]:rows[h + 1]``; row ``S`` is a
     +inf pad standing in for missing child slots. ``dmax[h]`` is the largest
     child count of height h. ``pos[r]`` is the position of row r's node,
-    ``deg[k]`` the k-th node's child count and ``ctip[s, k]`` the tip row of
+    ``deg[k]`` and ``height[k]`` the k-th node's child count and height, and
+    ``ctip[s, k]`` the tip row of
     its s-th child (S + 1, a zero delete cost, if none). ``slot[s, r]`` maps
     state (v, i) to (s-th child of v, i), the child's table without its last
     ancestor, and ``cost[s, r]`` is the price of deleting v's other children
@@ -204,8 +221,8 @@ class _Flat(_States):
     """
 
     __slots__ = (
-        "children", "entry", "S", "H", "first", "rows", "dmax", "off", "last", "pos", "deg", "ctip", "lows",
-        "highs", "slot", "cost", "D",
+        "children", "entry", "S", "H", "first", "rows", "dmax", "off", "last", "pos", "deg", "height", "ctip",
+        "lows", "highs", "slot", "cost", "D",
     )
 
     def __init__(self, tree: MergeTree, metric: BaseMetric, squared: bool):
@@ -244,10 +261,12 @@ class _Flat(_States):
                 ctip[s][k] = off[c] + last[c]
                 shift[s][k] = off[c] - off[v]
         layout = np.array(
-            [order, [depth[v] for v in order], [len(children[v]) for v in order]] + ctip + shift, dtype=np.int64
+            [order, [depth[v] for v in order], [len(children[v]) for v in order], [height[v] for v in order]]
+            + ctip + shift,
+            dtype=np.int64,
         )
-        self.deg = layout[2]
-        self.ctip = ctip = layout[3:3 + degmax]
+        self.deg, self.height = layout[2], layout[3]
+        self.ctip = ctip = layout[4:4 + degmax]
         self.pos = pos = np.arange(len(order)).repeat(layout[1])
 
         ancrow = np.empty(S, dtype=np.int64)  # start node of every row
@@ -263,7 +282,7 @@ class _Flat(_States):
         self.highs = values[layout[0].take(pos[:rows[1]])]
         self.slot = slot = np.empty((degmax, S + 1), dtype=np.int64)
         slot[:, S] = S
-        shift = layout[3 + degmax:].take(pos, axis=1)
+        shift = layout[4 + degmax:].take(pos, axis=1)
         np.minimum(np.arange(S) + shift, S, out=slot[:, :S])
 
         # delete table, one height at a time
@@ -281,7 +300,7 @@ class _Flat(_States):
             cost[:dm, a:b] = (tot - z).take(pos[a:b] - first[h], axis=1)
             D[a:b] = (D[slot[:dm, a:b]] + cost[:dm, a:b]).min(axis=0)
         self.D, self.cost = D, cost
-        for a in (pos, self.deg, ctip, self.lows, self.highs, slot, D, cost):
+        for a in (pos, self.deg, self.height, ctip, self.lows, self.highs, slot, D, cost):
             a.setflags(write=False)
 
     def keep(self, v, i):
@@ -314,6 +333,81 @@ class _Flat(_States):
             for y, u in enumerate(s2):
                 if T[s, u] + side[x][y] == t:
                     return x, y
+
+
+def _join(flats):
+    """``(forest, views)``: the free layouts ``flats`` of several trees as
+    one tree-2 layout, and one view of it per member.
+
+    The forest's nodes are ordered by (height, child count, member, position
+    in the member's layout), so the rows of one height stay contiguous and
+    :func:`_pair_table` fills a tree against the whole forest wave by wave.
+    A member's child slots, tips and delete costs are remapped onto the
+    joined rows: its states read only its own rows and the pad row, so its
+    columns are those of its own pair table, bit for bit. A member's view
+    holds the forest's arrays (and its pad row ``S``) with the member's own
+    ``children``, ``entry``, ``off`` and ``last``, which is all that
+    :func:`_walk` and :meth:`_Flat.winner` read of tree 2 beyond the arrays.
+    """
+    cls = type(flats[0])
+    forest = object.__new__(cls)
+    m = len(flats)
+    sizes = [f.S for f in flats]
+    counts = [len(f.deg) for f in flats]
+    S, degmax = sum(sizes), max(len(f.ctip) for f in flats)
+    rbase = np.cumsum([0] + sizes)
+    # every member's rows, then nodes, one member after another: "global"
+    member = np.arange(m).repeat(sizes)
+    node = np.concatenate([f.pos for f in flats]) + np.cumsum([0] + counts[:-1]).repeat(sizes)
+    height = np.concatenate([f.height for f in flats])
+    deg = np.concatenate([f.deg for f in flats])
+    order = np.lexsort((deg[node], height[node]))  # stable: member and row break ties
+    rowmap = np.empty(S, dtype=np.int64)
+    rowmap[order] = np.arange(S)
+    node = node[order]
+    starts = np.flatnonzero(np.r_[True, node[1:] != node[:-1]])  # each joined node's first row
+    nodes = node[starts]  # the global node at each joined position
+    forest.H = H = max(f.H for f in flats)
+    first = np.searchsorted(height[nodes], np.arange(H + 2))
+    forest.S, forest.first, forest.rows = S, tuple(first.tolist()), tuple(np.r_[starts, S][first].tolist())
+    forest.deg, forest.height = deg[nodes], height[nodes]
+    forest.dmax = tuple(forest.deg[first[1:] - 1].tolist())  # a height's last node has the most children
+    forest.pos = np.arange(len(nodes)).repeat(np.diff(np.r_[starts, S]))
+    # a member's row r, its pad row and its no-child row as joined rows:
+    # ext[e + r] for the member's base e
+    ebase = rbase[:-1] + 2 * np.arange(m)
+    ext = np.full(S + 2 * m, S + 1)
+    ext[np.arange(S) + 2 * member] = rowmap
+    ext[ebase + sizes] = S
+
+    def slots(a, fill):  # a member's slot-by-column array with degmax slots
+        return a if len(a) == degmax else np.vstack((a, np.full((degmax - len(a), a.shape[1]), fill)))
+
+    ctip = np.concatenate([slots(f.ctip, f.S + 1) for f in flats], axis=1) + ebase.repeat(counts)
+    forest.ctip = ext[ctip].take(nodes, axis=1)
+    slot = np.concatenate([slots(f.slot[:, :f.S], f.S) for f in flats], axis=1) + ebase.repeat(sizes)
+    forest.slot = np.c_[ext[slot].take(order, axis=1), np.full(degmax, S)]
+    cost = np.concatenate([slots(f.cost[:, :f.S], 0.0) for f in flats], axis=1)
+    forest.cost = np.c_[cost.take(order, axis=1), np.zeros(degmax)]
+    forest.D = np.r_[np.concatenate([f.D[:f.S] for f in flats])[order], np.inf, 0.0]
+    # the leaf rows come first, in member and row order
+    forest.lows = np.concatenate([f.lows for f in flats])
+    forest.highs = np.concatenate([f.highs for f in flats])
+    forest.children = forest.entry = forest.off = forest.last = None
+    for name in ("pos", "deg", "height", "ctip", "lows", "highs", "slot", "D", "cost"):
+        getattr(forest, name).setflags(write=False)
+    shared = [(name, getattr(forest, name)) for name in cls.__slots__]
+    offs = rowmap[np.concatenate([f.off for f in flats]) + rbase[:-1].repeat([len(f.off) for f in flats])].tolist()
+    views, k = [], 0
+    for f in flats:
+        view = object.__new__(cls)
+        for name, value in shared:
+            setattr(view, name, value)
+        view.children, view.entry, view.last = f.children, f.entry, f.last
+        view.off = tuple(offs[k:k + len(f.off)])
+        k += len(f.off)
+        views.append(view)
+    return forest, views
 
 
 def _node_sides(f1: _Flat, f2: _Flat, T, x, y, sc, sd):
@@ -533,6 +627,87 @@ def _pair_table(f1: _Flat, f2: _Flat, pair):
     return T
 
 
+# ---------------------------------------------------------------------------
+# forest rows: one table for a tree against a group of partner trees
+#
+# compute_matrix runs the free distance row by row. Each row's partners are
+# split into consecutive groups; the layouts of a group's partners are joined
+# (_join) and the row's tree is filled against the whole forest once, by the
+# group's first branch_mapping_distance, so every wave serves all of the
+# group's pairs in one batch. Every pair still walks its own mapping: from
+# its member's columns, through a view that reads the joined rows as its
+# own. The table is held in compute_matrix's layout memo while the group's
+# pairs run and dropped when the group ends.
+#
+# A group's table has at most _FOREST_ENTRIES entries (and never more bytes
+# than _TABLE_LIMIT). A partner whose own table is larger, the row's own
+# tree object and an invalid tree go alone, with a per-pair table, so
+# _check_table refuses a pair over the limit before any table holding it
+# is allocated. A group never holds one tree object twice, so a member is
+# found by its tree.
+# ---------------------------------------------------------------------------
+
+_FOREST_ENTRIES = 1 << 22
+
+
+def _row_groups(tree, partners):
+    """The indices of ``partners`` in consecutive groups whose free tables
+    against ``tree`` are filled as one; a group of one runs alone."""
+    rows = sum(tree.depths) + 1
+    bound = _FOREST_ENTRIES if _TABLE_LIMIT is None else min(_FOREST_ENTRIES, _TABLE_LIMIT // 8)
+    groups, held, cols = [[]], set(), 1
+    for k, t in enumerate(partners):
+        s = sum(t.depths)
+        alone = t is tree or not tree._report.ok or not t._report.ok or rows * (s + 1) > bound
+        if alone or id(t) in held or rows * (cols + s) > bound:
+            held, cols = set(), 1
+            groups.append([])
+        groups[-1].append(k)
+        if alone:
+            groups.append([])
+        else:
+            held.add(id(t))
+            cols += s
+    return [g for g in groups if g]
+
+
+class _Forest:
+    """The free table of ``tree`` against a group of ``partners``, filled
+    once by the first call that asks for it, for one metric and mode."""
+
+    __slots__ = ("tree", "partners", "index", "made")
+
+    def __init__(self, tree, partners):
+        self.tree, self.partners = tree, partners
+        self.index = {id(t): k for k, t in enumerate(partners)}
+        self.made = None
+
+    def table(self, tree2, metric, squared):
+        """``(f1, f2, T)``: the tree's layout, ``tree2``'s member view and
+        the joined table."""
+        key = (metric.kind, squared)
+        if self.made is None or self.made[0] != key:
+            self.made = None  # dropped before another is filled
+            f1 = _states(self.tree, None, metric, squared)
+            forest, views = _join([_states(t, None, metric, squared) for t in self.partners])
+            self.made = key, f1, views, _pair_table(f1, forest, dp_terms(metric, squared)[0])
+        _, f1, views, T = self.made
+        return f1, views[self.index[id(tree2)]], T
+
+
+@contextmanager
+def _forest(tree, partners):
+    """While open, a free :func:`branch_mapping_distance` of ``tree``
+    against one of ``partners`` reads its columns of their joined table;
+    the table is dropped when the block exits. A lone partner keeps its own
+    per-pair table."""
+    if len(partners) < 2:
+        yield
+        return
+    with _memo_entry(tree, "forest", _Forest(tree, partners)):
+        yield
+
+
 def _walk(f1: _States, f2: _States | None, T, start):
     """Leaf pairs, deleted and inserted leaves and each tree's continuation
     map of an optimal mapping.
@@ -727,30 +902,36 @@ def branch_mapping_distance(
             if tree is not None and (dec is None or (dec.tree is not tree and dec.tree != tree)):
                 raise PreconditionError(f"fixed decomposition does not belong to tree {k + 1}")
     decs = (None, None) if fixed is None else fixed
+    # each tree's states: in free mode the sum of its node depths, in fixed
+    # mode one per non-root node (a member view's S is its forest's pad row)
+    states = [0 if t is None else sum(t.depths) if fixed is None else len(t) - 1 for t in trees]
     # refused before any layout: the free table's (S1 + 1) x (S2 + 1) float64
-    # values, S being the sum of a tree's node depths; in fixed mode a Python
-    # float in a list and a float64 per node pair, whose tracemalloc peak
-    # read 40.2-42.3 bytes per node pair on grown trees of 200-1600 nodes
+    # values; in fixed mode a Python float in a list and a float64 per node
+    # pair, whose tracemalloc peak read 40.2-42.3 bytes per node pair on
+    # grown trees of 200-1600 nodes
     if tree1 is not None and tree2 is not None:
         if fixed is None:
-            _check_table("free-mode table", sum(tree1.depths) + 1, sum(tree2.depths) + 1, 8)
+            _check_table("free-mode table", states[0] + 1, states[1] + 1, 8)
         else:
             _check_table("fixed-mode table", len(tree1), len(tree2), 40)
-    f1, f2 = (None if t is None else _states(t, d, metric, squared) for t, d in zip(trees, decs))
+    forest = None if fixed is not None or tree1 is None else _memo_get(tree1, "forest")
+    if forest is not None and id(tree2) in forest.index:
+        f1, f2, T = forest.table(tree2, metric, squared)
+    else:
+        f1, f2 = (None if t is None else _states(t, d, metric, squared) for t, d in zip(trees, decs))
+        if f1 is not None and f2 is not None:
+            T = (_pair_table if fixed is None else _fixed_tables)(f1, f2, dp_terms(metric, squared)[0])
     pairs, out, cont = [], [[], []], [{}, {}]
-    total, keys, bound = 0.0, 0, 0
+    total, bound = 0.0, 0
     if f1 is not None and f2 is not None:
-        T = (_pair_table if fixed is None else _fixed_tables)(f1, f2, dp_terms(metric, squared)[0])
         total = T[f1.off[f1.entry], f2.off[f2.entry]]
         pairs, out, cont = _walk(f1, f2, T, (f1.entry, 0, f2.entry, 0))
-        keys = f1.S * f2.S
         bound = len(tree1) * tree1.depth * len(tree2) * tree2.depth
     else:
         for k, f in enumerate((f1, f2)):
             if f is not None:
                 total = f.D[f.off[f.entry]]
                 _, (out[k], _), (cont[k], _) = _walk(f, None, None, (0, f.entry, 0))
-    null_keys = sum(f.S for f in (f1, f2) if f is not None)
     decs = [
         None if t is None
         else d if d is not None
@@ -762,6 +943,8 @@ def branch_mapping_distance(
     deletions, insertions = (
         tuple(sorted(dec.branch_of_leaf(v) for v in leaves)) for dec, leaves in zip(decs, out)
     )
+    # the matched pairs' labels, costed in one broadcast call
+    labels = np.array([(a.low, a.high, b.low, b.high) for a, b in pairs]).reshape(-1, 4).T
     distance = finalize(total, mode)
     return distance, BranchMapping(
         tree1=tree1,
@@ -769,13 +952,13 @@ def branch_mapping_distance(
         decomposition1=decs[0],
         decomposition2=decs[1],
         pairs=pairs,
-        pair_costs=tuple(metric.pair(a.low, a.high, b.low, b.high) for a, b in pairs),
+        pair_costs=tuple(metric.pair(*labels).tolist()),
         deletions=deletions,
         insertions=insertions,
         total_cost=distance,
         metric=metric,
         mode=mode,
-        stats=MemoStats(keys=keys, null_keys=null_keys, bound=bound),
+        stats=MemoStats(keys=states[0] * states[1], null_keys=sum(states), bound=bound),
     )
 
 

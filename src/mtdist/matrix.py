@@ -12,7 +12,7 @@ import numpy as np
 from . import baselines
 from .branches import elder_rule_decomposition
 from .errors import MTDistError, PreconditionError, _choice
-from .mapping import branch_mapping_distance
+from .mapping import _forest, _row_groups, branch_mapping_distance
 from .metrics import METRIC_NAMES, MODE_NAMES, BaseMetric
 from .trees import MergeTree, _layout_memo
 
@@ -100,12 +100,25 @@ def _init_worker(trees, opts):
     _WORKER_CTX["memo"] = {}
 
 
-def _pair_worker(pair):
-    i, j = pair
-    trees = _WORKER_CTX["trees"]
-    opts = _WORKER_CTX["opts"]
+def _row_segments(trees, opts, segments):
+    """``(i, j, distance)`` for every partner j of every row segment ``(i,
+    js)``. Under ``branch``, each group of a row's partners shares one
+    joined free table (:func:`mapping._row_groups`); every pair still runs
+    :func:`pairwise_distance`."""
+    out = []
+    free = opts.distance == "branch"
+    for i, js in segments:
+        t = trees[i]
+        partners = [trees[j] for j in js]
+        for group in _row_groups(t, partners) if free else [range(len(js))]:
+            with _forest(t, [partners[k] for k in group] if free else ()):
+                out += [(i, js[k], pairwise_distance(t, partners[k], opts)) for k in group]
+    return out
+
+
+def _task_worker(segments):
     with _layout_memo(_WORKER_CTX["memo"]):
-        return i, j, pairwise_distance(trees[i], trees[j], opts)
+        return _row_segments(_WORKER_CTX["trees"], _WORKER_CTX["opts"], segments)
 
 
 def compute_matrix(
@@ -113,22 +126,32 @@ def compute_matrix(
 ) -> DistanceMatrix:
     """Symmetric matrix of pairwise distances over the upper triangle.
 
-    ``jobs`` > 1 fans pairs out to a process pool; results are identical to
-    the sequential path because each entry is an independent pure call.
-    ``jobs=None`` means the CPU count, and any other ``jobs`` must be an
-    integer of at least 1. Each tree's layouts are prepared once per call
-    (per worker with a pool) and dropped when it returns.
+    The pairs run row by row: row i holds the pairs (i, j), j > i. Under
+    ``branch`` a row's partners are split into consecutive groups whose
+    joined free table has at most ``mapping._FOREST_ENTRIES`` entries; tree
+    i is filled against each group once, and each pair walks its mapping
+    from its own columns, which equal its own table's bit for bit. A pair
+    whose own table is larger than that bound runs alone, and every pair is
+    still held to the table limit (``SizeLimitError``).
+
+    ``jobs`` > 1 fans the pairs out to a process pool in tasks of about
+    ``len(pairs) / (4 * jobs)`` consecutive pairs, each a run of row
+    segments; results are identical to the sequential path because each
+    entry is the same pure computation. ``jobs=None`` means the CPU count,
+    and any other ``jobs`` must be an integer of at least 1. Each tree's
+    layouts are prepared once per call (per worker with a pool), and a
+    group's table lives while its pairs run; none outlives the call.
     """
     trees = list(trees)
     labels = tuple(labels)
     if len(trees) != len(labels):
-        raise MTDistError("need one label per tree")
+        raise PreconditionError("need one label per tree")
     if len(trees) < 2:
-        raise MTDistError("distance matrix needs at least two members")
+        raise PreconditionError("distance matrix needs at least two members")
     if jobs is None:
         jobs = os.cpu_count() or 1
     if not isinstance(jobs, numbers.Integral) or jobs < 1:
-        raise MTDistError(f"jobs must be at least 1 and an integer, got {jobs!r}")
+        raise PreconditionError(f"jobs must be at least 1 and an integer, got {jobs!r}")
     n = len(trees)
     values = np.zeros((n, n))
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
@@ -137,18 +160,28 @@ def compute_matrix(
     if jobs > 1:
         # about four tasks per worker, so that one slow task cannot hold most of the work
         tasks = 4 * jobs
-        chunksize = (len(pairs) + tasks - 1) // tasks
+        size = (len(pairs) + tasks - 1) // tasks
+        chunks = [_segments(pairs[k:k + size]) for k in range(0, len(pairs), size)]
         with concurrent.futures.ProcessPoolExecutor(
             max_workers=jobs, initializer=_init_worker, initargs=(trees, opts)
         ) as pool:
-            for i, j, d in pool.map(_pair_worker, pairs, chunksize=chunksize):
-                values[i, j] = values[j, i] = d
+            done = [d for chunk in pool.map(_task_worker, chunks) for d in chunk]
     else:
         with _layout_memo():
-            for i, j in pairs:
-                d = pairwise_distance(trees[i], trees[j], opts)
-                values[i, j] = values[j, i] = d
+            done = _row_segments(trees, opts, _segments(pairs))
+    for i, j, d in done:
+        values[i, j] = values[j, i] = d
     return DistanceMatrix(labels=labels, values=values)
+
+
+def _segments(pairs):
+    """The pairs ``pairs``, in order, as row segments ``(i, js)``."""
+    out = []
+    for i, j in pairs:
+        if not out or out[-1][0] != i:
+            out.append((i, []))
+        out[-1][1].append(j)
+    return out
 
 
 def single_linkage_order(values: np.ndarray):

@@ -8,7 +8,7 @@ side starts a new track, an unmatched leaf on the earlier side ends one.
 
 from __future__ import annotations
 
-from .errors import MTDistError
+from .errors import PreconditionError
 from .mapping import induced_node_mapping
 from .matrix import DistanceOptions, branch_mapping
 from .trees import _layout_memo
@@ -32,7 +32,7 @@ def build_tracks(trees, opts: DistanceOptions):
     """
     trees = list(trees)
     if len(trees) < 2:
-        raise MTDistError("tracking needs at least two time steps")
+        raise PreconditionError("tracking needs at least two time steps")
     steps = []
     with _layout_memo():
         for k in range(len(trees) - 1):

@@ -20,6 +20,8 @@ A driver that compares each tree many times, ``compute_matrix`` or
 length of its call only. The memo belongs to the calling thread (a context
 variable), not to the trees: nothing is stored on a tree, pickled with it,
 or kept after the driver returns, and other threads never see it.
+``compute_matrix`` also holds one row group's joined free table there, with
+:func:`_memo_entry`, while that group's pairs run.
 """
 
 from __future__ import annotations
@@ -57,10 +59,13 @@ class MergeTree:
         given = values
         try:
             values = np.array(given, dtype=np.float64)
-        except (TypeError, ValueError):
-            values = np.array([x if isinstance(x, numbers.Real) else np.nan for x in given], dtype=np.float64)
-        parent = np.array(parent, dtype=np.int64)
-        if values.ndim != 1 or parent.shape != values.shape:
+        except (TypeError, ValueError, OverflowError):
+            values = np.array([_float_or_nan(x) for x in given], dtype=np.float64)
+        try:
+            ids = np.asarray(parent)
+        except ValueError:  # a ragged sequence
+            ids = None
+        if values.ndim != 1 or ids is None or ids.shape != values.shape:
             raise MTDistError("values and parent must be 1-d sequences of equal length")
         bad = np.flatnonzero(~np.isfinite(values))
         if len(bad):
@@ -68,11 +73,10 @@ class MergeTree:
         n = len(values)
         if n == 0:
             raise MTDistError("a merge tree needs at least one node")
+        parent = _parent_ids(parent, n)
         roots = np.flatnonzero(parent == -1)
         if len(roots) != 1:
             raise MTDistError(f"expected exactly one root (parent -1), found {len(roots)}")
-        if ((parent < -1) | (parent >= n)).any():
-            raise MTDistError("parent ids out of range")
         root = int(roots[0])
         par = parent.tolist()
         children = _children(par)
@@ -149,6 +153,34 @@ class MergeTree:
     def subtree_nodes(self, v):
         """All nodes of the classic subtree under ``v`` (inclusive), preorder."""
         return _preorder(v, self.children)
+
+
+def _float_or_nan(x):
+    """``x`` as a float if it is a real number that converts to one, else NaN."""
+    try:
+        return float(x) if isinstance(x, numbers.Real) else np.nan
+    except OverflowError:
+        return np.nan
+
+
+def _parent_ids(parent, n):
+    """The parent ids ``parent`` as an int64 array, once each is -1 or a node
+    id below ``n``; else an :class:`MTDistError` naming the first node with
+    another."""
+    ids = np.asarray(parent)
+    if ids.dtype.kind == "i":  # signed integers already: only the range to check
+        ids = ids.astype(np.int64)
+        bad = np.flatnonzero((ids < -1) | (ids >= n))
+        k = int(bad[0]) if len(bad) else None
+    else:
+        ids = ids.tolist() if isinstance(parent, np.ndarray) else list(parent)
+        k = next((k for k, p in enumerate(ids) if not (isinstance(p, numbers.Integral) and -1 <= p < n)), None)
+    if k is None:
+        return np.array(ids, dtype=np.int64)
+    p = ids[k]
+    if not isinstance(p, numbers.Integral):
+        raise MTDistError(f"node {k} has parent {p!r}, expected an integer id")
+    raise MTDistError(f"parent ids out of range: node {k} has parent {int(p)}, expected -1 or 0..{n - 1}")
 
 
 def _children(parent):
@@ -237,6 +269,28 @@ def _memoized(source, key, build):
     if hit is None:
         hit = memo[slot] = (source, build())
     return hit[1]
+
+
+@contextmanager
+def _memo_entry(source, key, value):
+    """Hold ``value`` as ``source``'s ``key`` in the open memo until the
+    block exits, also when it raises; with no memo open, hold nothing."""
+    memo = _MEMO.get()
+    slot = (id(source), key)
+    if memo is not None:
+        memo[slot] = (source, value)
+    try:
+        yield
+    finally:
+        if memo is not None:
+            del memo[slot]
+
+
+def _memo_get(source, key):
+    """The value held as ``source``'s ``key`` in the open memo, else None."""
+    memo = _MEMO.get()
+    hit = None if memo is None else memo.get((id(source), key))
+    return None if hit is None else hit[1]
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from mtdist import (
     aggregate,
     branch_cost,
     branch_mapping_distance,
+    build_tracks,
     compute_matrix,
     compute_merge_tree,
     constrained_edit_distance,
@@ -56,6 +57,11 @@ REJECTIONS = {
     "negative threshold": lambda: simplify(TREE, -1.0),
     "nan threshold": lambda: simplify(TREE, float("nan")),
     "no real branch": lambda: branch_cost(BP, None, None),
+    "matrix label count": lambda: compute_matrix([TREE, TREE], "abc", DistanceOptions(), jobs=1),
+    "matrix of one member": lambda: compute_matrix([TREE], "a", DistanceOptions(), jobs=1),
+    "matrix jobs below one": lambda: compute_matrix([TREE, TREE], "ab", DistanceOptions(), jobs=0),
+    "matrix jobs not an integer": lambda: compute_matrix([TREE, TREE], "ab", DistanceOptions(), jobs=2.0),
+    "tracks of one step": lambda: build_tracks([TREE], DistanceOptions()),
 }
 
 

@@ -26,6 +26,8 @@ from mtdist import (
     delete_tree_cost,
     validate_branch_mapping,
 )
+from mtdist.fields import compute_merge_tree, simplify
+from mtdist.generators import PEAK_SIMPLIFY_THRESHOLD, generate_ensemble, generate_periodic_series, outlier_spec
 from mtdist.metrics import METRIC_NAMES, MODE_NAMES, BaseMetric, dp_terms
 from conftest import grow_merge_tree, random_merge_tree
 from reference_free_dp import reference_delete_cost, reference_free_mapping
@@ -454,3 +456,68 @@ def test_pool_workers_fill_with_one_thread(monkeypatch):
     serial = compute_matrix(trees, "abcd", opts, jobs=1)
     assert started  # in this process, the same pairs fill on threads
     assert np.array_equal(compute_matrix(trees, "abcd", opts, jobs=2).values, serial.values)
+
+
+
+# ---------------------------------------------------------------------------
+# forest rows: one tree against the joined layouts of its partners
+# ---------------------------------------------------------------------------
+
+def c07_trees():
+    """The C07 outlier ensemble's 20 trees."""
+    fields = generate_ensemble(outlier_spec(members=20, outlier_index=7, seed=1))
+    return [simplify(compute_merge_tree(f), PEAK_SIMPLIFY_THRESHOLD) for f in fields]
+
+
+def c08_trees(frames):
+    """Frames of the C08 periodic series, simplified as C08 does."""
+    series = generate_periodic_series(length=225, period=75, seed=0)
+    return [simplify(compute_merge_tree(series[k]), 0.05) for k in frames]
+
+
+def forest_rows():
+    """``(tree, partners)`` rows: the C07 outlier against the rest, C08
+    frames, wide saddles on both sides, partners of unequal heights and a
+    row of one partner."""
+    rng = np.random.default_rng(53)
+    c07, c08 = c07_trees(), c08_trees([0, 37, 74, 112, 150, 187, 224])
+    wide = [grow_merge_tree(rng, n, 0.4) for n in (9, 14, 25, 31, 40)]
+    uneven = [MergeTree([0.0, 1.0], [-1, 0]), bushy_tree(rng, [6, 2]), grow_merge_tree(rng, 60, 0.05), wide[0]]
+    return [
+        (c07[7], c07[:7] + c07[8:]),
+        (c08[0], c08[1:]),
+        (wide[2], wide[:2] + wide[3:]),
+        (grow_merge_tree(rng, 30, 0.1), uneven),
+        (wide[3], [bushy_tree(rng, [3, 5, 2])]),
+    ]
+
+
+def member_columns(tree, view, flat):
+    """The columns of ``tree``'s states in the forest, through its member
+    ``view``, and in its own layout ``flat``, state by state."""
+    states = [(w, j) for w in tree.preorder[1:] for j in range(tree.depths[w])]
+    return [view.off[w] + j for w, j in states], [flat.off[w] + j for w, j in states]
+
+
+@pytest.mark.parametrize("slice_states", [mapping_module._SLICE_STATES, 1, 10**9], ids=["default", "all-slices", "all-flat"])
+def test_forest_columns_equal_pair_tables(monkeypatch, slice_states):
+    monkeypatch.setattr(mapping_module, "_SLICE_STATES", slice_states)
+    for k, (tree, partners) in enumerate(forest_rows()):
+        metric, squared = (BaseMetric("euclidean"), True) if k % 2 else (BaseMetric("birth-persistence"), False)
+        pair = dp_terms(metric, squared)[0]
+        f1 = mapping_module._Flat(tree, metric, squared)
+        flats = [mapping_module._Flat(t, metric, squared) for t in partners]
+        forest, views = mapping_module._join(flats)
+        T = mapping_module._pair_table(f1, forest, pair)
+        assert T.shape == (f1.S + 1, sum(f.S for f in flats) + 1)
+        assert forest.H == max(f.H for f in flats)
+        seen = []
+        for t, f, view in zip(partners, flats, views):
+            assert (view.children, view.entry, view.last, view.S) == (t.children, f.entry, f.last, forest.S)
+            joined, own = member_columns(t, view, f)
+            assert np.array_equal(T[:, joined], mapping_module._pair_table(f1, f, pair)[:, own])
+            seen += joined
+        assert sorted(seen) == list(range(forest.S))  # each joined column is one member's
+        assert np.isinf(T[:, forest.S]).all() and np.isinf(T[f1.S]).all()
+        if len(partners) == 1:  # a forest of one tree is that tree's layout
+            assert np.array_equal(T, mapping_module._pair_table(f1, flats[0], pair))

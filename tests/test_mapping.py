@@ -589,3 +589,19 @@ class TestTableLimit:
         finally:
             tracemalloc.stop()
         assert need > 5_000_000 and peak < need / 100
+
+
+@pytest.mark.parametrize("kind", ["persistence", "birth-persistence", "euclidean", "linf"])
+def test_pair_costs_equal_scalar_calls(kind):
+    # one broadcast call per mapping, the same bits as one scalar call per pair
+    metric = BaseMetric(kind)
+    rng = np.random.default_rng(41)
+    for n1, n2 in ((2, 30), (40, 60), (90, 90)):
+        for fixed in (False, True):
+            t1, t2 = grow_merge_tree(rng, n1, 0.2), grow_merge_tree(rng, n2, 0.2)
+            decs = (elder_rule_decomposition(t1), elder_rule_decomposition(t2)) if fixed else None
+            _, mapping = branch_mapping_distance(t1, t2, metric, "sum", fixed=decs)
+            scalar = tuple(metric.pair(a.low, a.high, b.low, b.high) for a, b in mapping.pairs)
+            assert mapping.pair_costs == scalar
+            assert all(type(c) is float for c in mapping.pair_costs)
+            assert len(mapping.pair_costs) == len(mapping.pairs) >= 1

@@ -1,7 +1,9 @@
 import concurrent.futures
+import gc
 import json
 import pickle
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ import mtdist.matrix as matrix_module
 import mtdist.trees as trees_module
 from mtdist import branch_mapping_distance, elder_rule_decomposition, induced_node_mapping
 from mtdist.cli import main
-from mtdist.errors import MTDistError, PreconditionError
+from mtdist.errors import MTDistError, PreconditionError, SizeLimitError
 from mtdist.matrix import (
     DISTANCE_NAMES,
     DistanceMatrix,
@@ -28,7 +30,7 @@ from mtdist.matrix import (
 from mtdist.metrics import BaseMetric
 from mtdist.tracking import build_tracks, step_leaf_pairs
 from mtdist.trees import write_merge_tree
-from conftest import random_merge_tree
+from conftest import grow_merge_tree, random_merge_tree
 from reference_linkage import reference_single_linkage_order
 
 
@@ -242,12 +244,144 @@ class TestLayoutMemo:
             mapping_module._Fixed(tree, elder_rule_decomposition(tree), metric, False),
             baselines_module._Levels(labeled, lambda label: metric.deletion(*label)),
         ]
+        forest, views = mapping_module._join([layouts[0], layouts[0]])
+        layouts += [forest, *views]
         for layout in layouts:
             for slot in type(layout).__slots__:
                 value = getattr(layout, slot)
                 assert not isinstance(value, (list, dict, set)), slot
                 if isinstance(value, np.ndarray):
                     assert not value.flags.writeable, slot
+
+
+def mixed_trees(seed):
+    """Small trees, wide saddles and one deep tree, so rows have partners
+    of unequal heights."""
+    rng = np.random.default_rng(seed)
+    trees = [random_merge_tree(rng, max_leaves=5) for _ in range(4)]
+    trees += [grow_merge_tree(rng, n, 0.4) for n in (12, 25)] + [grow_merge_tree(rng, 45, 0.05)]
+    return trees
+
+
+def recorded(monkeypatch, module, name, record):
+    """Wrap ``module.name`` so that every call's arguments go to ``record``
+    first."""
+    call = getattr(module, name)
+
+    def recording(*args):
+        record(*args)
+        return call(*args)
+
+    monkeypatch.setattr(module, name, recording)
+
+
+class TestForestRows:
+    """Under ``branch``, ``compute_matrix`` fills each row's tree against
+    groups of its partners as one table, and every entry and mapping stays
+    the pair's own."""
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_matrix_equals_a_loop_of_pair_calls(self, jobs):
+        trees = mixed_trees(61)
+        for metric, mode in (("euclidean", "l2"), ("birth-persistence", "sum")):
+            m = compute_matrix(trees, "abcdefg", DistanceOptions("branch", metric, mode), jobs=jobs)
+            for i in range(7):
+                for j in range(i + 1, 7):
+                    assert m.values[i, j] == branch_mapping_distance(trees[i], trees[j], BaseMetric(metric), mode)[0]
+
+    def test_every_mapping_from_a_forest_equals_its_own(self, monkeypatch):
+        trees = mixed_trees(62)
+        metric = BaseMetric("euclidean")
+        tables = []
+        recorded(monkeypatch, mapping_module, "_pair_table", lambda f1, f2, pair: tables.append(f2))
+        groups = 0
+        with trees_module._layout_memo():
+            got = {}
+            for i, t in enumerate(trees):
+                partners = trees[i + 1:]
+                for group in mapping_module._row_groups(t, partners):
+                    groups += 1
+                    with mapping_module._forest(t, [partners[k] for k in group]):
+                        for k in group:
+                            got[i, i + 1 + k] = branch_mapping_distance(t, partners[k], metric, "l2")
+        assert len(tables) == groups < len(got)  # one table per group, and some groups of several
+        assert any(f2.children is None for f2 in tables)  # joined layouts
+        for (i, j), (d, mapping) in got.items():
+            want_d, want = branch_mapping_distance(trees[i], trees[j], metric, "l2")
+            assert d == want_d
+            assert mapping == want
+            assert mapping.decomposition1.continuation == want.decomposition1.continuation
+            assert mapping.decomposition2.continuation == want.decomposition2.continuation
+            assert mapping.stats.keys == sum(trees[i].depths) * sum(trees[j].depths)
+
+    def test_small_group_bound_splits_rows(self, monkeypatch):
+        trees = mixed_trees(63)
+        opts = DistanceOptions("branch", "euclidean", "l2")
+        want = compute_matrix(trees, "abcdefg", opts, jobs=1).values
+        joined, tables = [], []
+        recorded(monkeypatch, mapping_module, "_join", lambda flats: joined.append(len(flats)))
+        recorded(
+            monkeypatch, mapping_module, "_pair_table",
+            lambda f1, f2, pair: tables.append((f2.children is None, (f1.S + 1) * (f2.S + 1))),
+        )
+        compute_matrix(trees, "abcdefg", opts, jobs=1)
+        assert joined == [6, 5, 4, 3, 2] and len(tables) == 6  # one table per row
+        joined.clear()
+        tables.clear()
+        bound = 60 * (sum(trees[0].depths) + 1)
+        monkeypatch.setattr(mapping_module, "_FOREST_ENTRIES", bound)
+        assert np.array_equal(compute_matrix(trees, "abcdefg", opts, jobs=1).values, want)
+        assert len(tables) > 6 and joined and max(joined) < 6  # the rows were split
+        assert all(entries <= bound for forest, entries in tables if forest)
+
+    def test_each_group_table_dropped_when_its_group_ends(self, monkeypatch):
+        trees = mixed_trees(66)
+        monkeypatch.setattr(mapping_module, "_FOREST_ENTRIES", 40 * (sum(trees[0].depths) + 1))
+        fill = mapping_module._pair_table
+        alive = []
+
+        def filling(f1, f2, pair):
+            gc.collect()
+            assert all(table() is None for table in alive)  # the last group's table is gone
+            T = fill(f1, f2, pair)
+            alive.append(weakref.ref(T))
+            return T
+
+        monkeypatch.setattr(mapping_module, "_pair_table", filling)
+        compute_matrix(trees, "abcdefg", DistanceOptions(), jobs=1)
+        gc.collect()
+        assert len(alive) > 6 and all(table() is None for table in alive)
+
+    def test_repeated_tree_objects(self, monkeypatch):
+        a, b, c = make_trees(3, seed=64)
+        trees = [a, b, a, c, b, a, c]
+        opts = DistanceOptions("branch", "euclidean", "sum")
+        forests = []
+        recorded(monkeypatch, matrix_module, "_forest", lambda t, partners: forests.append((t, partners)))
+        m = compute_matrix(trees, "abcdefg", opts, jobs=1)
+        for i in range(7):
+            for j in range(i + 1, 7):
+                assert m.values[i, j] == pairwise_distance(trees[i], trees[j], opts)
+        assert any(len(partners) > 1 for _, partners in forests)
+        for t, partners in forests:
+            assert len({id(u) for u in partners}) == len(partners)
+            assert t not in partners or partners == [t]  # the row's own tree runs alone
+
+    def test_pair_over_the_table_limit_refused_before_its_table(self, monkeypatch):
+        rng = np.random.default_rng(65)
+        small = [grow_merge_tree(rng, 12, 0.1) for _ in range(4)]
+        big = grow_merge_tree(rng, 80, 0.05)
+        trees = [small[0], small[1], small[2], big, small[3]]
+        rows = sum(small[0].depths) + 1
+        limit = 8 * rows * (sum(big.depths) + 1) - 1  # only the pairs with the big tree are over
+        assert 8 * rows * (sum(sum(t.depths) for t in small) + 1) < limit
+        monkeypatch.setattr(mapping_module, "_TABLE_LIMIT", limit)
+        tables = []
+        recorded(monkeypatch, mapping_module, "_pair_table", lambda f1, f2, pair: tables.append((f1.S + 1) * (f2.S + 1)))
+        with pytest.raises(SizeLimitError, match="free-mode table"):
+            compute_matrix(trees, "abcde", DistanceOptions(), jobs=1)
+        assert tables == [rows * (sum(small[1].depths) + sum(small[2].depths) + 1)]  # row 0's group before the big tree
+        assert trees_module._MEMO.get() is None
 
 
 class TestMappingDispatch:

@@ -60,6 +60,36 @@ class TestConstruction:
         with pytest.raises(MTDistError, match=f"^node {node} has value .*, expected a finite number$"):
             MergeTree(values, [-1, 0, 1, 1])
 
+    def test_rejects_a_value_too_large_for_a_float(self):
+        with pytest.raises(MTDistError, match="^node 1 has value 1000.*, expected a finite number$"):
+            MergeTree([0.0, 10**400, 7.0, 6.0], [-1, 0, 1, 1])
+
+    @pytest.mark.parametrize(
+        "parent, message",
+        [
+            ([-1, 0.7, 1, 1], "^node 1 has parent 0.7, expected an integer id$"),
+            ([-1, 0, "a", 1], "^node 2 has parent 'a', expected an integer id$"),
+            ([-1, 0, 1, np.float64(1.0)], r"^node 3 has parent np.float64\(1.0\), expected an integer id$"),
+            ([-1, 0, 1, 2**70], "^parent ids out of range: node 3 has parent 1180591620717411303424, expected -1 or 0..3$"),
+            (np.array([-1, 0, 1, -2]), "^parent ids out of range: node 3 has parent -2, expected -1 or 0..3$"),
+            (np.array([-1, 4, 1, 1], dtype=np.int8), "^parent ids out of range: node 1 has parent 4, expected -1 or 0..3$"),
+        ],
+    )
+    def test_rejects_a_parent_that_is_no_node_id(self, parent, message):
+        # 0.7 once hung node 1 under node 0, 'a' raised a bare ValueError and
+        # 2**70 an OverflowError
+        with pytest.raises(MTDistError, match=message):
+            MergeTree([0.0, 5.0, 7.0, 6.0], parent)
+
+    @pytest.mark.parametrize(
+        "parent",
+        [[-1, 0, 1, 1], (-1, 0, 1, 1), [np.int16(-1), np.int64(0), 1, 1], np.array([-1, 0, 1, 1], dtype=np.int8)],
+    )
+    def test_accepts_integer_parent_ids(self, parent):
+        tree = MergeTree([0.0, 5.0, 7.0, 6.0], parent)
+        assert tree.parent.dtype == np.int64
+        assert tree.parent.tolist() == [-1, 0, 1, 1]
+
     def test_children_sorted_and_depth(self, two_peak_asymmetric):
         t = two_peak_asymmetric
         assert t.children[1] == (2, 3)
