@@ -19,12 +19,12 @@ from itertools import groupby
 
 import numpy as np
 
-from .branches import build_bdt, elder_rule_decomposition
+from .branches import _elder_of, build_bdt, elder_rule_decomposition
 from .errors import PreconditionError, _choice
 from .mapping import _check_table
 from .matching import SMALL, matching_costs, small_matching_costs
 from .metrics import MODE_NAMES, BaseMetric, dp_terms, finalize
-from .trees import MergeTree, _children, _layout_order, _memoized, _preorder, require_valid
+from .trees import MergeTree, _children, _layout_order, _memo_get, _memoized, _preorder, require_valid
 
 
 @dataclass(frozen=True)
@@ -62,6 +62,13 @@ def elder_labeled_inputs(tree: MergeTree, target: str) -> LabeledTree:
     return _memoized(tree, ("labeled", target), lambda: _labeled(tree, dec, target))
 
 
+def _label(tree: MergeTree, target: str) -> LabeledTree:
+    """:func:`elder_labeled_inputs` of a valid tree and a known target,
+    without their checks: how a driver reaches the memoized input of a
+    tree without a call of the public functions."""
+    return _memoized(tree, ("labeled", target), lambda: _labeled(tree, _elder_of(tree), target))
+
+
 def _labeled(tree: MergeTree, dec, target: str) -> LabeledTree:
     if target == "bdt":
         bdt = build_bdt(dec)
@@ -78,30 +85,32 @@ def _labeled(tree: MergeTree, dec, target: str) -> LabeledTree:
 
 
 class _Levels:
-    """One tree's nodes laid out for :func:`_fill`.
+    """One tree's nodes, or a forest's, laid out for :func:`_fill`.
 
     The nodes reachable from the root are numbered in (height, child count,
-    id) order. ``levels[h]`` is ``(lo, mid, hi, small, top)``: height h
+    id) order. Per position: ``deg`` the child count and ``height`` the
+    height; ``kids`` the children's positions, padded with ``n``; ``sub``
+    the cost of deleting the subtree (0 at the padding ``n``); ``rest`` that
+    of deleting the children's subtrees; ``null`` that of deleting the node
+    alone, by the :func:`dp_terms` ``deletion`` the layout is built with;
+    and ``label[:, k]`` its label. :meth:`_index` derives the rest from
+    these: ``levels[h]`` is ``(lo, mid, hi, small, top)``, where height h
     takes the positions ``lo:hi``, of which ``lo:mid`` have at most
-    ``SMALL`` children and ``mid:hi`` more; ``small`` and ``top`` are the
-    largest child counts of the two ranges, and ``runs[h]`` lists the runs
-    ``(start, stop, count)`` of one child count above the leaves. Per
-    position: ``deg`` the child count; ``kids`` the children's positions,
-    padded with ``n``; ``sub`` the cost of deleting the subtree (0 at the
-    padding ``n``); ``rest`` that of deleting the children's subtrees;
-    ``null`` that of deleting the node alone, by the :func:`dp_terms`
-    ``deletion`` the layout is built with; and ``label[:, k]`` its label.
-    As tree 2 of a pair, :func:`_fill` reads a :meth:`_group` per child
-    count (``groups``; ``wide`` those above ``SMALL``) and one of all inner
-    nodes with at most ``SMALL`` children (``small``), and per height above
-    the leaves the insert terms (``inserts``). A driver's layout memo shares
-    one layout between pairs, so its sequences are tuples and its arrays
-    read-only.
+    ``SMALL`` children and ``mid:hi`` more, and ``small`` and ``top`` are
+    the largest child counts of the two ranges; ``runs[h]`` lists the runs
+    ``(start, stop, count)`` of one child count above the leaves. As tree 2
+    of a pair, :func:`_fill` reads a :meth:`_group` per child count
+    (``groups``; ``wide`` those above ``SMALL``) and one of all inner nodes
+    with at most ``SMALL`` children (``small``), and per height above the
+    leaves the insert terms (``inserts``). :func:`_join` lays several
+    trees' layouts out as one, whose ``root`` is the tuple of the members'
+    roots. A driver's layout memo shares one layout between pairs, so its
+    sequences are tuples and its arrays read-only.
     """
 
     __slots__ = (
-        "n", "root", "levels", "runs", "deg", "kids", "sub", "rest", "null", "label", "groups", "wide",
-        "small", "inserts",
+        "n", "root", "levels", "runs", "deg", "height", "kids", "sub", "rest", "null", "label", "groups",
+        "wide", "small", "inserts",
     )
 
     def __init__(self, t: LabeledTree, null):
@@ -117,17 +126,7 @@ class _Levels:
         height, order = _layout_order(post, kids)
         self.n = n = len(order)
         self.deg = deg = tuple(len(kids[v]) for v in order)
-        runs = [[] for _ in range(height[t.root] + 1)]
-        for (h, c), ks in groupby(range(n), key=lambda k: (height[order[k]], deg[k])):
-            ks = list(ks)
-            runs[h].append((ks[0], ks[-1] + 1, c))
-        levels = []
-        for rs in runs:
-            lo, hi = rs[0][0], rs[-1][1]
-            mid = next((i0 for i0, _, c in rs if c > SMALL), hi)
-            levels.append((lo, mid, hi, deg[mid - 1] if mid > lo else 0, rs[-1][2]))
-        self.levels = tuple(levels)
-        self.runs = ((),) + tuple(map(tuple, runs[1:]))  # the leaves match nothing
+        self.height = tuple(height[v] for v in order)
         pos = [0] * len(kids)
         for k, v in enumerate(order):
             pos[v] = k
@@ -140,8 +139,25 @@ class _Levels:
         self.rest = np.array([rest[v] for v in order])
         self.null = np.array([nulls[v] for v in order])
         self.label = labels[:, order]
+        self._index()
+
+    def _index(self):
+        """Freeze the per-position arrays and derive the per-height ranges
+        and the tree-2 groups from them."""
+        n, deg, height = self.n, self.deg, self.height
         for a in (self.kids, self.sub, self.rest, self.null, self.label):
             a.setflags(write=False)
+        runs = [[] for _ in range(height[-1] + 1)]  # the last position is the highest
+        for (h, c), ks in groupby(range(n), key=lambda k: (height[k], deg[k])):
+            ks = list(ks)
+            runs[h].append((ks[0], ks[-1] + 1, c))
+        levels = []
+        for rs in runs:
+            lo, hi = rs[0][0], rs[-1][1]
+            mid = next((i0 for i0, _, c in rs if c > SMALL), hi)
+            levels.append((lo, mid, hi, deg[mid - 1] if mid > lo else 0, rs[-1][2]))
+        self.levels = tuple(levels)
+        self.runs = ((),) + tuple(map(tuple, runs[1:]))  # the leaves match nothing
         inner = range(levels[0][2], n)
         counts = sorted({deg[j] for j in inner})
         self.groups = tuple(self._group([j for j in inner if deg[j] == d]) for d in counts)
@@ -165,8 +181,82 @@ class _Levels:
         return d, js, kids, sub
 
 
+def _join(levels):
+    """The layouts ``levels`` of several trees as one tree-2 layout for
+    :func:`_fill`, a forest whose ``root`` is the tuple of the members'
+    roots.
+
+    The forest's positions are ordered by (height, child count, member,
+    position in the member's layout), so each height stays contiguous. A
+    member's children are remapped onto the joined positions, its padding
+    onto the forest's padding ``n``: each member's columns of a table read
+    only its own columns and the padding, so they are those of its own
+    table, bit for bit. The forest is built from the members' layouts, as
+    an object of their class, without building a layout of its own.
+    """
+    forest = object.__new__(type(levels[0]))
+    base = np.cumsum([0] + [f.n for f in levels])
+    n = int(base[-1])
+    height = np.concatenate([f.height for f in levels])
+    deg = np.concatenate([f.deg for f in levels])
+    order = np.lexsort((deg, height))  # stable: member and position break ties
+    where = np.empty(n, dtype=np.intp)  # a member position's joined position
+    where[order] = np.arange(n)
+    kids = np.full((n, max(f.kids.shape[1] for f in levels)), n, dtype=np.intp)
+    for f, b in zip(levels, base.tolist()):
+        kids[b:b + f.n, :f.kids.shape[1]] = np.r_[where[b:b + f.n], n].take(f.kids)
+    forest.n = n
+    forest.root = tuple(where[base[:-1] + [f.root for f in levels]].tolist())
+    forest.deg, forest.height = tuple(deg[order].tolist()), tuple(height[order].tolist())
+    forest.kids = kids.take(order, axis=0)
+    forest.sub = np.r_[np.concatenate([f.sub[:f.n] for f in levels])[order], 0.0]
+    forest.rest = np.concatenate([f.rest for f in levels])[order]
+    forest.null = np.concatenate([f.null for f in levels])[order]
+    forest.label = np.concatenate([f.label for f in levels], axis=1)[:, order]
+    forest._index()
+    return forest
+
+
+# The bytes per node pair a _fill call takes, for _check_table: a tracemalloc
+# peak of 29.0-46.2 bytes per node pair on grown trees of 800-1600 nodes and
+# their BDTs
+_ENTRY_BYTES = 48
+
+
 def _fill(t1: LabeledTree, t2: LabeledTree, metric: BaseMetric, mode: str, edits: bool) -> float:
-    """The edit-distance table of every node pair, read at the root pair.
+    """The edit distance of ``t1`` and ``t2`` from the table of every node
+    pair of :func:`_table`, read at the root pair.
+
+    While a driver holds a forest of ``t1``'s row (:func:`mapping._forest`)
+    that has ``t2`` as a member, the entry is read from the one table of
+    ``t1`` against the joined layouts of that group (:func:`_join`), made
+    by the group's first call and equal at ``t2``'s columns to the pair's
+    own table, bit for bit; otherwise the pair fills its own table.
+    """
+    _choice("aggregation mode", mode, MODE_NAMES)
+    squared = mode == "l2"
+    # refused before any layout or forest is read
+    _check_table("baseline table", len(t1) + 1, len(t2) + 1, _ENTRY_BYTES)
+    pair, null = dp_terms(metric, squared)
+    key = ("levels", metric.kind, squared)
+
+    def layout(t):
+        return _memoized(t, key, lambda: _Levels(t, null))
+
+    forest = _memo_get(t1, "forest")
+    if forest is not None and id(t2) in forest.index:
+        def make():
+            a, b = layout(t1), _join([layout(t) for t in forest.partners])
+            return a, b, _table(a, b, pair, edits)
+
+        a, b, dist = forest.table((key, edits), make)
+        return finalize(dist[a.root, b.root[forest.index[id(t2)]]], mode)
+    a, b = layout(t1), layout(t2)
+    return finalize(_table(a, b, pair, edits)[a.root, b.root], mode)
+
+
+def _table(a: _Levels, b: _Levels, pair, edits: bool):
+    """The edit-distance table of every node pair of the layouts a and b.
 
     ``dist[i, j]`` is, in its first option, the label cost of the pair plus
     the cheapest matching of the child subtrees, unmatched ones deleted or
@@ -185,15 +275,6 @@ def _fill(t1: LabeledTree, t2: LabeledTree, metric: BaseMetric, mode: str, edits
     of the unpadded instance. The other pairs of the height go in one
     :func:`matching_costs` call per pair of child counts.
     """
-    _choice("aggregation mode", mode, MODE_NAMES)
-    squared = mode == "l2"
-    # refused before any layout: a tracemalloc peak of 29.0-46.2 bytes per
-    # node pair on grown trees of 800-1600 nodes and their BDTs
-    _check_table("baseline table", len(t1) + 1, len(t2) + 1, 48)
-    pair, null = dp_terms(metric, squared)
-    key = ("levels", metric.kind, squared)
-    a = _memoized(t1, key, lambda: _Levels(t1, null))
-    b = _memoized(t2, key, lambda: _Levels(t2, null))
     L = pair(a.label[:, :, None], b.label)
     n2 = b.n
     dist = np.full((a.n + 1, n2 + 1), np.inf)  # the last row and column pad missing children
@@ -221,7 +302,7 @@ def _fill(t1: LabeledTree, t2: LabeledTree, metric: BaseMetric, mode: str, edits
         for c0, c1, k2, sub, rest, nul in b.inserts if edits else ():
             Y = dist[lo:hi].take(k2, axis=1) + rest - sub
             np.minimum(best[:, c0:c1], nul + np.minimum.reduce(Y, axis=2), out=dist[lo:hi, c0:c1])
-    return finalize(dist[a.root, b.root], mode)
+    return dist
 
 
 def one_degree_distance(

@@ -146,6 +146,11 @@ def elder_rule_decomposition(tree: MergeTree) -> BranchDecomposition:
     memo is open, so every call of that driver gets the same object.
     """
     require_valid(tree)
+    return _elder_of(tree)
+
+
+def _elder_of(tree: MergeTree) -> BranchDecomposition:
+    """:func:`elder_rule_decomposition` of a valid tree, without its check."""
     return _memoized(tree, "elder", lambda: _elder(tree))
 
 

@@ -630,35 +630,45 @@ def _pair_table(f1: _Flat, f2: _Flat, pair):
 # ---------------------------------------------------------------------------
 # forest rows: one table for a tree against a group of partner trees
 #
-# compute_matrix runs the free distance row by row. Each row's partners are
-# split into consecutive groups; the layouts of a group's partners are joined
-# (_join) and the row's tree is filled against the whole forest once, by the
-# group's first branch_mapping_distance, so every wave serves all of the
-# group's pairs in one batch. Every pair still walks its own mapping: from
-# its member's columns, through a view that reads the joined rows as its
-# own. The table is held in compute_matrix's layout memo while the group's
-# pairs run and dropped when the group ends.
+# compute_matrix runs the free distance and both baselines row by row. Each
+# row's partners are split into consecutive groups; the layouts of a group's
+# partners are joined (_join here, baselines._join for the baselines) and
+# the row's tree is filled against the whole forest once, by the group's
+# first distance call, so every wave or height serves all of the group's
+# pairs in one batch. Every pair still runs its own call and reads its own
+# columns: a free mapping is walked through a view that reads the joined
+# rows as its own, a baseline reads its entry at its member's root. The
+# table is held in compute_matrix's layout memo while the group's pairs run
+# and dropped when the group ends.
 #
-# A group's table has at most _FOREST_ENTRIES entries (and never more bytes
-# than _TABLE_LIMIT). A partner whose own table is larger, the row's own
-# tree object and an invalid tree go alone, with a per-pair table, so
-# _check_table refuses a pair over the limit before any table holding it
-# is allocated. A group never holds one tree object twice, so a member is
-# found by its tree.
+# A group's table takes at most 8 * _FOREST_ENTRIES bytes, as _check_table
+# charges them (8 per entry for the free table, 48 for the baselines), and
+# never more than _TABLE_LIMIT. A partner whose own table is larger, the
+# row's own tree object and an invalid tree go alone, with a per-pair
+# table, so _check_table refuses a pair over the limit before any table
+# holding it is allocated. A group never holds one tree object twice, so a
+# member is found by its tree.
 # ---------------------------------------------------------------------------
 
 _FOREST_ENTRIES = 1 << 22
 
 
-def _row_groups(tree, partners):
-    """The indices of ``partners`` in consecutive groups whose free tables
-    against ``tree`` are filled as one; a group of one runs alone."""
-    rows = sum(tree.depths) + 1
-    bound = _FOREST_ENTRIES if _TABLE_LIMIT is None else min(_FOREST_ENTRIES, _TABLE_LIMIT // 8)
+def _row_groups(tree, partners, size=lambda t: sum(t.depths), per_entry=8):
+    """The indices of ``partners`` in consecutive groups whose tables
+    against ``tree`` are filled as one; a group of one runs alone.
+    ``size(t)`` is a valid tree's side of the table less the pad row, and
+    ``per_entry`` the bytes :func:`_check_table` charges per entry; the
+    defaults are those of the free table."""
+    if not tree._report.ok:
+        return [[k] for k in range(len(partners))]
+    rows = size(tree) + 1
+    budget = 8 * _FOREST_ENTRIES if _TABLE_LIMIT is None else min(8 * _FOREST_ENTRIES, _TABLE_LIMIT)
+    bound = budget // per_entry  # entries
     groups, held, cols = [[]], set(), 1
     for k, t in enumerate(partners):
-        s = sum(t.depths)
-        alone = t is tree or not tree._report.ok or not t._report.ok or rows * (s + 1) > bound
+        alone = t is tree or not t._report.ok
+        s = 0 if alone else size(t)
+        alone = alone or rows * (s + 1) > bound
         if alone or id(t) in held or rows * (cols + s) > bound:
             held, cols = set(), 1
             groups.append([])
@@ -672,8 +682,9 @@ def _row_groups(tree, partners):
 
 
 class _Forest:
-    """The free table of ``tree`` against a group of ``partners``, filled
-    once by the first call that asks for it, for one metric and mode."""
+    """The table of ``tree`` against a group of ``partners``, made by the
+    first call that asks for it, for one key (a metric and mode) at a
+    time."""
 
     __slots__ = ("tree", "partners", "index", "made")
 
@@ -682,25 +693,19 @@ class _Forest:
         self.index = {id(t): k for k, t in enumerate(partners)}
         self.made = None
 
-    def table(self, tree2, metric, squared):
-        """``(f1, f2, T)``: the tree's layout, ``tree2``'s member view and
-        the joined table."""
-        key = (metric.kind, squared)
+    def table(self, key, make):
+        """``make()``, once while ``key`` stays the same."""
         if self.made is None or self.made[0] != key:
-            self.made = None  # dropped before another is filled
-            f1 = _states(self.tree, None, metric, squared)
-            forest, views = _join([_states(t, None, metric, squared) for t in self.partners])
-            self.made = key, f1, views, _pair_table(f1, forest, dp_terms(metric, squared)[0])
-        _, f1, views, T = self.made
-        return f1, views[self.index[id(tree2)]], T
+            self.made = None  # dropped before another is made
+            self.made = key, make()
+        return self.made[1]
 
 
 @contextmanager
 def _forest(tree, partners):
-    """While open, a free :func:`branch_mapping_distance` of ``tree``
-    against one of ``partners`` reads its columns of their joined table;
-    the table is dropped when the block exits. A lone partner keeps its own
-    per-pair table."""
+    """While open, a distance of ``tree`` against one of ``partners``
+    reads its columns of their joined table; the table is dropped when the
+    block exits. A lone partner keeps its own per-pair table."""
     if len(partners) < 2:
         yield
         return
@@ -916,7 +921,13 @@ def branch_mapping_distance(
             _check_table("fixed-mode table", len(tree1), len(tree2), 40)
     forest = None if fixed is not None or tree1 is None else _memo_get(tree1, "forest")
     if forest is not None and id(tree2) in forest.index:
-        f1, f2, T = forest.table(tree2, metric, squared)
+        def make():
+            f1 = _states(tree1, None, metric, squared)
+            joined, views = _join([_states(t, None, metric, squared) for t in forest.partners])
+            return f1, views, _pair_table(f1, joined, dp_terms(metric, squared)[0])
+
+        f1, views, T = forest.table((metric.kind, squared), make)
+        f2 = views[forest.index[id(tree2)]]
     else:
         f1, f2 = (None if t is None else _states(t, d, metric, squared) for t, d in zip(trees, decs))
         if f1 is not None and f2 is not None:

@@ -100,18 +100,40 @@ def _init_worker(trees, opts):
     _WORKER_CTX["memo"] = {}
 
 
+def _forest_rows(distance):
+    """How :func:`compute_matrix` groups a row's partners under
+    ``distance``: ``(source, sizing)``, where ``source(t)`` is what the
+    distance call receives for tree t (its labelled input under a baseline)
+    and ``sizing`` the table's size and bytes per entry for
+    :func:`mapping._row_groups` (its defaults for the free table); None if
+    every pair fills its own table."""
+    if distance == "branch":
+        return (lambda t: t), ()
+    if distance in _BASELINES:
+        target = _BASELINES[distance][0]
+
+        def label(t):
+            return baselines._label(t, target)
+
+        return label, (lambda t: len(label(t)), baselines._ENTRY_BYTES)
+    return None
+
+
 def _row_segments(trees, opts, segments):
     """``(i, j, distance)`` for every partner j of every row segment ``(i,
-    js)``. Under ``branch``, each group of a row's partners shares one
-    joined free table (:func:`mapping._row_groups`); every pair still runs
-    :func:`pairwise_distance`."""
+    js)``. Under ``branch`` and the baselines, each group of a row's
+    partners shares one joined table (:func:`mapping._row_groups`); every
+    pair still runs :func:`pairwise_distance`."""
     out = []
-    free = opts.distance == "branch"
+    rows = _forest_rows(opts.distance)
     for i, js in segments:
         t = trees[i]
         partners = [trees[j] for j in js]
-        for group in _row_groups(t, partners) if free else [range(len(js))]:
-            with _forest(t, [partners[k] for k in group] if free else ()):
+        for group in [range(len(js))] if rows is None else _row_groups(t, partners, *rows[1]):
+            members = [partners[k] for k in group]
+            # a group of several, held as its calls receive the trees
+            held = [rows[0](u) for u in [t] + members] if rows and len(members) > 1 else [t]
+            with _forest(held[0], held[1:]):
                 out += [(i, js[k], pairwise_distance(t, partners[k], opts)) for k in group]
     return out
 
@@ -127,12 +149,15 @@ def compute_matrix(
     """Symmetric matrix of pairwise distances over the upper triangle.
 
     The pairs run row by row: row i holds the pairs (i, j), j > i. Under
-    ``branch`` a row's partners are split into consecutive groups whose
-    joined free table has at most ``mapping._FOREST_ENTRIES`` entries; tree
-    i is filled against each group once, and each pair walks its mapping
+    ``branch``, ``constrained`` and ``one-degree`` a row's partners are
+    split into consecutive groups whose joined table takes at most ``8 *
+    mapping._FOREST_ENTRIES`` bytes, 8 per free entry and 48 per baseline
+    entry; tree i (its labelled input under a baseline) is filled against
+    each group once, and each pair reads its entry, or walks its mapping,
     from its own columns, which equal its own table's bit for bit. A pair
     whose own table is larger than that bound runs alone, and every pair is
-    still held to the table limit (``SizeLimitError``).
+    still held to the table limit (``SizeLimitError``). Fixed mode fills
+    one table per pair.
 
     ``jobs`` > 1 fans the pairs out to a process pool in tasks of about
     ``len(pairs) / (4 * jobs)`` consecutive pairs, each a run of row

@@ -20,8 +20,10 @@ A driver that compares each tree many times, ``compute_matrix`` or
 length of its call only. The memo belongs to the calling thread (a context
 variable), not to the trees: nothing is stored on a tree, pickled with it,
 or kept after the driver returns, and other threads never see it.
-``compute_matrix`` also holds one row group's joined free table there, with
-:func:`_memo_entry`, while that group's pairs run.
+``compute_matrix`` also holds one row group's joined table there, with
+:func:`_memo_entry`, while that group's pairs run: the free table under
+``branch``, held by the row's tree, and the baselines' table, held by the
+row's labelled input.
 """
 
 from __future__ import annotations
@@ -55,11 +57,14 @@ class MergeTree:
 
     def __init__(self, values, parent):
         # copies, so that freezing them leaves the caller's arrays alone; where
-        # the conversion fails, NaN stands for each value that is no number
+        # the conversion fails or a value is text, which numpy would parse
+        # when it reads as a number, NaN stands for each value that is no number
         given = values
         try:
             values = np.array(given, dtype=np.float64)
         except (TypeError, ValueError, OverflowError):
+            values = None
+        if values is None or (values.ndim == 1 and _has_text(given)):
             values = np.array([_float_or_nan(x) for x in given], dtype=np.float64)
         try:
             ids = np.asarray(parent)
@@ -153,6 +158,13 @@ class MergeTree:
     def subtree_nodes(self, v):
         """All nodes of the classic subtree under ``v`` (inclusive), preorder."""
         return _preorder(v, self.children)
+
+
+def _has_text(values):
+    """Whether the 1-d sequence ``values`` holds a ``str`` or ``bytes``;
+    an array of numbers holds none, whatever its length."""
+    kind = values.dtype.kind if isinstance(values, np.ndarray) else "O"
+    return kind in "SU" or (kind == "O" and any(isinstance(x, (str, bytes)) for x in values))
 
 
 def _float_or_nan(x):

@@ -15,7 +15,7 @@ import mtdist.matrix as matrix_module
 import mtdist.trees as trees_module
 from mtdist import branch_mapping_distance, elder_rule_decomposition, induced_node_mapping
 from mtdist.cli import main
-from mtdist.errors import MTDistError, PreconditionError, SizeLimitError
+from mtdist.errors import InvalidTreeError, MTDistError, PreconditionError, SizeLimitError
 from mtdist.matrix import (
     DISTANCE_NAMES,
     DistanceMatrix,
@@ -29,7 +29,7 @@ from mtdist.matrix import (
 )
 from mtdist.metrics import BaseMetric
 from mtdist.tracking import build_tracks, step_leaf_pairs
-from mtdist.trees import write_merge_tree
+from mtdist.trees import MergeTree, write_merge_tree
 from conftest import grow_merge_tree, random_merge_tree
 from reference_linkage import reference_single_linkage_order
 
@@ -382,6 +382,146 @@ class TestForestRows:
             compute_matrix(trees, "abcde", DistanceOptions(), jobs=1)
         assert tables == [rows * (sum(small[1].depths) + sum(small[2].depths) + 1)]  # row 0's group before the big tree
         assert trees_module._MEMO.get() is None
+
+
+BASELINES = [("constrained", "merge-tree"), ("one-degree", "bdt")]
+
+
+class TestBaselineForestRows:
+    """Under ``constrained`` and ``one-degree``, ``compute_matrix`` fills
+    each row's labelled tree against groups of its partners as one table,
+    and every entry stays the pair's own, bit for bit."""
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("distance", ["constrained", "one-degree"])
+    def test_matrix_equals_a_loop_of_pair_calls(self, monkeypatch, distance, jobs):
+        trees = mixed_trees(62)
+        forests = []
+        join = baselines_module._join
+
+        def joining(levels):
+            forests.append(join(levels))
+            return forests[-1]
+
+        monkeypatch.setattr(baselines_module, "_join", joining)
+        for metric, mode in (("euclidean", "l2"), ("birth-persistence", "sum")):
+            opts = DistanceOptions(distance, metric, mode)
+            m = compute_matrix(trees, "abcdefg", opts, jobs=jobs)
+            for i in range(7):
+                for j in range(i + 1, 7):
+                    assert m.values[i, j] == pairwise_distance(trees[i], trees[j], opts)
+        if jobs == 1:  # the pool's forests are joined in its workers
+            assert len(forests) == 2 * 5  # rows 0-4 have several partners
+            # the wide saddles reach both the <=3x3 batch and the wide groups
+            assert any(len(f.small[1]) and f.wide for f in forests)
+
+    @pytest.mark.parametrize("distance, target", BASELINES)
+    def test_small_byte_budget_splits_rows(self, monkeypatch, distance, target):
+        trees = mixed_trees(72)
+        opts = DistanceOptions(distance, "euclidean", "l2")
+        want = compute_matrix(trees, "abcdefg", opts, jobs=1).values
+        tables = []
+        recorded(
+            monkeypatch, baselines_module, "_table",
+            lambda a, b, pair, edits: tables.append((isinstance(b.root, tuple), (a.n + 1) * (b.n + 1))),
+        )
+        compute_matrix(trees, "abcdefg", opts, jobs=1)
+        assert [forest for forest, _ in tables] == [True] * 5 + [False]  # one table per row
+        tables.clear()
+        size = [len(baselines_module.elder_labeled_inputs(t, target)) for t in trees]
+        budget = 48 * (size[0] + 1) * (sum(size[1:]) // 2)  # bytes, half of row 0
+        monkeypatch.setattr(mapping_module, "_FOREST_ENTRIES", budget // 8)
+        assert np.array_equal(compute_matrix(trees, "abcdefg", opts, jobs=1).values, want)
+        assert len(tables) > 6 and any(forest for forest, _ in tables)  # the rows were split
+        assert all(48 * entries <= budget for forest, entries in tables if forest)
+
+    def test_each_group_table_dropped_when_its_group_ends(self, monkeypatch):
+        trees = mixed_trees(73)
+        monkeypatch.setattr(mapping_module, "_FOREST_ENTRIES", 8 * 40 * 40 // 8)
+        fill = baselines_module._table
+        alive = []
+
+        def filling(a, b, pair, edits):
+            gc.collect()
+            assert all(table() is None for table in alive)  # the last group's table is gone
+            dist = fill(a, b, pair, edits)
+            alive.append(weakref.ref(dist))
+            return dist
+
+        monkeypatch.setattr(baselines_module, "_table", filling)
+        compute_matrix(trees, "abcdefg", DistanceOptions("constrained"), jobs=1)
+        gc.collect()
+        assert len(alive) > 6 and all(table() is None for table in alive)
+
+    @pytest.mark.parametrize("distance, target", BASELINES)
+    def test_repeated_tree_objects(self, monkeypatch, distance, target):
+        a, b, c = make_trees(3, seed=74)
+        trees = [a, b, a, c, b, a, c]
+        opts = DistanceOptions(distance, "euclidean", "sum")
+        forests = []
+        recorded(monkeypatch, matrix_module, "_forest", lambda t, partners: forests.append((t, partners)))
+        m = compute_matrix(trees, "abcdefg", opts, jobs=1)
+        for i in range(7):
+            for j in range(i + 1, 7):
+                assert m.values[i, j] == pairwise_distance(trees[i], trees[j], opts)
+        assert any(len(partners) > 1 for _, partners in forests)
+        for t, partners in forests:
+            if partners:  # a group of several, held by the labelled inputs
+                assert isinstance(t, baselines_module.LabeledTree)
+                assert len({id(u) for u in partners}) == len(partners)
+                assert all(u is not t for u in partners)  # the row's own tree runs alone
+
+    @pytest.mark.parametrize("distance", ["constrained", "one-degree"])
+    @pytest.mark.parametrize("at", [0, 3])
+    def test_invalid_member_raises_as_its_pair(self, distance, at):
+        trees = make_trees(5, seed=75)
+        trees[at] = MergeTree([0.0, 5.0, 6.0], [-1, 0, 0])  # the root has two children
+        opts = DistanceOptions(distance)
+        with pytest.raises(InvalidTreeError) as want:
+            pairwise_distance(trees[0], trees[at or 1], opts)
+        with pytest.raises(InvalidTreeError) as got:
+            compute_matrix(trees, "abcde", opts, jobs=1)
+        assert str(got.value) == str(want.value)
+        assert trees_module._MEMO.get() is None
+
+    @pytest.mark.parametrize("distance, target", BASELINES)
+    def test_pair_over_the_table_limit_refused_before_its_table(self, monkeypatch, distance, target):
+        rng = np.random.default_rng(76)
+        small = [grow_merge_tree(rng, 12, 0.1) for _ in range(4)]
+        big = grow_merge_tree(rng, 80, 0.05)
+        trees = [small[0], small[1], small[2], big, small[3]]
+        size = [len(baselines_module.elder_labeled_inputs(t, target)) for t in trees]
+        limit = 48 * (size[0] + 1) * (size[3] + 1) - 1  # only the pairs with the big tree are over
+        assert 48 * (size[0] + 1) * (sum(size) - size[3] + 1) < limit
+        monkeypatch.setattr(mapping_module, "_TABLE_LIMIT", limit)
+        tables = []
+        recorded(monkeypatch, baselines_module, "_table", lambda a, b, pair, edits: tables.append((a.n, b.n)))
+        with pytest.raises(SizeLimitError, match="baseline table"):
+            compute_matrix(trees, "abcde", DistanceOptions(distance), jobs=1)
+        assert tables == [(size[0], size[1] + size[2])]  # row 0's group before the big tree
+        assert trees_module._MEMO.get() is None
+
+    def test_joined_layouts_are_read_only(self):
+        trees = mixed_trees(77)[4:6]
+        metric = BaseMetric("euclidean")
+        levels = [
+            baselines_module._Levels(baselines_module.elder_labeled_inputs(t, "merge-tree"), lambda label: metric.deletion(*label))
+            for t in trees
+        ]
+        forest = baselines_module._join(levels)
+        assert type(forest) is baselines_module._Levels
+        assert forest.n == sum(f.n for f in levels)
+        assert forest.root == tuple(forest.root) and len(forest.root) == 2
+        for slot in type(forest).__slots__:
+            value = getattr(forest, slot)
+            assert not isinstance(value, (list, dict, set)), slot
+            if isinstance(value, np.ndarray):
+                assert not value.flags.writeable, slot
+        for sub in (forest.groups, forest.wide, forest.inserts, (forest.small,)):
+            for group in sub:
+                for part in group:
+                    if isinstance(part, np.ndarray):
+                        assert not part.flags.writeable
 
 
 class TestMappingDispatch:

@@ -60,6 +60,39 @@ class TestConstruction:
         with pytest.raises(MTDistError, match=f"^node {node} has value .*, expected a finite number$"):
             MergeTree(values, [-1, 0, 1, 1])
 
+    @pytest.mark.parametrize(
+        "values, node, shown",
+        [
+            (["0", "5", "7", "6"], 0, "'0'"),
+            ([0.0, b"5", 7.0, 6.0], 1, "b'5'"),
+            ([0.0, 5.0, "7", 6.0], 2, "'7'"),
+            (np.array(["0", "5", "7", "6"]), 0, r"np.str_\('0'\)"),
+            (np.array([b"0", b"5", b"7", b"6"]), 0, r"np.bytes_\(b'0'\)"),
+            (np.array([0.0, 5.0, 7.0, "6"], dtype=object), 3, "'6'"),
+        ],
+    )
+    def test_rejects_a_value_given_as_numeric_text(self, values, node, shown):
+        # numpy parses numeric text, so '5' once built a tree where 'x' did not
+        with pytest.raises(MTDistError, match=f"^node {node} has value {shown}, expected a finite number$"):
+            MergeTree(values, [-1, 0, 1, 1])
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [0.0, 5.0, 7.0, 6.0],
+            (0, 5, 7, 6),
+            [np.float32(0.0), np.int64(5), 7, 6.0],
+            np.array([0, 5, 7, 6]),
+            np.array([0, 5, 7, 6], dtype=np.uint8),
+            np.array([0.0, 5.0, 7.0, 6.0], dtype=np.float32),
+            np.array([0.0, 5.0, 7.0, 6.0]),
+        ],
+    )
+    def test_accepts_numbers_in_lists_tuples_and_arrays(self, values):
+        tree = MergeTree(values, [-1, 0, 1, 1])
+        assert tree.values.dtype == np.float64
+        assert tree.values.tolist() == [0.0, 5.0, 7.0, 6.0]
+
     def test_rejects_a_value_too_large_for_a_float(self):
         with pytest.raises(MTDistError, match="^node 1 has value 1000.*, expected a finite number$"):
             MergeTree([0.0, 10**400, 7.0, 6.0], [-1, 0, 1, 1])
