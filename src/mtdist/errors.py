@@ -27,7 +27,8 @@ class PreconditionError(MTDistError, ValueError):
 
 class SizeLimitError(MTDistError):
     """An operation was asked to run beyond its size cap: an enumeration past
-    its leaf cap, or a free-mode table larger than the memory it may take."""
+    its leaf cap, or a distance table (free, fixed or baseline) larger than
+    the memory it may take."""
 
 
 def _choice(what, value, names):

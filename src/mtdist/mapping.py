@@ -21,13 +21,14 @@ holds at least two full chunks are filled on the calling thread and up to
 one helper thread per further CPU the process may run on; every other step,
 and every wave of a multiprocessing child such as a ``compute_matrix`` pool
 worker, runs on the calling thread alone. In fixed mode the decompositions
-fix every branch start, so each node has one state and a plain loop over
-node pairs fills the table. Both modes keep one value per state and no
-record of the winning option: one walker reconstructs the mapping from
-either table, and at each state it visits it evaluates the options again,
-in the fill's order and with its arithmetic, and takes the first whose
-value equals the entry. At an inner-inner state the options are, in this
-fixed order:
+fix every branch start, so each node has one state: the same layout with
+one row per node, whose only live child slot is the continuation, filled
+by the same waves and joined into forests the same way. The table keeps
+one value per state and no record of the winning option: one walker
+reconstructs the mapping, and at each state it visits it evaluates the
+options again, in the fill's order and with its arithmetic, and takes the
+first whose value equals the entry. At an inner-inner state the options
+are, in this fixed order:
 
 1. continue tree 1's branch through one child, deleting the sibling
    subtrees, leaving tree 2 untouched (one option per child);
@@ -118,11 +119,13 @@ class BranchMapping:
 
 
 # ---------------------------------------------------------------------------
-# free mode: minimize over all branch decompositions
+# the state tables of both modes
 #
 # State (v, i) is a non-root node v whose branch starts at v's i-th ancestor
-# (root first). Every tree numbers its states into contiguous rows, so the
-# delete table is one vector and the pair table one (S1+1) x (S2+1) array.
+# (root first); in fixed mode the decomposition fixes that start, so each
+# node has the one state (v, 0). Every tree numbers its states into
+# contiguous rows, so the delete table is one vector and the pair table one
+# (S1+1) x (S2+1) array.
 # A pair-table entry depends only on entries whose heights sum to less, so
 # the table is filled in anti-diagonal waves t = height(v) + height(w); the
 # (h1, t - h1) rectangles of one wave are independent of each other.
@@ -134,7 +137,7 @@ class BranchMapping:
 # options in the same order, so a member's columns equal its own pair
 # table's bit for bit; only the waves are shared. The walker and winner read
 # tree 2 through a member's view: the forest's arrays with that member's
-# children, entry, off and last, so node ids stay the member tree's own.
+# children, entry, live, off and last, so node ids stay the member tree's own.
 #
 # Threads. The row chunks of one wave write disjoint entries and read only
 # earlier waves. So when a wave's slice rectangles (or wave 0's leaf grid)
@@ -185,54 +188,55 @@ def _check_table(what, rows, cols, per_entry):
         )
 
 
-class _States:
-    """State layout of one tree, as :func:`_walk` reads it.
+class _Flat:
+    """Flat state layout of one tree and its delete table.
 
     State (v, i) is row ``off[v] + i``; ``last[v]`` is v's state when its
     branch starts at v's parent, and ``D[r]`` the cheapest deletion of row
-    r's subtree. ``keep(v, i)`` is the child slot that deletion continues
-    the branch through, and ``winner(f2, T, v, i, w, j)`` the option the
-    table ``T`` took at the state pair ((v, i), (w, j)): ``(s, None)``
-    continues tree 1's branch through slot s, ``(None, s)`` tree 2's, and
-    ``(s, t)`` both, matching the remaining children.
-    """
+    r's subtree. Nodes are numbered in (height, child count, id) order --
+    ``first[h]`` is the position of the first of height h -- so the states
+    of one height form the contiguous rows ``rows[h]:rows[h + 1]``; row
+    ``S`` is a +inf pad standing in for missing child slots. ``dmax[h]`` is
+    the largest child count of height h. ``pos[r]`` is the position of row
+    r's node, ``deg[k]`` and ``height[k]`` the k-th node's child count and
+    height, and ``ctip[s, k]`` the tip row of its s-th child (S + 1, a zero
+    delete cost, if none). ``slot[s, r]`` maps state (v, i) to (s-th child
+    of v, i), the child's table without its last ancestor, and ``cost[s,
+    r]`` is the price of deleting v's other children whole.
 
-    __slots__ = ()
+    ``live[v]`` lists the child slots of v that lead to a state: all of
+    them in free mode. With a decomposition ``dec`` (fixed mode) every
+    non-root node v has one state, row ``off[v]``, whose branch starts
+    where ``dec`` starts it; only the continuation child's slot is live,
+    every other slot leads to the pad row. ``D`` and the live slot's
+    ``cost`` are then sums in child order, as the fixed recursion adds them.
 
-    def tips(self, nodes):
-        return [self.off[c] + self.last[c] for c in nodes]
-
-
-class _Flat(_States):
-    """Flat state layout of one tree and its delete table, for free mode.
-
-    Nodes are numbered in (height, child count, id) order -- ``first[h]`` is
-    the position of the first of height h -- so the states of one
-    height form the contiguous rows ``rows[h]:rows[h + 1]``; row ``S`` is a
-    +inf pad standing in for missing child slots. ``dmax[h]`` is the largest
-    child count of height h. ``pos[r]`` is the position of row r's node,
-    ``deg[k]`` and ``height[k]`` the k-th node's child count and height, and
-    ``ctip[s, k]`` the tip row of
-    its s-th child (S + 1, a zero delete cost, if none). ``slot[s, r]`` maps
-    state (v, i) to (s-th child of v, i), the child's table without its last
-    ancestor, and ``cost[s, r]`` is the price of deleting v's other children
-    whole. A driver's layout memo shares one layout between pairs, so its
-    sequences are tuples and its arrays read-only.
+    ``keep(v, i)`` is the child slot that deletion continues the branch
+    through, and ``winner(f2, T, v, i, w, j)`` the option the table ``T``
+    took at the state pair ((v, i), (w, j)): ``(s, None)`` continues tree
+    1's branch through slot s, ``(None, s)`` tree 2's, and ``(s, t)`` both,
+    matching the remaining children. A driver's layout memo shares one
+    layout between pairs, so its sequences are tuples and its arrays
+    read-only.
     """
 
     __slots__ = (
-        "children", "entry", "S", "H", "first", "rows", "dmax", "off", "last", "pos", "deg", "height", "ctip",
-        "lows", "highs", "slot", "cost", "D",
+        "children", "entry", "live", "S", "H", "first", "rows", "dmax", "off", "last", "pos", "deg", "height",
+        "ctip", "lows", "highs", "slot", "cost", "D",
     )
 
-    def __init__(self, tree: MergeTree, metric: BaseMetric, squared: bool):
+    def __init__(self, tree: MergeTree, metric: BaseMetric, squared: bool, dec: BranchDecomposition | None = None):
         self.children = children = tree.children
         values = tree.values
         self.entry = entry = children[tree.root][0]
-        # the non-root nodes; depth[v] counts v's strict ancestors, the
-        # candidate starts of its branch
+        self.live = tuple(
+            range(len(cs)) if dec is None or not cs else (cs.index(dec.continuation[v]),)
+            for v, cs in enumerate(children)
+        )
+        # the non-root nodes; depth[v] counts v's states, in free mode its
+        # strict ancestors, the candidate starts of its branch
         height, order = _layout_order(tree.preorder[:0:-1], children)
-        depth = tree.depths
+        depth = tree.depths if dec is None else (1,) * len(values)
         self.H = H = height[entry]
         off = [0] * len(values)
         rows = [0] * (H + 2)
@@ -259,7 +263,8 @@ class _Flat(_States):
         for k, v in enumerate(order):
             for s, c in enumerate(children[v]):
                 ctip[s][k] = off[c] + last[c]
-                shift[s][k] = off[c] - off[v]
+                if s in self.live[v]:
+                    shift[s][k] = off[c] - off[v]
         layout = np.array(
             [order, [depth[v] for v in order], [len(children[v]) for v in order], [height[v] for v in order]]
             + ctip + shift,
@@ -269,14 +274,17 @@ class _Flat(_States):
         self.ctip = ctip = layout[4:4 + degmax]
         self.pos = pos = np.arange(len(order)).repeat(layout[1])
 
-        ancrow = np.empty(S, dtype=np.int64)  # start node of every row
-        parent = tree.parent
-        for v in tree.preorder[1:]:
-            o, k = off[v], depth[v] - 1
-            p = int(parent[v])
-            if k:
-                ancrow[o:o + k] = ancrow[off[p]:off[p] + k]
-            ancrow[o + k] = p
+        if dec is None:  # start node of every row
+            ancrow = np.empty(S, dtype=np.int64)
+            parent = tree.parent
+            for v in tree.preorder[1:]:
+                o, k = off[v], depth[v] - 1
+                p = int(parent[v])
+                if k:
+                    ancrow[o:o + k] = ancrow[off[p]:off[p] + k]
+                ancrow[o + k] = p
+        else:
+            ancrow = np.array([dec.branch_through(v).start for v in order[:first[1]]], dtype=np.int64)
         # leaf states: the inputs of the delete table and of the pair table's wave 0
         self.lows = values[ancrow[:rows[1]]]
         self.highs = values[layout[0].take(pos[:rows[1]])]
@@ -285,59 +293,87 @@ class _Flat(_States):
         shift = layout[4 + degmax:].take(pos, axis=1)
         np.minimum(np.arange(S) + shift, S, out=slot[:, :S])
 
-        # delete table, one height at a time
         D = np.empty(S + 2)
         D[S:] = np.inf, 0.0
         D[:rows[1]] = dp_terms(metric, squared)[1]((self.lows, self.highs))
         cost = np.zeros((degmax, S + 1))
-        for h in range(1, H + 1):
-            a, b = rows[h], rows[h + 1]
-            dm = dmax[h]
-            z = D[ctip[:dm, first[h]:first[h + 1]]]
-            tot = z[0].copy()
-            for s in range(1, dm):
-                tot += z[s]
-            cost[:dm, a:b] = (tot - z).take(pos[a:b] - first[h], axis=1)
-            D[a:b] = (D[slot[:dm, a:b]] + cost[:dm, a:b]).min(axis=0)
+        if dec is None:  # one height at a time
+            for h in range(1, H + 1):
+                a, b = rows[h], rows[h + 1]
+                dm = dmax[h]
+                z = D[ctip[:dm, first[h]:first[h + 1]]]
+                tot = z[0].copy()
+                for s in range(1, dm):
+                    tot += z[s]
+                cost[:dm, a:b] = (tot - z).take(pos[a:b] - first[h], axis=1)
+                D[a:b] = (D[slot[:dm, a:b]] + cost[:dm, a:b]).min(axis=0)
+        else:  # one node at a time, children before parents
+            d = D.tolist()
+            for v in order[first[1]:]:
+                cs = children[v]
+                (i,) = self.live[v]
+                dels = [d[off[c]] for c in cs]
+                d[off[v]] = sum(dels)
+                cost[i, off[v]] = sum(dels[:i] + dels[i + 1:])
+            D[:] = d
         self.D, self.cost = D, cost
         for a in (pos, self.deg, self.height, ctip, self.lows, self.highs, slot, D, cost):
             a.setflags(write=False)
 
+    def tips(self, nodes):
+        return [self.off[c] + self.last[c] for c in nodes]
+
     def keep(self, v, i):
         # the first option of the delete table's minimum, with its arithmetic
         r, k = self.off[v] + i, len(self.children[v])
-        return int(np.flatnonzero(self.D[self.slot[:k, r]] + self.cost[:k, r] == self.D[r])[0])
+        return int(np.argmin(self.D[self.slot[:k, r]] + self.cost[:k, r]))
 
     def winner(self, f2, T, v, i, w, j):
         # the first option, in the fill's order and with its arithmetic,
-        # whose value is the table's entry
-        r, c = self.off[v] + i, f2.off[w] + j
+        # whose value is the table's entry. Only the live slots offer a
+        # finite value (the s-th child's state of the same start is row
+        # off[child] + i, as slot[s, r] reads), and the last finite option
+        # left is the entry's without being evaluated: the entry is their
+        # least. So a fixed-mode pair of inner nodes checks two options.
         cs, ds = self.children[v], f2.children[w]
-        s1, s2 = self.slot[:len(cs), r].tolist(), f2.slot[:len(ds), c].tolist()
+        l1, l2 = self.live[v], f2.live[w]
+        off1, off2 = self.off, f2.off
+        r, c = off1[v] + i, off2[w] + j
+        n = len(l1) + len(l2) + len(l1) * len(l2)
         t = T[r, c]
-        for x, s in enumerate(s1):
-            if T[s, c] + self.cost[x, r] == t:
+        for x in l1:
+            if n == 1 or T[off1[cs[x]] + i, c] + self.cost[x, r] == t:
                 return x, None
-        for y, s in enumerate(s2):
-            if T[r, s] + f2.cost[y, c] == t:
+            n -= 1
+        for y in l2:
+            if n == 1 or T[r, off2[ds[y]] + j] + f2.cost[y, c] == t:
                 return None, y
+            n -= 1
+        if n == 1:
+            return l1[0], l2[0]
         if len(cs) == len(ds) == 2:
             # one child left on each side: matching_costs's 1 x 1 route in
             # Python; a _node_sides batch for this one pair of nodes made
             # small-tree matrices about 4 % slower
-            t1, t2 = self.tips(cs)[::-1], f2.tips(ds)[::-1]
-            side = [[min(T[a, b], self.D[a] + f2.D[b]) for b in t2] for a in t1]
+            def side(x, y):
+                a, b = cs[1 - x], ds[1 - y]
+                a, b = off1[a] + self.last[a], off2[b] + f2.last[b]
+                return min(T[a, b], self.D[a] + f2.D[b])
         else:
-            side = _node_sides(self, f2, T, self.pos[r:r + 1], f2.pos[c:c + 1], len(cs), len(ds))[..., 0]
-        for x, s in enumerate(s1):
-            for y, u in enumerate(s2):
-                if T[s, u] + side[x][y] == t:
+            sides = _node_sides(self, f2, T, self.pos[r:r + 1], f2.pos[c:c + 1], len(cs), len(ds))[..., 0]
+
+            def side(x, y):
+                return sides[x, y]
+        for x in l1:
+            for y in l2:
+                if n == 1 or T[off1[cs[x]] + i, off2[ds[y]] + j] + side(x, y) == t:
                     return x, y
+                n -= 1
 
 
 def _join(flats):
-    """``(forest, views)``: the free layouts ``flats`` of several trees as
-    one tree-2 layout, and one view of it per member.
+    """``(forest, views)``: the layouts ``flats`` of several trees (all free,
+    or all fixed) as one tree-2 layout, and one view of it per member.
 
     The forest's nodes are ordered by (height, child count, member, position
     in the member's layout), so the rows of one height stay contiguous and
@@ -346,7 +382,7 @@ def _join(flats):
     joined rows: its states read only its own rows and the pad row, so its
     columns are those of its own pair table, bit for bit. A member's view
     holds the forest's arrays (and its pad row ``S``) with the member's own
-    ``children``, ``entry``, ``off`` and ``last``, which is all that
+    ``children``, ``entry``, ``live``, ``off`` and ``last``, which is all that
     :func:`_walk` and :meth:`_Flat.winner` read of tree 2 beyond the arrays.
     """
     cls = type(flats[0])
@@ -365,14 +401,15 @@ def _join(flats):
     rowmap = np.empty(S, dtype=np.int64)
     rowmap[order] = np.arange(S)
     node = node[order]
-    starts = np.flatnonzero(np.r_[True, node[1:] != node[:-1]])  # each joined node's first row
+    starts = np.flatnonzero(np.concatenate(([True], node[1:] != node[:-1])))  # each joined node's first row
     nodes = node[starts]  # the global node at each joined position
     forest.H = H = max(f.H for f in flats)
     first = np.searchsorted(height[nodes], np.arange(H + 2))
-    forest.S, forest.first, forest.rows = S, tuple(first.tolist()), tuple(np.r_[starts, S][first].tolist())
+    bounds = np.append(starts, S)
+    forest.S, forest.first, forest.rows = S, tuple(first.tolist()), tuple(bounds[first].tolist())
     forest.deg, forest.height = deg[nodes], height[nodes]
     forest.dmax = tuple(forest.deg[first[1:] - 1].tolist())  # a height's last node has the most children
-    forest.pos = np.arange(len(nodes)).repeat(np.diff(np.r_[starts, S]))
+    forest.pos = np.arange(len(nodes)).repeat(np.diff(bounds))
     # a member's row r, its pad row and its no-child row as joined rows:
     # ext[e + r] for the member's base e
     ebase = rbase[:-1] + 2 * np.arange(m)
@@ -386,14 +423,14 @@ def _join(flats):
     ctip = np.concatenate([slots(f.ctip, f.S + 1) for f in flats], axis=1) + ebase.repeat(counts)
     forest.ctip = ext[ctip].take(nodes, axis=1)
     slot = np.concatenate([slots(f.slot[:, :f.S], f.S) for f in flats], axis=1) + ebase.repeat(sizes)
-    forest.slot = np.c_[ext[slot].take(order, axis=1), np.full(degmax, S)]
+    forest.slot = np.concatenate((ext[slot].take(order, axis=1), np.full((degmax, 1), S)), axis=1)
     cost = np.concatenate([slots(f.cost[:, :f.S], 0.0) for f in flats], axis=1)
-    forest.cost = np.c_[cost.take(order, axis=1), np.zeros(degmax)]
-    forest.D = np.r_[np.concatenate([f.D[:f.S] for f in flats])[order], np.inf, 0.0]
+    forest.cost = np.concatenate((cost.take(order, axis=1), np.zeros((degmax, 1))), axis=1)
+    forest.D = np.concatenate((np.concatenate([f.D[:f.S] for f in flats])[order], (np.inf, 0.0)))
     # the leaf rows come first, in member and row order
     forest.lows = np.concatenate([f.lows for f in flats])
     forest.highs = np.concatenate([f.highs for f in flats])
-    forest.children = forest.entry = forest.off = forest.last = None
+    forest.children = forest.entry = forest.live = forest.off = forest.last = None
     for name in ("pos", "deg", "height", "ctip", "lows", "highs", "slot", "D", "cost"):
         getattr(forest, name).setflags(write=False)
     shared = [(name, getattr(forest, name)) for name in cls.__slots__]
@@ -403,7 +440,7 @@ def _join(flats):
         view = object.__new__(cls)
         for name, value in shared:
             setattr(view, name, value)
-        view.children, view.entry, view.last = f.children, f.entry, f.last
+        view.children, view.entry, view.live, view.last = f.children, f.entry, f.live, f.last
         view.off = tuple(offs[k:k + len(f.off)])
         k += len(f.off)
         views.append(view)
@@ -630,24 +667,27 @@ def _pair_table(f1: _Flat, f2: _Flat, pair):
 # ---------------------------------------------------------------------------
 # forest rows: one table for a tree against a group of partner trees
 #
-# compute_matrix runs the free distance and both baselines row by row. Each
-# row's partners are split into consecutive groups; the layouts of a group's
-# partners are joined (_join here, baselines._join for the baselines) and
-# the row's tree is filled against the whole forest once, by the group's
-# first distance call, so every wave or height serves all of the group's
-# pairs in one batch. Every pair still runs its own call and reads its own
-# columns: a free mapping is walked through a view that reads the joined
-# rows as its own, a baseline reads its entry at its member's root. The
-# table is held in compute_matrix's layout memo while the group's pairs run
-# and dropped when the group ends.
+# compute_matrix runs all four distances row by row. Each row's partners
+# are split into consecutive groups; the layouts of a group's partners are
+# joined (_join here, baselines._join for the baselines) and the row's tree
+# is filled against the whole forest once, by the group's first distance
+# call, so every wave or height serves all of the group's pairs in one
+# batch. Every pair still runs its own call and reads its own columns: a
+# branch mapping is walked through a view that reads the joined rows as its
+# own, a baseline reads its entry at its member's root. The table is held
+# in compute_matrix's layout memo while the group's pairs run and dropped
+# when the group ends. A forest is held by what its calls receive: the row's
+# tree under branch, its decomposition under branch-fixed (so a member is
+# found by its decomposition object), its labelled input under a baseline.
 #
 # A group's table takes at most 8 * _FOREST_ENTRIES bytes, as _check_table
-# charges them (8 per entry for the free table, 48 for the baselines), and
-# never more than _TABLE_LIMIT. A partner whose own table is larger, the
-# row's own tree object and an invalid tree go alone, with a per-pair
+# charges them (8 per entry for the free and fixed tables, 48 for the
+# baselines), and never more than _TABLE_LIMIT. The row's own tree object
+# and an invalid tree go alone, and so does a partner whose own table is
+# larger, as it passes the bound in any group; a lone pair fills its own
 # table, so _check_table refuses a pair over the limit before any table
 # holding it is allocated. A group never holds one tree object twice, so a
-# member is found by its tree.
+# member is found by the object that holds it.
 # ---------------------------------------------------------------------------
 
 _FOREST_ENTRIES = 1 << 22
@@ -666,9 +706,10 @@ def _row_groups(tree, partners, size=lambda t: sum(t.depths), per_entry=8):
     bound = budget // per_entry  # entries
     groups, held, cols = [[]], set(), 1
     for k, t in enumerate(partners):
+        # a partner whose own table passes the bound passes it with any
+        # group, so it starts a group and the next partner starts another
         alone = t is tree or not t._report.ok
         s = 0 if alone else size(t)
-        alone = alone or rows * (s + 1) > bound
         if alone or id(t) in held or rows * (cols + s) > bound:
             held, cols = set(), 1
             groups.append([])
@@ -713,7 +754,7 @@ def _forest(tree, partners):
         yield
 
 
-def _walk(f1: _States, f2: _States | None, T, start):
+def _walk(f1: _Flat, f2: _Flat | None, T, start):
     """Leaf pairs, deleted and inserted leaves and each tree's continuation
     map of an optimal mapping.
 
@@ -780,99 +821,6 @@ def _walk(f1: _States, f2: _States | None, T, start):
 
 
 # ---------------------------------------------------------------------------
-# fixed mode: both decompositions given, so branch starts are determined and
-# the state space collapses to node pairs
-# ---------------------------------------------------------------------------
-
-class _Fixed(_States):
-    """One tree under a fixed decomposition, in the layout :func:`_walk` reads.
-
-    Every non-root node v has the single state ``(v, 0)``, row v (the
-    root's row is unused): ``label[:, v]`` holds the values of the start of
-    the branch through v and of v (at a leaf, its branch's label), and
-    ``D[v]`` is the cost of deleting every branch whose leaf lies under v.
-    ``inner[v]`` is None at a leaf and otherwise ``(slot, child, others,
-    dels, total)``: the continuation slot and child, the other children,
-    their deletion costs and the sum of those; ``forks`` lists ``(v,
-    inner[v])`` for the inner nodes, children before parents. Like
-    :class:`_Flat`, it holds tuples and read-only arrays only, as a
-    driver's layout memo shares it between pairs.
-    """
-
-    __slots__ = ("children", "entry", "leaves", "forks", "S", "off", "last", "label", "D", "inner")
-
-    def __init__(self, tree: MergeTree, dec: BranchDecomposition, metric: BaseMetric, squared: bool):
-        self.children = children = tree.children
-        values = tree.values
-        self.entry = children[tree.root][0]
-        post = tree.preorder[:0:-1]  # children before parents, root excluded
-        self.leaves = tree.leaves
-        n = len(children)
-        self.S = n - 1
-        self.off, self.last = range(n), (0,) * n
-        self.label = np.array([values[[dec.branch_through(v).start for v in range(n)]], values])
-        self.label.setflags(write=False)
-        D = dp_terms(metric, squared)[1](self.label).tolist()  # kept at the leaves
-        inner = [None] * n
-        for v in post:
-            cs = children[v]
-            if cs:
-                D[v] = sum(D[c] for c in cs)
-                i = cs.index(dec.continuation[v])
-                others = cs[:i] + cs[i + 1:]
-                dels = tuple(D[c] for c in others)
-                inner[v] = (i, cs[i], others, dels, sum(dels))
-        self.D, self.inner = tuple(D), tuple(inner)
-        self.forks = tuple((v, inner[v]) for v in post if inner[v] is not None)
-
-    def keep(self, v, i):
-        return self.inner[v][0]
-
-    def winner(self, f2, T, v, i, w, j):
-        # the fill's order: tree 1's continuation, tree 2's, then both
-        a, b = self.inner[v], f2.inner[w]
-        if b is None:
-            return a[0], None
-        if a is None:
-            return None, b[0]
-        t = T[v, w]
-        if T[a[1], w] + a[4] == t:
-            return a[0], None
-        if T[v, b[1]] + b[4] == t:
-            return None, b[0]
-        return a[0], b[0]
-
-
-def _fixed_tables(f1: _Fixed, f2: _Fixed, pair):
-    """F[v, w]: cheapest mapping between the subtrees of two nodes, filled
-    one node pair at a time; the term ``pair`` of :func:`dp_terms` costs
-    every node pair's labels in one call, and the leaf pairs keep theirs."""
-    F = pair(f1.label[:, :, None], f2.label).tolist()
-    for v in f1.leaves:
-        Fv = F[v]
-        for w, (_, d_main, _, _, ins_sides) in f2.forks:
-            Fv[w] = Fv[d_main] + ins_sides
-    for v, (_, c_main, c_side, dels, del_sides) in f1.forks:
-        Fv, Fc = F[v], F[c_main]
-        for w in f2.leaves:
-            Fv[w] = Fc[w] + del_sides
-        for w, (_, d_main, d_side, inss, ins_sides) in f2.forks:
-            if len(dels) == len(inss) == 1:
-                # one other child on each side: min_cost_matching's 1 x 1
-                # route inline, as in _Flat.winner; through the call, the
-                # matrix-small benchmark's fixed matrices took 0.037 -> 0.041 s
-                # (CPU time, min of 7, seed 1, 2-core Xeon)
-                side_cost = min(F[c_side[0]][d_side[0]], dels[0] + inss[0])
-            else:
-                side_cost, _ = _assignment([[F[c][d] for d in d_side] for c in c_side], dels, inss)
-            a = Fc[w] + del_sides
-            b = Fv[d_main] + ins_sides
-            m = Fc[d_main] + side_cost
-            Fv[w] = a if a <= b and a <= m else b if b <= m else m
-    return np.array(F)
-
-
-# ---------------------------------------------------------------------------
 # public entry points
 # ---------------------------------------------------------------------------
 
@@ -880,9 +828,8 @@ def _states(tree: MergeTree, dec: BranchDecomposition | None, metric: BaseMetric
     """The tree's layout, built once per tree (in fixed mode, once per
     decomposition object) while a driver's layout memo is open."""
     require_valid(tree)
-    if dec is None:
-        return _memoized(tree, ("flat", metric.kind, squared), lambda: _Flat(tree, metric, squared))
-    return _memoized(dec, ("fixed", metric.kind, squared), lambda: _Fixed(tree, dec, metric, squared))
+    source = tree if dec is None else dec
+    return _memoized(source, ("flat", metric.kind, squared), lambda: _Flat(tree, metric, squared, dec))
 
 
 def branch_mapping_distance(
@@ -910,28 +857,25 @@ def branch_mapping_distance(
     # each tree's states: in free mode the sum of its node depths, in fixed
     # mode one per non-root node (a member view's S is its forest's pad row)
     states = [0 if t is None else sum(t.depths) if fixed is None else len(t) - 1 for t in trees]
-    # refused before any layout: the free table's (S1 + 1) x (S2 + 1) float64
-    # values; in fixed mode a Python float in a list and a float64 per node
-    # pair, whose tracemalloc peak read 40.2-42.3 bytes per node pair on
-    # grown trees of 200-1600 nodes
+    # refused before any layout: the table's (S1 + 1) x (S2 + 1) float64 values
     if tree1 is not None and tree2 is not None:
-        if fixed is None:
-            _check_table("free-mode table", states[0] + 1, states[1] + 1, 8)
-        else:
-            _check_table("fixed-mode table", len(tree1), len(tree2), 40)
-    forest = None if fixed is not None or tree1 is None else _memo_get(tree1, "forest")
-    if forest is not None and id(tree2) in forest.index:
+        _check_table("free-mode table" if fixed is None else "fixed-mode table", states[0] + 1, states[1] + 1, 8)
+    # a matrix row's forest is held by its tree, in fixed mode by the tree's decomposition
+    held = trees if fixed is None else decs
+    forest = None if tree1 is None or tree2 is None else _memo_get(held[0], "forest")
+    if forest is not None and id(held[1]) in forest.index:
         def make():
-            f1 = _states(tree1, None, metric, squared)
-            joined, views = _join([_states(t, None, metric, squared) for t in forest.partners])
+            f1 = _states(tree1, decs[0], metric, squared)
+            parts = [(p, None) if fixed is None else (p.tree, p) for p in forest.partners]
+            joined, views = _join([_states(t, d, metric, squared) for t, d in parts])
             return f1, views, _pair_table(f1, joined, dp_terms(metric, squared)[0])
 
         f1, views, T = forest.table((metric.kind, squared), make)
-        f2 = views[forest.index[id(tree2)]]
+        f2 = views[forest.index[id(held[1])]]
     else:
         f1, f2 = (None if t is None else _states(t, d, metric, squared) for t, d in zip(trees, decs))
         if f1 is not None and f2 is not None:
-            T = (_pair_table if fixed is None else _fixed_tables)(f1, f2, dp_terms(metric, squared)[0])
+            T = _pair_table(f1, f2, dp_terms(metric, squared)[0])
     pairs, out, cont = [], [[], []], [{}, {}]
     total, bound = 0.0, 0
     if f1 is not None and f2 is not None:

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import baselines
-from .branches import elder_rule_decomposition
+from .branches import _elder_of, elder_rule_decomposition
 from .errors import MTDistError, PreconditionError, _choice
 from .mapping import _forest, _row_groups, branch_mapping_distance
 from .metrics import METRIC_NAMES, MODE_NAMES, BaseMetric
@@ -102,37 +102,37 @@ def _init_worker(trees, opts):
 
 def _forest_rows(distance):
     """How :func:`compute_matrix` groups a row's partners under
-    ``distance``: ``(source, sizing)``, where ``source(t)`` is what the
-    distance call receives for tree t (its labelled input under a baseline)
-    and ``sizing`` the table's size and bytes per entry for
-    :func:`mapping._row_groups` (its defaults for the free table); None if
-    every pair fills its own table."""
+    ``distance``: ``(source, sizing)``, where ``source(t)`` is what holds
+    tree t's forest in the distance call (the tree, its elder-rule
+    decomposition in fixed mode, its labelled input under a baseline) and
+    ``sizing`` the table's size and bytes per entry for
+    :func:`mapping._row_groups` (its defaults for the free table)."""
     if distance == "branch":
         return (lambda t: t), ()
-    if distance in _BASELINES:
-        target = _BASELINES[distance][0]
+    if distance == "branch-fixed":
+        return _elder_of, (lambda t: len(t) - 1,)
+    target = _BASELINES[distance][0]
 
-        def label(t):
-            return baselines._label(t, target)
+    def label(t):
+        return baselines._label(t, target)
 
-        return label, (lambda t: len(label(t)), baselines._ENTRY_BYTES)
-    return None
+    return label, (lambda t: len(label(t)), baselines._ENTRY_BYTES)
 
 
 def _row_segments(trees, opts, segments):
     """``(i, j, distance)`` for every partner j of every row segment ``(i,
-    js)``. Under ``branch`` and the baselines, each group of a row's
-    partners shares one joined table (:func:`mapping._row_groups`); every
-    pair still runs :func:`pairwise_distance`."""
+    js)``. Each group of a row's partners shares one joined table
+    (:func:`mapping._row_groups`); every pair still runs
+    :func:`pairwise_distance`."""
     out = []
-    rows = _forest_rows(opts.distance)
+    source, sizing = _forest_rows(opts.distance)
     for i, js in segments:
         t = trees[i]
         partners = [trees[j] for j in js]
-        for group in [range(len(js))] if rows is None else _row_groups(t, partners, *rows[1]):
+        for group in _row_groups(t, partners, *sizing):
             members = [partners[k] for k in group]
-            # a group of several, held as its calls receive the trees
-            held = [rows[0](u) for u in [t] + members] if rows and len(members) > 1 else [t]
+            # a group of several, held by what its calls look the forest up by
+            held = [source(u) for u in [t] + members] if len(members) > 1 else [t]
             with _forest(held[0], held[1:]):
                 out += [(i, js[k], pairwise_distance(t, partners[k], opts)) for k in group]
     return out
@@ -149,15 +149,14 @@ def compute_matrix(
     """Symmetric matrix of pairwise distances over the upper triangle.
 
     The pairs run row by row: row i holds the pairs (i, j), j > i. Under
-    ``branch``, ``constrained`` and ``one-degree`` a row's partners are
-    split into consecutive groups whose joined table takes at most ``8 *
-    mapping._FOREST_ENTRIES`` bytes, 8 per free entry and 48 per baseline
-    entry; tree i (its labelled input under a baseline) is filled against
-    each group once, and each pair reads its entry, or walks its mapping,
-    from its own columns, which equal its own table's bit for bit. A pair
-    whose own table is larger than that bound runs alone, and every pair is
-    still held to the table limit (``SizeLimitError``). Fixed mode fills
-    one table per pair.
+    every distance a row's partners are split into consecutive groups whose
+    joined table takes at most ``8 * mapping._FOREST_ENTRIES`` bytes, 8 per
+    entry of a branch table and 48 per baseline entry; tree i (its labelled
+    input under a baseline) is filled against each group once, and each
+    pair reads its entry, or walks its mapping, from its own columns, which
+    equal its own table's bit for bit. A pair whose own table is larger
+    than that bound runs alone, and every pair is still held to the table
+    limit (``SizeLimitError``).
 
     ``jobs`` > 1 fans the pairs out to a process pool in tasks of about
     ``len(pairs) / (4 * jobs)`` consecutive pairs, each a run of row
@@ -187,10 +186,14 @@ def compute_matrix(
         tasks = 4 * jobs
         size = (len(pairs) + tasks - 1) // tasks
         chunks = [_segments(pairs[k:k + size]) for k in range(0, len(pairs), size)]
-        with concurrent.futures.ProcessPoolExecutor(
-            max_workers=jobs, initializer=_init_worker, initargs=(trees, opts)
-        ) as pool:
-            done = [d for chunk in pool.map(_task_worker, chunks) for d in chunk]
+        try:
+            with concurrent.futures.ProcessPoolExecutor(
+                max_workers=jobs, initializer=_init_worker, initargs=(trees, opts)
+            ) as pool:
+                done = [d for chunk in pool.map(_task_worker, chunks) for d in chunk]
+        except concurrent.futures.BrokenExecutor as e:
+            # a worker died (killed, out of memory or exited): BrokenProcessPool
+            raise MTDistError(f"a worker process of the distance matrix ended abruptly: {e}") from e
     else:
         with _layout_memo():
             done = _row_segments(trees, opts, _segments(pairs))

@@ -92,13 +92,13 @@ def test_memo_keeps_one_fixed_layout_per_decomposition(monkeypatch):
     pairs = [(a, b) for a in decs1 for b in decs2]
     want = [branch_mapping_distance(t1, t2, metric, "l2", fixed=fixed) for fixed in pairs]
     built = []
-    build = mapping_module._Fixed
+    build = mapping_module._Flat
 
-    def counting(tree, dec, *args):
+    def counting(tree, metric, squared, dec=None):
         built.append(dec)
-        return build(tree, dec, *args)
+        return build(tree, metric, squared, dec)
 
-    monkeypatch.setattr(mapping_module, "_Fixed", counting)
+    monkeypatch.setattr(mapping_module, "_Flat", counting)
     with _layout_memo():
         for _ in range(2):
             got = [branch_mapping_distance(t1, t2, metric, "l2", fixed=fixed) for fixed in pairs]

@@ -406,7 +406,6 @@ class TestModesAndFixed:
             raise AssertionError("a table was built for an unknown mode")
 
         monkeypatch.setattr(mapping_module, "_Flat", no_table)
-        monkeypatch.setattr(mapping_module, "_Fixed", no_table)
         decs = (elder_rule_decomposition(fig5a),) * 2 if fixed else None
         with pytest.raises(PreconditionError, match="unknown aggregation mode 'l3'"):
             branch_mapping_distance(fig5a, fig5a, BP, "l3", fixed=decs)

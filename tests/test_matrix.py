@@ -1,6 +1,7 @@
 import concurrent.futures
 import gc
 import json
+import os
 import pickle
 import sys
 import weakref
@@ -37,6 +38,11 @@ from reference_linkage import reference_single_linkage_order
 def make_trees(n, seed=0):
     rng = np.random.default_rng(seed)
     return [random_merge_tree(rng, max_leaves=5) for _ in range(n)]
+
+
+def exiting_worker(segments):
+    """A pool task that ends its worker process, as an out-of-memory kill would."""
+    os._exit(9)
 
 
 class TestDistanceMatrix:
@@ -98,6 +104,20 @@ class TestDistanceMatrix:
         assert seen == [3]
         assert np.array_equal(pooled.values, compute_matrix(trees, "abc", DistanceOptions(), jobs=1).values)
 
+    def test_dead_worker_is_a_typed_error(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(matrix_module, "_task_worker", exiting_worker)
+        trees = make_trees(4, seed=6)
+        with pytest.raises(MTDistError, match="worker process .* ended abruptly"):
+            compute_matrix(trees, "abcd", DistanceOptions(), jobs=2)
+        for k, t in enumerate(trees):
+            write_merge_tree(tmp_path / f"{k}.mt", t)
+        capsys.readouterr()
+        rc = main(["matrix", *(str(tmp_path / f"{k}.mt") for k in range(4)), "--out", str(tmp_path / "m.csv"),
+                   "--jobs", "2"])
+        assert rc == 2
+        assert "ended abruptly" in capsys.readouterr().err
+        assert not (tmp_path / "m.csv").exists()
+
     def test_identical_members_give_zero_matrix(self):
         trees = make_trees(1, seed=2) * 3
         m = compute_matrix(trees, "xyz", DistanceOptions(), jobs=1)
@@ -156,7 +176,7 @@ class TestLayoutMemo:
         "distance, module, name",
         [
             ("branch", mapping_module, "_Flat"),
-            ("branch-fixed", mapping_module, "_Fixed"),
+            ("branch-fixed", mapping_module, "_Flat"),
             ("branch-fixed", branches_module, "_elder"),
             ("constrained", baselines_module, "_labeled"),
             ("constrained", baselines_module, "_Levels"),
@@ -241,7 +261,7 @@ class TestLayoutMemo:
         labeled = baselines_module.elder_labeled_inputs(tree, "merge-tree")
         layouts = [
             mapping_module._Flat(tree, metric, False),
-            mapping_module._Fixed(tree, elder_rule_decomposition(tree), metric, False),
+            mapping_module._Flat(tree, metric, False, elder_rule_decomposition(tree)),
             baselines_module._Levels(labeled, lambda label: metric.deletion(*label)),
         ]
         forest, views = mapping_module._join([layouts[0], layouts[0]])
@@ -275,64 +295,78 @@ def recorded(monkeypatch, module, name, record):
     monkeypatch.setattr(module, name, recording)
 
 
+# a branch distance -> a tree's states, one side of its table less the pad row
+BRANCH_STATES = {"branch": lambda t: sum(t.depths), "branch-fixed": lambda t: len(t) - 1}
+
+
 class TestForestRows:
-    """Under ``branch``, ``compute_matrix`` fills each row's tree against
-    groups of its partners as one table, and every entry and mapping stays
-    the pair's own."""
+    """Under ``branch`` and ``branch-fixed``, ``compute_matrix`` fills each
+    row's tree against groups of its partners as one table, and every entry
+    and mapping stays the pair's own."""
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_matrix_equals_a_loop_of_pair_calls(self, jobs):
         trees = mixed_trees(61)
-        for metric, mode in (("euclidean", "l2"), ("birth-persistence", "sum")):
-            m = compute_matrix(trees, "abcdefg", DistanceOptions("branch", metric, mode), jobs=jobs)
-            for i in range(7):
-                for j in range(i + 1, 7):
-                    assert m.values[i, j] == branch_mapping_distance(trees[i], trees[j], BaseMetric(metric), mode)[0]
+        for distance in BRANCH_STATES:
+            for metric, mode in (("euclidean", "l2"), ("birth-persistence", "sum")):
+                opts = DistanceOptions(distance, metric, mode)
+                m = compute_matrix(trees, "abcdefg", opts, jobs=jobs)
+                for i in range(7):
+                    for j in range(i + 1, 7):
+                        assert m.values[i, j] == branch_mapping(trees[i], trees[j], opts)[0]
 
     def test_every_mapping_from_a_forest_equals_its_own(self, monkeypatch):
         trees = mixed_trees(62)
-        metric = BaseMetric("euclidean")
         tables = []
         recorded(monkeypatch, mapping_module, "_pair_table", lambda f1, f2, pair: tables.append(f2))
-        groups = 0
-        with trees_module._layout_memo():
-            got = {}
-            for i, t in enumerate(trees):
-                partners = trees[i + 1:]
-                for group in mapping_module._row_groups(t, partners):
-                    groups += 1
-                    with mapping_module._forest(t, [partners[k] for k in group]):
-                        for k in group:
-                            got[i, i + 1 + k] = branch_mapping_distance(t, partners[k], metric, "l2")
-        assert len(tables) == groups < len(got)  # one table per group, and some groups of several
-        assert any(f2.children is None for f2 in tables)  # joined layouts
-        for (i, j), (d, mapping) in got.items():
-            want_d, want = branch_mapping_distance(trees[i], trees[j], metric, "l2")
-            assert d == want_d
-            assert mapping == want
-            assert mapping.decomposition1.continuation == want.decomposition1.continuation
-            assert mapping.decomposition2.continuation == want.decomposition2.continuation
-            assert mapping.stats.keys == sum(trees[i].depths) * sum(trees[j].depths)
+        for distance, states in BRANCH_STATES.items():
+            opts = DistanceOptions(distance, "euclidean", "l2")
+            # a free forest is held by its trees, a fixed one by their decompositions
+            held = (lambda t: t) if distance == "branch" else elder_rule_decomposition
+            tables.clear()
+            groups = 0
+            with trees_module._layout_memo():
+                got = {}
+                for i, t in enumerate(trees):
+                    partners = trees[i + 1:]
+                    for group in mapping_module._row_groups(t, partners, states):
+                        groups += 1
+                        with mapping_module._forest(held(t), [held(partners[k]) for k in group]):
+                            for k in group:
+                                got[i, i + 1 + k] = branch_mapping(t, partners[k], opts)
+            assert len(tables) == groups < len(got)  # one table per group, and some groups of several
+            assert any(f2.children is None for f2 in tables)  # joined layouts
+            for (i, j), (d, mapping) in got.items():
+                want_d, want = branch_mapping(trees[i], trees[j], opts)
+                assert d == want_d
+                assert mapping == want
+                assert mapping.decomposition1.continuation == want.decomposition1.continuation
+                assert mapping.decomposition2.continuation == want.decomposition2.continuation
+                assert mapping.stats.keys == states(trees[i]) * states(trees[j])
 
     def test_small_group_bound_splits_rows(self, monkeypatch):
         trees = mixed_trees(63)
-        opts = DistanceOptions("branch", "euclidean", "l2")
-        want = compute_matrix(trees, "abcdefg", opts, jobs=1).values
         joined, tables = [], []
         recorded(monkeypatch, mapping_module, "_join", lambda flats: joined.append(len(flats)))
         recorded(
             monkeypatch, mapping_module, "_pair_table",
             lambda f1, f2, pair: tables.append((f2.children is None, (f1.S + 1) * (f2.S + 1))),
         )
-        compute_matrix(trees, "abcdefg", opts, jobs=1)
-        assert joined == [6, 5, 4, 3, 2] and len(tables) == 6  # one table per row
-        joined.clear()
-        tables.clear()
-        bound = 60 * (sum(trees[0].depths) + 1)
-        monkeypatch.setattr(mapping_module, "_FOREST_ENTRIES", bound)
-        assert np.array_equal(compute_matrix(trees, "abcdefg", opts, jobs=1).values, want)
-        assert len(tables) > 6 and joined and max(joined) < 6  # the rows were split
-        assert all(entries <= bound for forest, entries in tables if forest)
+        default = mapping_module._FOREST_ENTRIES
+        for distance, states in BRANCH_STATES.items():
+            monkeypatch.setattr(mapping_module, "_FOREST_ENTRIES", default)
+            opts = DistanceOptions(distance, "euclidean", "l2")
+            joined.clear()
+            tables.clear()
+            want = compute_matrix(trees, "abcdefg", opts, jobs=1).values
+            assert joined == [6, 5, 4, 3, 2] and len(tables) == 6  # one table per row
+            joined.clear()
+            tables.clear()
+            bound = 60 * (states(trees[0]) + 1)
+            monkeypatch.setattr(mapping_module, "_FOREST_ENTRIES", bound)
+            assert np.array_equal(compute_matrix(trees, "abcdefg", opts, jobs=1).values, want)
+            assert len(tables) > 6 and joined and max(joined) < 6  # the rows were split
+            assert all(entries <= bound for forest, entries in tables if forest)
 
     def test_each_group_table_dropped_when_its_group_ends(self, monkeypatch):
         trees = mixed_trees(66)
