@@ -182,17 +182,18 @@ class _Levels:
 
 
 def _join(levels):
-    """The layouts ``levels`` of several trees as one tree-2 layout for
-    :func:`_fill`, a forest whose ``root`` is the tuple of the members'
-    roots.
+    """The layouts ``levels`` of several trees as one layout for
+    :func:`_fill`, either tree of a table, a forest whose ``root`` is the
+    tuple of the members' roots.
 
     The forest's positions are ordered by (height, child count, member,
     position in the member's layout), so each height stays contiguous. A
     member's children are remapped onto the joined positions, its padding
-    onto the forest's padding ``n``: each member's columns of a table read
-    only its own columns and the padding, so they are those of its own
-    table, bit for bit. The forest is built from the members' layouts, as
-    an object of their class, without building a layout of its own.
+    onto the forest's padding ``n``: each member's rows or columns of a
+    table read only its own and the padding, so a pair of members' entries
+    are those of its own table, bit for bit. The forest is built from the
+    members' layouts, as an object of their class, without building a
+    layout of its own.
     """
     forest = object.__new__(type(levels[0]))
     base = np.cumsum([0] + [f.n for f in levels])
@@ -227,11 +228,12 @@ def _fill(t1: LabeledTree, t2: LabeledTree, metric: BaseMetric, mode: str, edits
     """The edit distance of ``t1`` and ``t2`` from the table of every node
     pair of :func:`_table`, read at the root pair.
 
-    While a driver holds a forest of ``t1``'s row (:func:`mapping._forest`)
-    that has ``t2`` as a member, the entry is read from the one table of
-    ``t1`` against the joined layouts of that group (:func:`_join`), made
-    by the group's first call and equal at ``t2``'s columns to the pair's
-    own table, bit for bit; otherwise the pair fills its own table.
+    While a driver holds a block that has ``t1`` as a row and ``t2`` as a
+    partner (:func:`mapping._forest`), the entry is read from the one table
+    of the block's joined rows against their joined partners
+    (:func:`_join`), made by the block's first call and equal at the two
+    members' roots to the pair's own table, bit for bit; otherwise the pair
+    fills its own table.
     """
     _choice("aggregation mode", mode, MODE_NAMES)
     squared = mode == "l2"
@@ -244,13 +246,13 @@ def _fill(t1: LabeledTree, t2: LabeledTree, metric: BaseMetric, mode: str, edits
         return _memoized(t, key, lambda: _Levels(t, null))
 
     forest = _memo_get(t1, "forest")
-    if forest is not None and id(t2) in forest.index:
+    if forest is not None and id(t2) in forest.col:
         def make():
-            a, b = layout(t1), _join([layout(t) for t in forest.partners])
+            a, b = (_join([layout(t) for t in side]) for side in (forest.rows, forest.partners))
             return a, b, _table(a, b, pair, edits)
 
         a, b, dist = forest.table((key, edits), make)
-        return finalize(dist[a.root, b.root[forest.index[id(t2)]]], mode)
+        return finalize(dist[a.root[forest.row[id(t1)]], b.root[forest.col[id(t2)]]], mode)
     a, b = layout(t1), layout(t2)
     return finalize(_table(a, b, pair, edits)[a.root, b.root], mode)
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MTDistError
+from .errors import PreconditionError
 from .fields import ScalarField2D
 
 
@@ -55,11 +55,11 @@ class EnsembleSpec:
 
     def __post_init__(self):
         if self.members < 1:
-            raise MTDistError("ensemble needs at least one member")
+            raise PreconditionError("ensemble needs at least one member")
         if self.rows < 1 or self.cols < 1:
-            raise MTDistError("field dimensions must be positive")
+            raise PreconditionError("field dimensions must be positive")
         if self.outlier_index is not None and not 0 <= self.outlier_index < self.members:
-            raise MTDistError("outlier index outside the ensemble")
+            raise PreconditionError("outlier index outside the ensemble")
 
 
 def four_peak_spec(
@@ -177,13 +177,13 @@ def generate_periodic_series(
     ``variation=0`` frames at the same phase are bit-identical.
     """
     if period < 2:
-        raise MTDistError("period must be >= 2")
+        raise PreconditionError("period must be >= 2")
     if bumps < 1:
-        raise MTDistError("bumps must be >= 1")
+        raise PreconditionError("bumps must be >= 1")
     if rows < 1 or cols < 1:
-        raise MTDistError("field dimensions must be positive")
+        raise PreconditionError("field dimensions must be positive")
     if length < 2 * period:
-        raise MTDistError("length must be >= 2 * period")
+        raise PreconditionError("length must be >= 2 * period")
     if drift is None:
         drift = 40.0 * variation
     rng = np.random.default_rng(seed)

@@ -10,13 +10,15 @@ tracked. Because the base costs are pure branch distances, only the start
 *values* matter, so the states of one tree are the pairs (node, ancestor).
 Free mode numbers them into the rows and columns of one flat table and
 fills it with numpy in anti-diagonal waves of node heights, which keeps
-large instances (hundreds of nodes) fast. Tree 2 may also be a forest: the
-layouts of several trees joined into one (``compute_matrix`` joins a group
-of one row's partners), whose table holds each member's pair table as its
-columns, bit for bit, so that each wave serves all of the group's pairs in
-one batch. Each pair's mapping is walked from its own member's columns
-through a view of the forest that carries that member's node ids, so the
-walker reads it as it reads a single tree's layout. The row chunks of a wave that
+large instances (hundreds of nodes) fast. Either tree may also be a
+forest: the layouts of several trees joined into one (``compute_matrix``
+joins a block of consecutive rows' trees, and the union of their
+partners), whose table holds each pair of members' pair table as its rows
+and columns, bit for bit, so that each wave serves all of the block's
+pairs in one batch. Each pair's mapping is walked from its own members'
+entries through a view of each forest that carries that member's node ids,
+so the walker reads it as it reads a single tree's layout. The row chunks
+of a wave that
 holds at least two full chunks are filled on the calling thread and up to
 one helper thread per further CPU the process may run on; every other step,
 and every wave of a multiprocessing child such as a ``compute_matrix`` pool
@@ -46,7 +48,7 @@ from __future__ import annotations
 import os
 import queue
 import threading
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
 from functools import cache, partial
 
@@ -130,14 +132,16 @@ class BranchMapping:
 # the table is filled in anti-diagonal waves t = height(v) + height(w); the
 # (h1, t - h1) rectangles of one wave are independent of each other.
 #
-# Forests. _join lays several trees out as one tree 2, its nodes ordered by
+# Forests. _join lays several trees out as one, its nodes ordered by
 # (height, child count, member, position), with every member's slot, tip,
 # cost and delete entries remapped onto the joined rows. An entry reads only
-# its own member's rows and the shared pad row S, and evaluates the same
-# options in the same order, so a member's columns equal its own pair
-# table's bit for bit; only the waves are shared. The walker and winner read
-# tree 2 through a member's view: the forest's arrays with that member's
-# children, entry, live, off and last, so node ids stay the member tree's own.
+# its own members' rows and the shared pad rows, and evaluates the same
+# options in the same order (an option a forest has beyond a member's
+# leads to a pad row, +inf), so a pair of members' entries equal their own
+# pair table's bit for bit, whichever tree is a forest; only the waves are
+# shared. The walker and winner read each tree through a member's view: the
+# forest's arrays with that member's children, entry, live, off and last, so
+# node ids stay the member tree's own.
 #
 # Threads. The row chunks of one wave write disjoint entries and read only
 # earlier waves. So when a wave's slice rectangles (or wave 0's leaf grid)
@@ -204,12 +208,15 @@ class _Flat:
     of v, i), the child's table without its last ancestor, and ``cost[s,
     r]`` is the price of deleting v's other children whole.
 
-    ``live[v]`` lists the child slots of v that lead to a state: all of
-    them in free mode. With a decomposition ``dec`` (fixed mode) every
+    ``live[v]`` lists the child slots of v that lead to a state, always the
+    first ones, and ``lmax[h]`` the most of them at height h: the options
+    of a state pair are sized by it. In free mode every slot is live and
+    ``lmax`` is ``dmax``. With a decomposition ``dec`` (fixed mode) every
     non-root node v has one state, row ``off[v]``, whose branch starts
-    where ``dec`` starts it; only the continuation child's slot is live,
+    where ``dec`` starts it; ``children[v]`` lists the continuation child
+    first and the others after it in tree order, and only slot 0 is live,
     every other slot leads to the pad row. ``D`` and the live slot's
-    ``cost`` are then sums in child order, as the fixed recursion adds them.
+    ``cost`` are then sums in tree order, as the fixed recursion adds them.
 
     ``keep(v, i)`` is the child slot that deletion continues the branch
     through, and ``winner(f2, T, v, i, w, j)`` the option the table ``T``
@@ -221,18 +228,21 @@ class _Flat:
     """
 
     __slots__ = (
-        "children", "entry", "live", "S", "H", "first", "rows", "dmax", "off", "last", "pos", "deg", "height",
-        "ctip", "lows", "highs", "slot", "cost", "D",
+        "children", "entry", "live", "S", "H", "first", "rows", "dmax", "lmax", "off", "last", "pos", "deg",
+        "height", "ctip", "lows", "highs", "slot", "cost", "D",
     )
 
     def __init__(self, tree: MergeTree, metric: BaseMetric, squared: bool, dec: BranchDecomposition | None = None):
-        self.children = children = tree.children
+        children = tree.children
+        if dec is not None:  # the continuation first
+            cont = dec.continuation
+            children = tuple(
+                (cont[v],) + tuple(c for c in cs if c != cont[v]) if cs else cs for v, cs in enumerate(children)
+            )
+        self.children = children
         values = tree.values
         self.entry = entry = children[tree.root][0]
-        self.live = tuple(
-            range(len(cs)) if dec is None or not cs else (cs.index(dec.continuation[v]),)
-            for v, cs in enumerate(children)
-        )
+        self.live = tuple(range(len(cs) if dec is None else min(1, len(cs))) for cs in children)
         # the non-root nodes; depth[v] counts v's states, in free mode its
         # strict ancestors, the candidate starts of its branch
         height, order = _layout_order(tree.preorder[:0:-1], children)
@@ -252,6 +262,7 @@ class _Flat:
             rows[h + 1], first[h + 1] = S, k + 1
             dmax[h] = len(children[v])  # the height's last node has the most children
         self.S, self.rows, self.first, self.dmax = S, tuple(rows), tuple(first), tuple(dmax)
+        self.lmax = self.dmax if dec is None else tuple(min(1, d) for d in dmax)
         degmax = max(dmax)
         self.off = off = tuple(off)
         self.last = last = tuple(d - 1 for d in depth)
@@ -310,11 +321,11 @@ class _Flat:
         else:  # one node at a time, children before parents
             d = D.tolist()
             for v in order[first[1]:]:
-                cs = children[v]
-                (i,) = self.live[v]
+                cs = tree.children[v]
+                i = cs.index(children[v][0])
                 dels = [d[off[c]] for c in cs]
                 d[off[v]] = sum(dels)
-                cost[i, off[v]] = sum(dels[:i] + dels[i + 1:])
+                cost[0, off[v]] = sum(dels[:i] + dels[i + 1:])
             D[:] = d
         self.D, self.cost = D, cost
         for a in (pos, self.deg, self.height, ctip, self.lows, self.highs, slot, D, cost):
@@ -360,7 +371,8 @@ class _Flat:
                 a, b = off1[a] + self.last[a], off2[b] + f2.last[b]
                 return min(T[a, b], self.D[a] + f2.D[b])
         else:
-            sides = _node_sides(self, f2, T, self.pos[r:r + 1], f2.pos[c:c + 1], len(cs), len(ds))[..., 0]
+            sides = _node_sides(self, f2, T, self.pos[r:r + 1], f2.pos[c:c + 1], len(cs), len(ds), len(l1), len(l2))
+            sides = sides[..., 0]
 
             def side(x, y):
                 return sides[x, y]
@@ -373,17 +385,18 @@ class _Flat:
 
 def _join(flats):
     """``(forest, views)``: the layouts ``flats`` of several trees (all free,
-    or all fixed) as one tree-2 layout, and one view of it per member.
+    or all fixed) as one layout, and one view of it per member.
 
     The forest's nodes are ordered by (height, child count, member, position
     in the member's layout), so the rows of one height stay contiguous and
-    :func:`_pair_table` fills a tree against the whole forest wave by wave.
-    A member's child slots, tips and delete costs are remapped onto the
-    joined rows: its states read only its own rows and the pad row, so its
-    columns are those of its own pair table, bit for bit. A member's view
-    holds the forest's arrays (and its pad row ``S``) with the member's own
-    ``children``, ``entry``, ``live``, ``off`` and ``last``, which is all that
-    :func:`_walk` and :meth:`_Flat.winner` read of tree 2 beyond the arrays.
+    :func:`_pair_table` fills one forest against another wave by wave, either
+    forest as either tree. A member's child slots, tips and delete costs are
+    remapped onto the joined rows: its states read only its own rows and the
+    pad row, so its rows or columns are those of its own pair table, bit for
+    bit. A member's view holds the forest's arrays (and its pad row ``S``)
+    with the member's own ``children``, ``entry``, ``live``, ``off`` and
+    ``last``, which is all that :func:`_walk` and :meth:`_Flat.winner` read
+    of either tree beyond the arrays.
     """
     cls = type(flats[0])
     forest = object.__new__(cls)
@@ -409,6 +422,7 @@ def _join(flats):
     forest.S, forest.first, forest.rows = S, tuple(first.tolist()), tuple(bounds[first].tolist())
     forest.deg, forest.height = deg[nodes], height[nodes]
     forest.dmax = tuple(forest.deg[first[1:] - 1].tolist())  # a height's last node has the most children
+    forest.lmax = tuple(max(f.lmax[h] for f in flats if h <= f.H) for h in range(H + 1))
     forest.pos = np.arange(len(nodes)).repeat(np.diff(bounds))
     # a member's row r, its pad row and its no-child row as joined rows:
     # ext[e + r] for the member's base e
@@ -433,25 +447,30 @@ def _join(flats):
     forest.children = forest.entry = forest.live = forest.off = forest.last = None
     for name in ("pos", "deg", "height", "ctip", "lows", "highs", "slot", "D", "cost"):
         getattr(forest, name).setflags(write=False)
-    shared = [(name, getattr(forest, name)) for name in cls.__slots__]
     offs = rowmap[np.concatenate([f.off for f in flats]) + rbase[:-1].repeat([len(f.off) for f in flats])].tolist()
-    views, k = [], 0
-    for f in flats:
-        view = object.__new__(cls)
-        for name, value in shared:
-            setattr(view, name, value)
-        view.children, view.entry, view.live, view.last = f.children, f.entry, f.live, f.last
-        view.off = tuple(offs[k:k + len(f.off)])
-        k += len(f.off)
-        views.append(view)
+    cuts = np.cumsum([0] + [len(f.off) for f in flats]).tolist()
+    # each view: the forest's arrays, read once, then the member's own fields
+    shared = (
+        S, forest.H, forest.first, forest.rows, forest.dmax, forest.lmax, forest.pos, forest.deg, forest.height,
+        forest.ctip, forest.lows, forest.highs, forest.slot, forest.cost, forest.D,
+    )
+    views = []
+    for f, a, b in zip(flats, cuts, cuts[1:]):
+        v = object.__new__(cls)
+        (v.S, v.H, v.first, v.rows, v.dmax, v.lmax, v.pos, v.deg, v.height,
+         v.ctip, v.lows, v.highs, v.slot, v.cost, v.D) = shared
+        v.children, v.entry, v.live, v.off, v.last = f.children, f.entry, f.live, tuple(offs[a:b]), f.last
+        views.append(v)
     return forest, views
 
 
-def _node_sides(f1: _Flat, f2: _Flat, T, x, y, sc, sd):
+def _node_sides(f1: _Flat, f2: _Flat, T, x, y, sc, sd, lc, ld):
     """``side[i, j, n]``: for the n-th pair of nodes, at layout positions
     ``x[n]`` and ``y[n]``, the cost of matching their children other than
     slot i against those other than slot j, unmatched ones deleted or
-    inserted whole; +inf where a node has no such slot.
+    inserted whole; +inf where a node has no such slot. The nodes have at
+    most ``sc`` and ``sd`` children, and only the live slots i < ``lc`` and
+    j < ``ld`` are costed.
 
     :func:`matching_costs` costs the pairs of each pair of child counts in
     one batch, and a batch of one pair gives the same bits.
@@ -463,19 +482,19 @@ def _node_sides(f1: _Flat, f2: _Flat, T, x, y, sc, sd):
         # leaf, costed as matching_costs costs 1 x 1. Through the grouped
         # route below, the two branch matrices of the matrix-small benchmark
         # took 0.21 -> 0.25 s (CPU time, min of 5, seed 1, 2-core Xeon).
-        o1 = np.minimum(f1.ctip[1::-1].take(x, axis=1), f1.S)
-        o2 = np.minimum(f2.ctip[1::-1].take(y, axis=1), f2.S)
+        o1 = np.minimum(f1.ctip[1::-1][:lc].take(x, axis=1), f1.S)
+        o2 = np.minimum(f2.ctip[1::-1][:ld].take(y, axis=1), f2.S)
         return np.minimum(T.take(o1[:, None] * ncols + o2[None]), f1.D[o1][:, None] + f2.D[o2][None])
-    side = np.full((sc, sd, len(x)), np.inf)
+    side = np.full((lc, ld, len(x)), np.inf)
     deg1, deg2 = f1.deg[x], f2.deg[y]
     for c in range(2, sc + 1):
         for d in range(2, sd + 1):
             n = np.flatnonzero((deg1 == c) & (deg2 == d))
             if not len(n):
                 continue
-            # tip rows of the children other than slot i of each node, at [n, i]
-            t1 = f1.ctip[:c].take(x[n], axis=1).T[:, _others(c)]
-            t2 = f2.ctip[:d].take(y[n], axis=1).T[:, _others(d)]
+            # tip rows of the children other than live slot i of each node, at [n, i]
+            t1 = f1.ctip[:c].take(x[n], axis=1).T[:, _others(c)[:lc]]
+            t2 = f2.ctip[:d].take(y[n], axis=1).T[:, _others(d)[:ld]]
             side[:c, :d, n] = matching_costs(  # axes: pair n, slot i, slot j
                 T.take(t1[:, :, None, :, None] * ncols + t2[:, None, :, None, :]),
                 f1.D[t1][:, :, None],
@@ -497,26 +516,27 @@ def _slice_fill(f1, f2, T, h1, h2):
     (h1, h2) with row and column slices. Its saddle pairs' sides are costed
     here, on the calling thread."""
     c, d = f2.rows[h2], f2.rows[h2 + 1]
-    sc, sd = f1.dmax[h1], f2.dmax[h2]
-    s1, s2 = f1.slot[:sc], f2.slot[:sd]
-    if sc and sd:
+    lc, ld = f1.lmax[h1], f2.lmax[h2]
+    s1, s2 = f1.slot[:lc], f2.slot[:ld]
+    if lc and ld:
         # the saddle pairs' sides, spread over each chunk's states below
         x0, x1, y0, y1 = f1.first[h1], f1.first[h1 + 1], f2.first[h2], f2.first[h2 + 1]
         ny = y1 - y0
-        side = _node_sides(f1, f2, T, np.arange(x0, x1).repeat(ny), np.tile(np.arange(y0, y1), x1 - x0), sc, sd)
+        x, y = np.arange(x0, x1).repeat(ny), np.tile(np.arange(y0, y1), x1 - x0)
+        side = _node_sides(f1, f2, T, x, y, f1.dmax[h1], f2.dmax[h2], lc, ld)
         ys = f2.pos[c:d] - y0
-    n = sc + sd + sc * sd
+    n = lc + ld + lc * ld
 
     def fill(r0, r1):
         X = np.empty((n, r1 - r0, d - c))
-        X[:sc] = T[s1[:, r0:r1], c:d]
-        X[:sc] += f1.cost[:sc, r0:r1, None]
-        np.add(T[r0:r1, s2[:, c:d]].transpose(1, 0, 2), f2.cost[:sd, None, c:d], out=X[sc:sc + sd])
-        if sc and sd:
+        X[:lc] = T[s1[:, r0:r1], c:d]
+        X[:lc] += f1.cost[:lc, r0:r1, None]
+        np.add(T[r0:r1, s2[:, c:d]].transpose(1, 0, 2), f2.cost[:ld, None, c:d], out=X[lc:lc + ld])
+        if lc and ld:
             np.add(
                 T.take(s1[:, None, r0:r1, None] * T.shape[1] + s2[None, :, None, c:d]),
                 side.take((f1.pos[r0:r1, None] - x0) * ny + ys, axis=2),
-                out=X[sc + sd:].reshape(sc, sd, r1 - r0, d - c),
+                out=X[lc + ld:].reshape(lc, ld, r1 - r0, d - c),
             )
         np.minimum.reduce(X, axis=0, out=T[r0:r1, c:d])
 
@@ -603,20 +623,22 @@ def _fill_flat(f1, f2, T, rects):
     rr, cc = a + i, c + j
     sc = max(f1.dmax[h1] for h1, _ in rects)
     sd = max(f2.dmax[h2] for _, h2 in rects)
+    lc = max(f1.lmax[h1] for h1, _ in rects)
+    ld = max(f2.lmax[h2] for _, h2 in rects)
     matched = any(h1 and h2 for h1, h2 in rects)  # else a leaf on one side everywhere
     # T is indexed through its flat view, T.ravel()[r * ncols + c] being
     # T[r, c]: one flat index array is faster than a pair of them
     ncols = T.shape[1]
-    s1 = f1.slot[:sc].take(rr, axis=1) * ncols
-    s2 = f2.slot[:sd].take(cc, axis=1)
+    s1 = f1.slot[:lc].take(rr, axis=1) * ncols
+    s2 = f2.slot[:ld].take(cc, axis=1)
     at = rr * ncols + cc
-    X = np.empty((sc + sd + (sc * sd if matched else 0), n))
-    X[:sc] = T.take(s1 + cc)
-    X[:sc] += f1.cost[:sc].take(rr, axis=1)
-    X[sc:sc + sd] = T.take(at - cc + s2)
-    X[sc:sc + sd] += f2.cost[:sd].take(cc, axis=1)
+    X = np.empty((lc + ld + (lc * ld if matched else 0), n))
+    X[:lc] = T.take(s1 + cc)
+    X[:lc] += f1.cost[:lc].take(rr, axis=1)
+    X[lc:lc + ld] = T.take(at - cc + s2)
+    X[lc:lc + ld] += f2.cost[:ld].take(cc, axis=1)
     if matched:
-        M = X[sc + sd:].reshape(sc, sd, n)
+        M = X[lc + ld:].reshape(lc, ld, n)
         M[...] = T.take(s1[:, None] + s2[None])
         x, y = f1.pos[rr], f2.pos[cc]
         # binary saddles per state, as np.unique costs more than it saves on
@@ -624,9 +646,9 @@ def _fill_flat(f1, f2, T, rects):
         # cost too much per state
         if sc > 2 or sd > 2:
             pairs, each = np.unique(x * len(f2.deg) + y, return_inverse=True)
-            M += _node_sides(f1, f2, T, *np.divmod(pairs, len(f2.deg)), sc, sd)[..., each]
+            M += _node_sides(f1, f2, T, *np.divmod(pairs, len(f2.deg)), sc, sd, lc, ld)[..., each]
         else:
-            M += _node_sides(f1, f2, T, x, y, sc, sd)
+            M += _node_sides(f1, f2, T, x, y, sc, sd, lc, ld)
     T.ravel()[at] = np.minimum.reduce(X, axis=0)
 
 
@@ -653,8 +675,8 @@ def _pair_table(f1: _Flat, f2: _Flat, pair):
             h2 = t - h1
             a, b, width = r1[h1], r1[h1 + 1], r2[h2 + 1] - r2[h2]
             if (b - a) * width >= _SLICE_STATES:
-                sc, sd = f1.dmax[h1], f2.dmax[h2]
-                rects.append((a, b, width * (sc + sd + sc * sd), partial(_slice_fill, f1, f2, T, h1, h2)))
+                lc, ld = f1.lmax[h1], f2.lmax[h2]
+                rects.append((a, b, width * (lc + ld + lc * ld), partial(_slice_fill, f1, f2, T, h1, h2)))
             else:
                 small.append((h1, h2))
         if rects:
@@ -665,45 +687,86 @@ def _pair_table(f1: _Flat, f2: _Flat, pair):
 
 
 # ---------------------------------------------------------------------------
-# forest rows: one table for a tree against a group of partner trees
+# forest blocks: one table for several trees against their partners
 #
-# compute_matrix runs all four distances row by row. Each row's partners
-# are split into consecutive groups; the layouts of a group's partners are
-# joined (_join here, baselines._join for the baselines) and the row's tree
-# is filled against the whole forest once, by the group's first distance
-# call, so every wave or height serves all of the group's pairs in one
-# batch. Every pair still runs its own call and reads its own columns: a
-# branch mapping is walked through a view that reads the joined rows as its
-# own, a baseline reads its entry at its member's root. The table is held
-# in compute_matrix's layout memo while the group's pairs run and dropped
-# when the group ends. A forest is held by what its calls receive: the row's
-# tree under branch, its decomposition under branch-fixed (so a member is
-# found by its decomposition object), its labelled input under a baseline.
+# compute_matrix runs all four distances row by row, and gathers consecutive
+# rows into blocks. The layouts of a block's rows are joined into one forest
+# and those of the union of their partners into another (_join here,
+# baselines._join for the baselines), and the one forest is filled against
+# the other once, by the block's first distance call, so every wave or height
+# serves all of the block's pairs in one batch. Every pair still runs its own
+# call and reads its own entries: a branch mapping is walked through two
+# views that read the joined rows as their own trees', a baseline reads its
+# entry at its two members' roots. The table is held in compute_matrix's
+# layout memo, by each of the block's rows, while the block's pairs run and
+# dropped when the block ends. A forest is held by what its calls receive:
+# the tree under branch, its decomposition under branch-fixed (so a member
+# is found by its decomposition object), its labelled input under a
+# baseline.
 #
-# A group's table takes at most 8 * _FOREST_ENTRIES bytes, as _check_table
-# charges them (8 per entry for the free and fixed tables, 48 for the
-# baselines), and never more than _TABLE_LIMIT. The row's own tree object
-# and an invalid tree go alone, and so does a partner whose own table is
-# larger, as it passes the bound in any group; a lone pair fills its own
-# table, so _check_table refuses a pair over the limit before any table
-# holding it is allocated. A group never holds one tree object twice, so a
-# member is found by the object that holds it.
+# A block's table takes at most _BLOCK_BYTES, as _check_table charges them
+# (8 per entry for the free and fixed tables, 48 for the baselines), and
+# never more than 8 * _FOREST_ENTRIES bytes or _TABLE_LIMIT. Larger blocks
+# fill more entries that no call reads (a later row against an earlier
+# row's partners), and measured no faster. A row joins a block only if its
+# tree and partners are valid and distinct objects and its tree is none of
+# the block's other rows, so a member is found by the object that holds it.
+# Any other row, and a row whose table alone passes the block's bound, is a
+# block of one row per group of its partners: the groups' tables take at
+# most 8 * _FOREST_ENTRIES bytes, and the row's own tree object and an
+# invalid tree go alone. A lone pair fills its own table, so _check_table
+# refuses a pair over the limit before any table holding it is allocated.
 # ---------------------------------------------------------------------------
 
 _FOREST_ENTRIES = 1 << 22
+_BLOCK_BYTES = 1 << 21
 
 
-def _row_groups(tree, partners, size=lambda t: sum(t.depths), per_entry=8):
+def _row_groups(rows, size=lambda t: sum(t.depths), per_entry=8):
+    """The pairs of ``rows``, a list of ``(tree, partners)``, as blocks
+    whose tables are filled as one: lists of ``(k, group)``, row k with its
+    partners at the indices ``group``; a block of one pair runs alone.
+    Consecutive rows share a block while its table fits the bound; a row
+    that may not join one is a block per :func:`_groups` group of its
+    partners. ``size(t)`` is a valid tree's side of the table less the pad
+    row, and ``per_entry`` the bytes :func:`_check_table` charges per
+    entry; the defaults are those of the free table."""
+    cap = 8 * _FOREST_ENTRIES if _TABLE_LIMIT is None else min(8 * _FOREST_ENTRIES, _TABLE_LIMIT)
+    bound = min(_BLOCK_BYTES, cap) // per_entry  # entries of a block's table
+    blocks = []
+    held = set()  # the open block's row trees, by id
+    for k, (tree, partners) in enumerate(rows):
+        ids = {id(t) for t in partners}
+        whole = (tree._report.ok and id(tree) not in ids and len(ids) == len(partners)
+                 and all(t._report.ok for t in partners))
+        if whole and held and id(tree) not in held:  # the open block with this row
+            h = height + size(tree)
+            w = width + sum(size(t) for t in partners if id(t) not in cols)
+            if (h + 1) * (w + 1) <= bound:
+                blocks[-1].append((k, range(len(partners))))
+                held.add(id(tree))
+                cols |= ids
+                height, width = h, w
+                continue
+        held = set()
+        if whole:
+            height, width = size(tree), sum(size(t) for t in partners)
+        if whole and (height + 1) * (width + 1) <= bound:  # a new block
+            blocks.append([(k, range(len(partners)))])
+            held, cols = {id(tree)}, ids
+        else:  # a block of one row per group of its partners
+            blocks += ([(k, g)] for g in _groups(tree, partners, size, cap // per_entry))
+    return blocks
+
+
+def _groups(tree, partners, size, bound):
     """The indices of ``partners`` in consecutive groups whose tables
-    against ``tree`` are filled as one; a group of one runs alone.
-    ``size(t)`` is a valid tree's side of the table less the pad row, and
-    ``per_entry`` the bytes :func:`_check_table` charges per entry; the
-    defaults are those of the free table."""
+    against ``tree`` take at most ``bound`` entries each; a partner that is
+    ``tree`` itself or invalid goes alone, and a group holds no tree object
+    twice."""
     if not tree._report.ok:
         return [[k] for k in range(len(partners))]
     rows = size(tree) + 1
-    budget = 8 * _FOREST_ENTRIES if _TABLE_LIMIT is None else min(8 * _FOREST_ENTRIES, _TABLE_LIMIT)
-    bound = budget // per_entry  # entries
     groups, held, cols = [[]], set(), 1
     for k, t in enumerate(partners):
         # a partner whose own table passes the bound passes it with any
@@ -723,15 +786,16 @@ def _row_groups(tree, partners, size=lambda t: sum(t.depths), per_entry=8):
 
 
 class _Forest:
-    """The table of ``tree`` against a group of ``partners``, made by the
-    first call that asks for it, for one key (a metric and mode) at a
-    time."""
+    """The table of the trees ``rows`` against their ``partners``, made by
+    the first call that asks for it, for one key (a metric and mode) at a
+    time; ``row`` and ``col`` find a member's index by its object's id."""
 
-    __slots__ = ("tree", "partners", "index", "made")
+    __slots__ = ("rows", "partners", "row", "col", "made")
 
-    def __init__(self, tree, partners):
-        self.tree, self.partners = tree, partners
-        self.index = {id(t): k for k, t in enumerate(partners)}
+    def __init__(self, rows, partners):
+        self.rows, self.partners = rows, partners
+        self.row = {id(t): k for k, t in enumerate(rows)}
+        self.col = {id(t): k for k, t in enumerate(partners)}
         self.made = None
 
     def table(self, key, make):
@@ -743,14 +807,17 @@ class _Forest:
 
 
 @contextmanager
-def _forest(tree, partners):
-    """While open, a distance of ``tree`` against one of ``partners``
-    reads its columns of their joined table; the table is dropped when the
-    block exits. A lone partner keeps its own per-pair table."""
-    if len(partners) < 2:
+def _forest(rows, partners):
+    """While open, a distance of one of ``rows`` against one of
+    ``partners`` reads its entries of their joined table; the table is
+    dropped when the block exits. A lone pair keeps its own table."""
+    if len(rows) + len(partners) < 3:
         yield
         return
-    with _memo_entry(tree, "forest", _Forest(tree, partners)):
+    forest = _Forest(rows, partners)
+    with ExitStack() as held:
+        for t in rows:
+            held.enter_context(_memo_entry(t, "forest", forest))
         yield
 
 
@@ -860,18 +927,19 @@ def branch_mapping_distance(
     # refused before any layout: the table's (S1 + 1) x (S2 + 1) float64 values
     if tree1 is not None and tree2 is not None:
         _check_table("free-mode table" if fixed is None else "fixed-mode table", states[0] + 1, states[1] + 1, 8)
-    # a matrix row's forest is held by its tree, in fixed mode by the tree's decomposition
+    # a matrix block's forest is held by each row's tree, in fixed mode by the tree's decomposition
     held = trees if fixed is None else decs
     forest = None if tree1 is None or tree2 is None else _memo_get(held[0], "forest")
-    if forest is not None and id(held[1]) in forest.index:
-        def make():
-            f1 = _states(tree1, decs[0], metric, squared)
-            parts = [(p, None) if fixed is None else (p.tree, p) for p in forest.partners]
-            joined, views = _join([_states(t, d, metric, squared) for t, d in parts])
-            return f1, views, _pair_table(f1, joined, dp_terms(metric, squared)[0])
+    if forest is not None and id(held[1]) in forest.col:
+        def layout(p):  # a member's layout, held by its tree or, in fixed mode, its decomposition
+            return _states(p, None, metric, squared) if fixed is None else _states(p.tree, p, metric, squared)
 
-        f1, views, T = forest.table((metric.kind, squared), make)
-        f2 = views[forest.index[id(held[1])]]
+        def make():
+            (a, rows), (b, cols) = (_join([layout(p) for p in side]) for side in (forest.rows, forest.partners))
+            return rows, cols, _pair_table(a, b, dp_terms(metric, squared)[0])
+
+        rows, cols, T = forest.table((metric.kind, squared), make)
+        f1, f2 = rows[forest.row[id(held[0])]], cols[forest.col[id(held[1])]]
     else:
         f1, f2 = (None if t is None else _states(t, d, metric, squared) for t, d in zip(trees, decs))
         if f1 is not None and f2 is not None:

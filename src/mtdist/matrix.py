@@ -101,9 +101,9 @@ def _init_worker(trees, opts):
 
 
 def _forest_rows(distance):
-    """How :func:`compute_matrix` groups a row's partners under
-    ``distance``: ``(source, sizing)``, where ``source(t)`` is what holds
-    tree t's forest in the distance call (the tree, its elder-rule
+    """How :func:`compute_matrix` gathers rows and partners into blocks
+    under ``distance``: ``(source, sizing)``, where ``source(t)`` is what
+    holds tree t's forest in the distance call (the tree, its elder-rule
     decomposition in fixed mode, its labelled input under a baseline) and
     ``sizing`` the table's size and bytes per entry for
     :func:`mapping._row_groups` (its defaults for the free table)."""
@@ -121,20 +121,21 @@ def _forest_rows(distance):
 
 def _row_segments(trees, opts, segments):
     """``(i, j, distance)`` for every partner j of every row segment ``(i,
-    js)``. Each group of a row's partners shares one joined table
+    js)``. Each block of rows and partners shares one joined table
     (:func:`mapping._row_groups`); every pair still runs
     :func:`pairwise_distance`."""
     out = []
     source, sizing = _forest_rows(opts.distance)
-    for i, js in segments:
-        t = trees[i]
-        partners = [trees[j] for j in js]
-        for group in _row_groups(t, partners, *sizing):
-            members = [partners[k] for k in group]
-            # a group of several, held by what its calls look the forest up by
-            held = [source(u) for u in [t] + members] if len(members) > 1 else [t]
-            with _forest(held[0], held[1:]):
-                out += [(i, js[k], pairwise_distance(t, partners[k], opts)) for k in group]
+    rows = [(trees[i], [trees[j] for j in js]) for i, js in segments]
+    for block in _row_groups(rows, *sizing):
+        firsts = [rows[k][0] for k, _ in block]
+        partners = list({id(rows[k][1][x]): rows[k][1][x] for k, group in block for x in group}.values())
+        if len(firsts) + len(partners) > 2:  # a table of several pairs, held by what its calls look it up by
+            firsts, partners = [source(t) for t in firsts], [source(u) for u in partners]
+        with _forest(firsts, partners):
+            for k, group in block:
+                i, js = segments[k]
+                out += [(i, js[x], pairwise_distance(trees[i], trees[js[x]], opts)) for x in group]
     return out
 
 
@@ -149,14 +150,18 @@ def compute_matrix(
     """Symmetric matrix of pairwise distances over the upper triangle.
 
     The pairs run row by row: row i holds the pairs (i, j), j > i. Under
-    every distance a row's partners are split into consecutive groups whose
-    joined table takes at most ``8 * mapping._FOREST_ENTRIES`` bytes, 8 per
-    entry of a branch table and 48 per baseline entry; tree i (its labelled
-    input under a baseline) is filled against each group once, and each
-    pair reads its entry, or walks its mapping, from its own columns, which
-    equal its own table's bit for bit. A pair whose own table is larger
-    than that bound runs alone, and every pair is still held to the table
-    limit (``SizeLimitError``).
+    every distance consecutive rows form a block while the table of their
+    joined trees (their labelled inputs under a baseline) against the union
+    of their joined partners takes at most ``mapping._BLOCK_BYTES`` bytes,
+    8 per entry of a branch table and 48 per baseline entry. Each block is
+    filled once, and each pair reads its entry, or walks its mapping, from
+    its own rows and columns, which equal its own table's bit for bit. A
+    row that fits no block (an invalid tree, a tree object repeated in the
+    row or the block, or a table too large) is a block of one row, whose
+    partners are split into consecutive groups of at most ``8 *
+    mapping._FOREST_ENTRIES`` bytes. A pair whose own table is larger than
+    that bound runs alone, and every pair is still held to the table limit
+    (``SizeLimitError``).
 
     ``jobs`` > 1 fans the pairs out to a process pool in tasks of about
     ``len(pairs) / (4 * jobs)`` consecutive pairs, each a run of row
@@ -164,7 +169,7 @@ def compute_matrix(
     entry is the same pure computation. ``jobs=None`` means the CPU count,
     and any other ``jobs`` must be an integer of at least 1. Each tree's
     layouts are prepared once per call (per worker with a pool), and a
-    group's table lives while its pairs run; none outlives the call.
+    block's table lives while its pairs run; none outlives the call.
     """
     trees = list(trees)
     labels = tuple(labels)

@@ -20,10 +20,11 @@ A driver that compares each tree many times, ``compute_matrix`` or
 length of its call only. The memo belongs to the calling thread (a context
 variable), not to the trees: nothing is stored on a tree, pickled with it,
 or kept after the driver returns, and other threads never see it.
-``compute_matrix`` also holds one row group's joined table there, with
-:func:`_memo_entry`, while that group's pairs run: the free table under
-``branch``, held by the row's tree, and the baselines' table, held by the
-row's labelled input.
+``compute_matrix`` also holds one block's joined table there, with
+:func:`_memo_entry`, while that block's pairs run, held by each of the
+block's rows: by the row's tree under ``branch``, its elder-rule
+decomposition under ``branch-fixed`` and its labelled input under a
+baseline.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mtdist.errors import MTDistError
+from mtdist.errors import MTDistError, PreconditionError
 from mtdist.fields import compute_merge_tree, format_scalar_field, simplify
 from mtdist.generators import (
     PEAK_SIMPLIFY_THRESHOLD,
@@ -108,3 +108,50 @@ def test_periodic_series_needs_a_bump():
     for bumps in (0, -1):
         with pytest.raises(MTDistError):
             generate_periodic_series(10, 5, bumps=bumps)
+
+
+PEAK = PeakSpec(cx=0.5, cy=0.5, amplitude=1.0, width=0.1)
+
+
+class TestBadArguments:
+    """Every argument check of the generators raises PreconditionError,
+    which is an MTDistError (CLI exit 2)."""
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            (dict(members=0), "at least one member"),
+            (dict(rows=0), "dimensions must be positive"),
+            (dict(cols=-1), "dimensions must be positive"),
+            (dict(members=3, outlier_index=3), "outlier index outside"),
+            (dict(members=3, outlier_index=-1), "outlier index outside"),
+        ],
+    )
+    def test_ensemble_spec(self, kwargs, message):
+        spec = dict(members=2, peaks=(PEAK,)) | kwargs
+        with pytest.raises(PreconditionError, match=message):
+            EnsembleSpec(**spec)
+
+    def test_outlier_spec_index(self):
+        with pytest.raises(PreconditionError, match="outlier index outside"):
+            outlier_spec(members=5, outlier_index=10)
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            (dict(period=1), "period must be >= 2"),
+            (dict(bumps=0), "bumps must be >= 1"),
+            (dict(rows=0), "dimensions must be positive"),
+            (dict(cols=0), "dimensions must be positive"),
+            (dict(length=7, period=4), r"length must be >= 2 \* period"),
+        ],
+    )
+    def test_periodic_series(self, kwargs, message):
+        args = dict(length=10, period=5) | kwargs
+        with pytest.raises(PreconditionError, match=message):
+            generate_periodic_series(**args)
+
+    def test_still_an_mtdist_error(self):
+        assert issubclass(PreconditionError, MTDistError)
+        with pytest.raises(MTDistError):
+            generate_periodic_series(5, 1)

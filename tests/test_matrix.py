@@ -206,11 +206,11 @@ class TestLayoutMemo:
         build_tracks(trees, DistanceOptions())
         assert trees_module._MEMO.get() is None
         fill = mapping_module._pair_table
-        calls = []
+        calls, fail_at = [], [1]  # the matrix's one block, then the tracks' second step
 
         def failing(*args):
             calls.append(args)
-            if len(calls) == 2:
+            if len(calls) == fail_at[0]:
                 raise MTDistError("pair failed")
             return fill(*args)
 
@@ -219,6 +219,7 @@ class TestLayoutMemo:
             compute_matrix(trees, "abcd", DistanceOptions(), jobs=1)
         assert trees_module._MEMO.get() is None
         calls.clear()
+        fail_at[0] = 2
         with pytest.raises(MTDistError, match="pair failed"):
             build_tracks(trees, DistanceOptions())
         assert trees_module._MEMO.get() is None
@@ -318,24 +319,27 @@ class TestForestRows:
     def test_every_mapping_from_a_forest_equals_its_own(self, monkeypatch):
         trees = mixed_trees(62)
         tables = []
-        recorded(monkeypatch, mapping_module, "_pair_table", lambda f1, f2, pair: tables.append(f2))
+        recorded(monkeypatch, mapping_module, "_pair_table", lambda f1, f2, pair: tables.append((f1, f2)))
+        rows = [(t, trees[i + 1:]) for i, t in enumerate(trees[:-1])]
         for distance, states in BRANCH_STATES.items():
             opts = DistanceOptions(distance, "euclidean", "l2")
             # a free forest is held by its trees, a fixed one by their decompositions
             held = (lambda t: t) if distance == "branch" else elder_rule_decomposition
             tables.clear()
-            groups = 0
             with trees_module._layout_memo():
+                blocks = mapping_module._row_groups(rows, states)
                 got = {}
-                for i, t in enumerate(trees):
-                    partners = trees[i + 1:]
-                    for group in mapping_module._row_groups(t, partners, states):
-                        groups += 1
-                        with mapping_module._forest(held(t), [held(partners[k]) for k in group]):
-                            for k in group:
-                                got[i, i + 1 + k] = branch_mapping(t, partners[k], opts)
-            assert len(tables) == groups < len(got)  # one table per group, and some groups of several
-            assert any(f2.children is None for f2 in tables)  # joined layouts
+                for block in blocks:
+                    firsts = [held(rows[k][0]) for k, _ in block]
+                    partners = {id(rows[k][1][x]): held(rows[k][1][x]) for k, group in block for x in group}
+                    partners = list(partners.values())
+                    with mapping_module._forest(firsts, partners):
+                        for k, group in block:
+                            for x in group:
+                                got[k, k + 1 + x] = branch_mapping(trees[k], rows[k][1][x], opts)
+            assert len(tables) == len(blocks) < len(got)  # one table per block
+            assert any(len(block) > 1 for block in blocks)  # blocks of several rows
+            assert any(f1.children is None and f2.children is None for f1, f2 in tables)  # joined on both sides
             for (i, j), (d, mapping) in got.items():
                 want_d, want = branch_mapping(trees[i], trees[j], opts)
                 assert d == want_d
@@ -359,7 +363,7 @@ class TestForestRows:
             joined.clear()
             tables.clear()
             want = compute_matrix(trees, "abcdefg", opts, jobs=1).values
-            assert joined == [6, 5, 4, 3, 2] and len(tables) == 6  # one table per row
+            assert joined == [6, 6] and len(tables) == 1  # one block: the six rows against their six partners
             joined.clear()
             tables.clear()
             bound = 60 * (states(trees[0]) + 1)
@@ -397,9 +401,12 @@ class TestForestRows:
             for j in range(i + 1, 7):
                 assert m.values[i, j] == pairwise_distance(trees[i], trees[j], opts)
         assert any(len(partners) > 1 for _, partners in forests)
-        for t, partners in forests:
+        assert any(len(firsts) > 1 for firsts, _ in forests)  # rows 4 and 5 (b and a against a and c)
+        for firsts, partners in forests:
+            assert len({id(u) for u in firsts}) == len(firsts)
             assert len({id(u) for u in partners}) == len(partners)
-            assert t not in partners or partners == [t]  # the row's own tree runs alone
+            if len(firsts) == 1:  # a row whose partners repeat an object; its own tree runs alone
+                assert firsts[0] not in partners or partners == firsts
 
     def test_pair_over_the_table_limit_refused_before_its_table(self, monkeypatch):
         rng = np.random.default_rng(65)
@@ -445,7 +452,7 @@ class TestBaselineForestRows:
                 for j in range(i + 1, 7):
                     assert m.values[i, j] == pairwise_distance(trees[i], trees[j], opts)
         if jobs == 1:  # the pool's forests are joined in its workers
-            assert len(forests) == 2 * 5  # rows 0-4 have several partners
+            assert len(forests) == 2 * 2  # one block a matrix: its rows and their partners joined
             # the wide saddles reach both the <=3x3 batch and the wide groups
             assert any(len(f.small[1]) and f.wide for f in forests)
 
@@ -460,7 +467,7 @@ class TestBaselineForestRows:
             lambda a, b, pair, edits: tables.append((isinstance(b.root, tuple), (a.n + 1) * (b.n + 1))),
         )
         compute_matrix(trees, "abcdefg", opts, jobs=1)
-        assert [forest for forest, _ in tables] == [True] * 5 + [False]  # one table per row
+        assert [forest for forest, _ in tables] == [True]  # one block: the six rows against their six partners
         tables.clear()
         size = [len(baselines_module.elder_labeled_inputs(t, target)) for t in trees]
         budget = 48 * (size[0] + 1) * (sum(size[1:]) // 2)  # bytes, half of row 0
@@ -499,11 +506,14 @@ class TestBaselineForestRows:
             for j in range(i + 1, 7):
                 assert m.values[i, j] == pairwise_distance(trees[i], trees[j], opts)
         assert any(len(partners) > 1 for _, partners in forests)
-        for t, partners in forests:
-            if partners:  # a group of several, held by the labelled inputs
-                assert isinstance(t, baselines_module.LabeledTree)
+        assert any(len(firsts) > 1 for firsts, _ in forests)  # rows 4 and 5 (b and a against a and c)
+        for firsts, partners in forests:
+            if len(firsts) + len(partners) > 2:  # a table of several pairs, held by the labelled inputs
+                assert all(isinstance(u, baselines_module.LabeledTree) for u in firsts + partners)
+                assert len({id(u) for u in firsts}) == len(firsts)
                 assert len({id(u) for u in partners}) == len(partners)
-                assert all(u is not t for u in partners)  # the row's own tree runs alone
+                # a row whose partners repeat an object is a block of one row; its own tree runs alone
+                assert len(firsts) > 1 or all(u is not firsts[0] for u in partners)
 
     @pytest.mark.parametrize("distance", ["constrained", "one-degree"])
     @pytest.mark.parametrize("at", [0, 3])
@@ -556,6 +566,148 @@ class TestBaselineForestRows:
                 for part in group:
                     if isinstance(part, np.ndarray):
                         assert not part.flags.writeable
+
+
+# a distance -> (a valid tree's side of its table less the pad row, the bytes
+# the table limit charges per entry)
+SIZING = {
+    "branch": (BRANCH_STATES["branch"], 8),
+    "branch-fixed": (BRANCH_STATES["branch-fixed"], 8),
+    "constrained": (lambda t: len(baselines_module.elder_labeled_inputs(t, "merge-tree")), 48),
+    "one-degree": (lambda t: len(baselines_module.elder_labeled_inputs(t, "bdt")), 48),
+}
+
+
+def quarter_budget(monkeypatch, trees, distance):
+    """A block budget of a quarter of the whole matrix's table, so that the
+    rows form several blocks."""
+    size, per_entry = SIZING[distance]
+    whole = (sum(map(size, trees[:-1])) + 1) * (sum(map(size, trees[1:])) + 1)
+    monkeypatch.setattr(mapping_module, "_BLOCK_BYTES", per_entry * whole // 4)
+
+
+class TestForestBlocks:
+    """Under all four distances, ``compute_matrix`` fills a block of
+    consecutive rows against the union of their partners as one table, and
+    every entry stays the pair's own, bit for bit."""
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("distance", DISTANCE_NAMES)
+    def test_matrix_equals_a_loop_of_pair_calls(self, monkeypatch, distance, jobs):
+        trees = mixed_trees(81) + make_trees(3, seed=82)
+        n = len(trees)
+        quarter_budget(monkeypatch, trees, distance)
+        rows = []
+        recorded(monkeypatch, matrix_module, "_forest", lambda firsts, partners: rows.append(len(firsts)))
+        for metric, mode in (("euclidean", "l2"), ("birth-persistence", "sum")):
+            opts = DistanceOptions(distance, metric, mode)
+            m = compute_matrix(trees, [str(k) for k in range(n)], opts, jobs=jobs)
+            for i in range(n):
+                for j in range(i + 1, n):
+                    assert m.values[i, j] == pairwise_distance(trees[i], trees[j], opts)
+        if jobs == 1:  # the pool's blocks form in its workers
+            assert sum(r > 1 for r in rows) >= 2 * 2  # several blocks of several rows a matrix
+
+    @pytest.mark.parametrize("distance", DISTANCE_NAMES)
+    def test_each_block_table_gone_before_the_next_fills(self, monkeypatch, distance):
+        trees = mixed_trees(83) + make_trees(3, seed=84)
+        quarter_budget(monkeypatch, trees, distance)
+        module, name = (mapping_module, "_pair_table") if distance in BRANCH_STATES else (baselines_module, "_table")
+        fill = getattr(module, name)
+        alive = []
+
+        def filling(*args):
+            gc.collect()
+            assert all(table() is None for table in alive)  # the last block's table is gone
+            T = fill(*args)
+            alive.append(weakref.ref(T))
+            return T
+
+        monkeypatch.setattr(module, name, filling)
+        rows = []
+        recorded(monkeypatch, matrix_module, "_forest", lambda firsts, partners: rows.append(len(firsts)))
+        compute_matrix(trees, [str(k) for k in range(len(trees))], DistanceOptions(distance), jobs=1)
+        gc.collect()
+        assert sum(r > 1 for r in rows) >= 2 and all(table() is None for table in alive)
+
+    @pytest.mark.parametrize("distance", DISTANCE_NAMES)
+    def test_repeated_object_among_rows_runs_as_its_own_pair(self, monkeypatch, distance):
+        trees = make_trees(6, seed=86)
+        trees[3] = trees[0]
+        opts = DistanceOptions(distance, "euclidean", "sum")
+        forests = []
+        recorded(monkeypatch, matrix_module, "_forest", lambda firsts, partners: forests.append(firsts))
+        # one pool task's pairs: rows 1 and 2 join row 0's block, row 3 (row 0's tree again) starts another
+        segments = [(0, [4, 5]), (1, [2, 3, 4, 5]), (2, [3, 4, 5]), (3, [4, 5])]
+        with trees_module._layout_memo():
+            got = matrix_module._row_segments(trees, opts, segments)
+        assert got == [(i, j, pairwise_distance(trees[i], trees[j], opts)) for i, js in segments for j in js]
+        assert [len(firsts) for firsts in forests] == [3, 1]
+        assert all(len({id(t) for t in firsts}) == len(firsts) for firsts in forests)
+        m = compute_matrix(trees, "abcdef", opts, jobs=1)
+        for i in range(6):
+            for j in range(i + 1, 6):
+                assert m.values[i, j] == pairwise_distance(trees[i], trees[j], opts)
+
+    @pytest.mark.parametrize("distance", DISTANCE_NAMES)
+    def test_invalid_tree_among_rows_raises_as_its_pair(self, distance):
+        trees = make_trees(7, seed=85)
+        trees[3] = MergeTree([0.0, 5.0, 6.0], [-1, 0, 0])  # the root has two children
+        opts = DistanceOptions(distance)
+        with pytest.raises(InvalidTreeError) as want:
+            pairwise_distance(trees[3], trees[4], opts)
+        # one pool task's pairs: row 2 is a block, row 3 meets the invalid tree
+        with trees_module._layout_memo(), pytest.raises(InvalidTreeError) as got:
+            matrix_module._row_segments(trees, opts, [(2, [5, 6]), (3, [4, 5, 6]), (4, [5, 6])])
+        assert str(got.value) == str(want.value)
+        with pytest.raises(InvalidTreeError) as got:
+            compute_matrix(trees, "abcdefg", opts, jobs=1)
+        assert str(got.value) == str(want.value)
+        assert trees_module._MEMO.get() is None
+
+    @pytest.mark.parametrize("distance", DISTANCE_NAMES)
+    def test_pair_over_the_table_limit_refused_before_any_table_holding_it(self, monkeypatch, distance):
+        rng = np.random.default_rng(87)
+        small = [grow_merge_tree(rng, 12, 0.1) for _ in range(6)]
+        big = grow_merge_tree(rng, 80, 0.05)
+        trees = small[:3] + [big] + small[3:]
+        size, per_entry = SIZING[distance]
+        # every pair with the big tree is over, and the block of rows 4 and 5 is not
+        limit = per_entry * (min(map(size, small)) + 1) * (size(big) + 1) - 1
+        assert per_entry * (size(small[3]) + size(small[4]) + 1) * (size(small[4]) + size(small[5]) + 1) < limit
+        monkeypatch.setattr(mapping_module, "_TABLE_LIMIT", limit)
+        tables = []
+        if distance in BRANCH_STATES:
+            recorded(monkeypatch, mapping_module, "_pair_table",
+                     lambda f1, f2, pair: tables.append((f1.S + 1) * (f2.S + 1)))
+        else:
+            recorded(monkeypatch, baselines_module, "_table",
+                     lambda a, b, pair, edits: tables.append((a.n + 1) * (b.n + 1)))
+        rows = []
+        recorded(monkeypatch, matrix_module, "_forest", lambda firsts, partners: rows.append(len(firsts)))
+        # rows 4 and 5 are a block, then row 0 meets the big tree
+        with trees_module._layout_memo(), pytest.raises(SizeLimitError, match="table of"):
+            matrix_module._row_segments(trees, DistanceOptions(distance), [(4, [5, 6]), (5, [6]), (0, [1, 2, 3])])
+        assert rows[0] == 2 and len(tables) == 2  # the block's table and row 0's group before the big tree
+        assert all(per_entry * entries <= limit for entries in tables)
+        tables.clear()
+        with pytest.raises(SizeLimitError, match="table of"):
+            compute_matrix(trees, "abcdefg", DistanceOptions(distance), jobs=1)
+        assert tables and all(per_entry * entries <= limit for entries in tables)
+        assert trees_module._MEMO.get() is None
+
+    @pytest.mark.parametrize("distance", DISTANCE_NAMES)
+    def test_tiny_budget_gives_one_row_blocks(self, monkeypatch, distance):
+        trees = mixed_trees(88)
+        opts = DistanceOptions(distance, "euclidean", "l2")
+        want = compute_matrix(trees, "abcdefg", opts, jobs=1).values
+        monkeypatch.setattr(mapping_module, "_BLOCK_BYTES", 1)
+        forests = []
+        recorded(monkeypatch, matrix_module, "_forest", lambda firsts, partners: forests.append((firsts, partners)))
+        assert np.array_equal(compute_matrix(trees, "abcdefg", opts, jobs=1).values, want)
+        # one row a table, against all its partners: a row group as before blocks
+        got = [(len(firsts), len(partners)) for firsts, partners in forests]
+        assert got == [(1, 6), (1, 5), (1, 4), (1, 3), (1, 2), (1, 1)]
 
 
 class TestMappingDispatch:
