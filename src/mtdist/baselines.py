@@ -21,10 +21,10 @@ import numpy as np
 
 from .branches import _elder_of, build_bdt, elder_rule_decomposition
 from .errors import PreconditionError, _choice
-from .mapping import _check_table
+from .mapping import _block_entry, _check_table
 from .matching import SMALL, matching_costs, small_matching_costs
 from .metrics import MODE_NAMES, BaseMetric, dp_terms, finalize
-from .trees import MergeTree, _children, _layout_order, _memo_get, _memoized, _preorder, require_valid
+from .trees import MergeTree, _children, _layout_order, _memoized, _preorder, require_valid
 
 
 @dataclass(frozen=True)
@@ -63,9 +63,10 @@ def elder_labeled_inputs(tree: MergeTree, target: str) -> LabeledTree:
 
 
 def _label(tree: MergeTree, target: str) -> LabeledTree:
-    """:func:`elder_labeled_inputs` of a valid tree and a known target,
-    without their checks: how a driver reaches the memoized input of a
-    tree without a call of the public functions."""
+    """:func:`elder_labeled_inputs` of a known target, without its target
+    check (an invalid tree still raises, from :func:`branches._elder_of`):
+    how a driver reaches the memoized input of a tree without a call of the
+    public functions."""
     return _memoized(tree, ("labeled", target), lambda: _labeled(tree, _elder_of(tree), target))
 
 
@@ -229,9 +230,10 @@ def _fill(t1: LabeledTree, t2: LabeledTree, metric: BaseMetric, mode: str, edits
     pair of :func:`_table`, read at the root pair.
 
     While a driver holds a block that has ``t1`` as a row and ``t2`` as a
-    partner (:func:`mapping._forest`), the entry is read from the one table
-    of the block's joined rows against their joined partners
-    (:func:`_join`), made by the block's first call and equal at the two
+    partner (:func:`mapping._forest`), the entry is read, through
+    :func:`mapping._block_entry`, from the one table of the block's joined
+    rows against their joined partners (:func:`_join`), made by the
+    block's first call and equal at the two
     members' roots to the pair's own table, bit for bit; otherwise the pair
     fills its own table.
     """
@@ -245,16 +247,16 @@ def _fill(t1: LabeledTree, t2: LabeledTree, metric: BaseMetric, mode: str, edits
     def layout(t):
         return _memoized(t, key, lambda: _Levels(t, null))
 
-    forest = _memo_get(t1, "forest")
-    if forest is not None and id(t2) in forest.col:
-        def make():
-            a, b = (_join([layout(t) for t in side]) for side in (forest.rows, forest.partners))
-            return a, b, _table(a, b, pair, edits)
+    def fill(rows, partners):
+        a, b = _join(rows), _join(partners)
+        return a, b, _table(a, b, pair, edits)
 
-        a, b, dist = forest.table((key, edits), make)
-        return finalize(dist[a.root[forest.row[id(t1)]], b.root[forest.col[id(t2)]]], mode)
-    a, b = layout(t1), layout(t2)
-    return finalize(_table(a, b, pair, edits)[a.root, b.root], mode)
+    hit = _block_entry(t1, t2, (key, edits), layout, fill)
+    if hit is None:
+        a, b = layout(t1), layout(t2)
+        return finalize(_table(a, b, pair, edits)[a.root, b.root], mode)
+    (a, b, dist), i, j = hit
+    return finalize(dist[a.root[i], b.root[j]], mode)
 
 
 def _table(a: _Levels, b: _Levels, pair, edits: bool):

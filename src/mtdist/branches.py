@@ -145,13 +145,14 @@ def elder_rule_decomposition(tree: MergeTree) -> BranchDecomposition:
     the smallest child node-id. Built once per tree while a driver's layout
     memo is open, so every call of that driver gets the same object.
     """
-    require_valid(tree)
     return _elder_of(tree)
 
 
 def _elder_of(tree: MergeTree) -> BranchDecomposition:
-    """:func:`elder_rule_decomposition` of a valid tree, without its check."""
-    return _memoized(tree, "elder", lambda: _elder(tree))
+    """:func:`elder_rule_decomposition`, also an invalid tree's
+    ``InvalidTreeError``: how a driver reaches the memoized decomposition
+    without a call of the public function."""
+    return _memoized(tree, "elder", lambda: _elder(require_valid(tree)))
 
 
 def _elder(tree: MergeTree) -> BranchDecomposition:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .branches import _elder_child, _submax, elder_rule_decomposition
+from .branches import _elder_child, _submax
 from .errors import MTDistError, ParseError, PreconditionError, _choice
 from .trees import MergeTree, _header, read_text, require_valid
 
@@ -296,22 +296,6 @@ def compute_merge_tree(f: ScalarField2D, direction: str = "max") -> MergeTree:
     return require_valid(MergeTree(values, parent))
 
 
-def local_maximum_count(f: ScalarField2D, direction: str = "max") -> int:
-    """Independent count of strict local maxima under the sweep tie order."""
-    _choice("direction", direction, ("max", "min"))
-    work = f.values if direction == "max" else -f.values
-    count = 0
-    for idx in range(len(work)):
-        wins = True
-        for nb in f.neighbors(idx):
-            if (work[nb], -nb) > (work[idx], -idx):
-                wins = False
-                break
-        if wins:
-            count += 1
-    return count
-
-
 # ---------------------------------------------------------------------------
 # persistence simplification
 # ---------------------------------------------------------------------------
@@ -390,9 +374,3 @@ def simplify(tree: MergeTree, threshold: float) -> MergeTree:
     new_values = [values[v] for v in keep]
     new_parent = [index[parent[v]] if parent[v] != -1 else -1 for v in keep]
     return require_valid(MergeTree(new_values, new_parent))
-
-
-def elder_branch_persistences(tree: MergeTree):
-    """Persistence of every non-main branch of the elder decomposition."""
-    dec = elder_rule_decomposition(tree)
-    return sorted(b.persistence for b in dec.branches if b != dec.main)

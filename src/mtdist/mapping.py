@@ -10,27 +10,28 @@ tracked. Because the base costs are pure branch distances, only the start
 *values* matter, so the states of one tree are the pairs (node, ancestor).
 Free mode numbers them into the rows and columns of one flat table and
 fills it with numpy in anti-diagonal waves of node heights, which keeps
-large instances (hundreds of nodes) fast. Either tree may also be a
-forest: the layouts of several trees joined into one (``compute_matrix``
-joins a block of consecutive rows' trees, and the union of their
-partners), whose table holds each pair of members' pair table as its rows
-and columns, bit for bit, so that each wave serves all of the block's
-pairs in one batch. Each pair's mapping is walked from its own members'
-entries through a view of each forest that carries that member's node ids,
-so the walker reads it as it reads a single tree's layout. The row chunks
-of a wave that
-holds at least two full chunks are filled on the calling thread and up to
-one helper thread per further CPU the process may run on; every other step,
-and every wave of a multiprocessing child such as a ``compute_matrix`` pool
-worker, runs on the calling thread alone. In fixed mode the decompositions
-fix every branch start, so each node has one state: the same layout with
-one row per node, whose only live child slot is the continuation, filled
-by the same waves and joined into forests the same way. The table keeps
-one value per state and no record of the winning option: one walker
-reconstructs the mapping, and at each state it visits it evaluates the
-options again, in the fill's order and with its arithmetic, and takes the
-first whose value equals the entry. At an inner-inner state the options
-are, in this fixed order:
+large instances (hundreds of nodes) fast. Either tree may also be a forest:
+the layouts of several trees joined into one (``compute_matrix`` joins the
+row trees of a block of consecutive pairs, and their partners, under one
+rule: a pair joins the block while its table takes at most
+``_BLOCK_BYTES``, and never more than the table limit), whose table holds
+each pair of members' pair table as its rows and columns, bit for bit, so
+that each wave serves all of the block's pairs in one batch. Each pair's
+mapping is walked from its own members' entries through a view of each
+forest that carries that member's node ids, so the walker reads it as it
+reads a single tree's layout. The row chunks of a wave that holds at least
+two full chunks are filled on the calling thread and up to one helper
+thread per further CPU the process may run on; every other step, and every
+wave of a multiprocessing child such as a ``compute_matrix`` pool worker,
+runs on the calling thread alone. In fixed mode the decompositions fix
+every branch start, so each node has one state: the same layout with one
+row per node, whose only live child slot is the continuation, filled by the
+same waves and joined into forests the same way. The table keeps one value
+per state and no record of the winning option: one walker reconstructs the
+mapping, and at each state it visits it evaluates the options again, in the
+fill's order and with its arithmetic, and takes the first whose value
+equals the entry. At an inner-inner state the options are, in this
+fixed order:
 
 1. continue tree 1's branch through one child, deleting the sibling
    subtrees, leaving tree 2 untouched (one option per child);
@@ -689,106 +690,72 @@ def _pair_table(f1: _Flat, f2: _Flat, pair):
 # ---------------------------------------------------------------------------
 # forest blocks: one table for several trees against their partners
 #
-# compute_matrix runs all four distances row by row, and gathers consecutive
-# rows into blocks. The layouts of a block's rows are joined into one forest
-# and those of the union of their partners into another (_join here,
-# baselines._join for the baselines), and the one forest is filled against
-# the other once, by the block's first distance call, so every wave or height
-# serves all of the block's pairs in one batch. Every pair still runs its own
-# call and reads its own entries: a branch mapping is walked through two
-# views that read the joined rows as their own trees', a baseline reads its
-# entry at its two members' roots. The table is held in compute_matrix's
-# layout memo, by each of the block's rows, while the block's pairs run and
-# dropped when the block ends. A forest is held by what its calls receive:
-# the tree under branch, its decomposition under branch-fixed (so a member
-# is found by its decomposition object), its labelled input under a
-# baseline.
+# compute_matrix runs all four distances pair by pair, and gathers
+# consecutive pairs into blocks. The layouts of a block's row trees are
+# joined into one forest and those of their partners into another (_join
+# here, baselines._join for the baselines), and the one forest is filled
+# against the other once, by the block's first distance call, so every wave
+# or height serves all of the block's pairs in one batch. Every pair still
+# runs its own call and reads its own entries (_block_entry): a branch
+# mapping is walked through two views that read the joined rows as their own
+# trees', a baseline reads its entry at its two members' roots. The table is
+# held in compute_matrix's layout memo, by each of the block's rows, while
+# the block's pairs run and dropped when the block ends. A forest is held by
+# what its calls receive: the tree under branch, its decomposition under
+# branch-fixed (so a member is found by its decomposition object), its
+# labelled input under a baseline.
 #
-# A block's table takes at most _BLOCK_BYTES, as _check_table charges them
-# (8 per entry for the free and fixed tables, 48 for the baselines), and
-# never more than 8 * _FOREST_ENTRIES bytes or _TABLE_LIMIT. Larger blocks
-# fill more entries that no call reads (a later row against an earlier
-# row's partners), and measured no faster. A row joins a block only if its
-# tree and partners are valid and distinct objects and its tree is none of
-# the block's other rows, so a member is found by the object that holds it.
-# Any other row, and a row whose table alone passes the block's bound, is a
-# block of one row per group of its partners: the groups' tables take at
-# most 8 * _FOREST_ENTRIES bytes, and the row's own tree object and an
-# invalid tree go alone. A lone pair fills its own table, so _check_table
-# refuses a pair over the limit before any table holding it is allocated.
+# One rule makes the blocks: a pair joins the open block while the block's
+# table takes at most min(_BLOCK_BYTES, _TABLE_LIMIT) bytes, as _check_table
+# charges them (8 per entry for the free and fixed tables, 48 for the
+# baselines); else it opens the next block. Larger blocks fill more entries
+# that no call reads (a later row against an earlier row's partners), and
+# measured no faster. A block holds each tree object once as a row, so a
+# member is found by the object that holds it: a row whose tree is already
+# another of the open block's rows opens the next block. A pair whose own
+# table passes the bound is a block of its own, as no block can take it: it
+# fills its own table, and _check_table refuses a pair over the limit before
+# any table holding it is allocated. An invalid tree joins blocks as any
+# other: its block raises its InvalidTreeError when the block's members are
+# sized or laid out, before any of the block's pairs returns.
 # ---------------------------------------------------------------------------
 
-_FOREST_ENTRIES = 1 << 22
 _BLOCK_BYTES = 1 << 21
 
 
 def _row_groups(rows, size=lambda t: sum(t.depths), per_entry=8):
-    """The pairs of ``rows``, a list of ``(tree, partners)``, as blocks
-    whose tables are filled as one: lists of ``(k, group)``, row k with its
-    partners at the indices ``group``; a block of one pair runs alone.
-    Consecutive rows share a block while its table fits the bound; a row
-    that may not join one is a block per :func:`_groups` group of its
-    partners. ``size(t)`` is a valid tree's side of the table less the pad
-    row, and ``per_entry`` the bytes :func:`_check_table` charges per
-    entry; the defaults are those of the free table."""
-    cap = 8 * _FOREST_ENTRIES if _TABLE_LIMIT is None else min(8 * _FOREST_ENTRIES, _TABLE_LIMIT)
-    bound = min(_BLOCK_BYTES, cap) // per_entry  # entries of a block's table
+    """The pairs of ``rows``, a list of ``(tree, partners)``, in order, as
+    blocks whose tables are filled as one: lists of ``(k, group)``, row k
+    with its partners at the indices ``group``; a block of one pair runs
+    alone. ``size(t)`` is a tree's side of the table less the pad row, and
+    ``per_entry`` the bytes :func:`_check_table` charges per entry; the
+    defaults are those of the free table."""
+    bound = _BLOCK_BYTES if _TABLE_LIMIT is None else min(_BLOCK_BYTES, _TABLE_LIMIT)
     blocks = []
-    held = set()  # the open block's row trees, by id
     for k, (tree, partners) in enumerate(rows):
-        ids = {id(t) for t in partners}
-        whole = (tree._report.ok and id(tree) not in ids and len(ids) == len(partners)
-                 and all(t._report.ok for t in partners))
-        if whole and held and id(tree) not in held:  # the open block with this row
-            h = height + size(tree)
-            w = width + sum(size(t) for t in partners if id(t) not in cols)
-            if (h + 1) * (w + 1) <= bound:
-                blocks[-1].append((k, range(len(partners))))
-                held.add(id(tree))
-                cols |= ids
-                height, width = h, w
-                continue
-        held = set()
-        if whole:
-            height, width = size(tree), sum(size(t) for t in partners)
-        if whole and (height + 1) * (width + 1) <= bound:  # a new block
-            blocks.append([(k, range(len(partners)))])
-            held, cols = {id(tree)}, ids
-        else:  # a block of one row per group of its partners
-            blocks += ([(k, g)] for g in _groups(tree, partners, size, cap // per_entry))
+        for x, t in enumerate(partners):
+            if blocks:  # the open block, if its last row is k or tree is none of its rows
+                same = blocks[-1][-1][0] == k
+                if same or id(tree) not in held:
+                    h = height if same else height + size(tree)
+                    w = width if id(t) in cols else width + size(t)
+                    if per_entry * (h + 1) * (w + 1) <= bound:
+                        if not same:
+                            blocks[-1].append((k, []))
+                        blocks[-1][-1][1].append(x)
+                        held.add(id(tree))
+                        cols.add(id(t))
+                        height, width = h, w
+                        continue
+            blocks.append([(k, [x])])
+            held, cols, height, width = {id(tree)}, {id(t)}, size(tree), size(t)
     return blocks
 
 
-def _groups(tree, partners, size, bound):
-    """The indices of ``partners`` in consecutive groups whose tables
-    against ``tree`` take at most ``bound`` entries each; a partner that is
-    ``tree`` itself or invalid goes alone, and a group holds no tree object
-    twice."""
-    if not tree._report.ok:
-        return [[k] for k in range(len(partners))]
-    rows = size(tree) + 1
-    groups, held, cols = [[]], set(), 1
-    for k, t in enumerate(partners):
-        # a partner whose own table passes the bound passes it with any
-        # group, so it starts a group and the next partner starts another
-        alone = t is tree or not t._report.ok
-        s = 0 if alone else size(t)
-        if alone or id(t) in held or rows * (cols + s) > bound:
-            held, cols = set(), 1
-            groups.append([])
-        groups[-1].append(k)
-        if alone:
-            groups.append([])
-        else:
-            held.add(id(t))
-            cols += s
-    return [g for g in groups if g]
-
-
 class _Forest:
-    """The table of the trees ``rows`` against their ``partners``, made by
-    the first call that asks for it, for one key (a metric and mode) at a
-    time; ``row`` and ``col`` find a member's index by its object's id."""
+    """The trees ``rows`` against their ``partners``, and the table that
+    the first call made of them (:func:`_block_entry`) with its key, or
+    None; ``row`` and ``col`` find a member's index by its object's id."""
 
     __slots__ = ("rows", "partners", "row", "col", "made")
 
@@ -797,13 +764,6 @@ class _Forest:
         self.row = {id(t): k for k, t in enumerate(rows)}
         self.col = {id(t): k for k, t in enumerate(partners)}
         self.made = None
-
-    def table(self, key, make):
-        """``make()``, once while ``key`` stays the same."""
-        if self.made is None or self.made[0] != key:
-            self.made = None  # dropped before another is made
-            self.made = key, make()
-        return self.made[1]
 
 
 @contextmanager
@@ -819,6 +779,22 @@ def _forest(rows, partners):
         for t in rows:
             held.enter_context(_memo_entry(t, "forest", forest))
         yield
+
+
+def _block_entry(row, col, key, layout, fill):
+    """``(made, i, j)`` while an open block (:func:`_forest`) holds ``row``
+    among its rows and ``col`` among its partners, else None. ``made`` is
+    ``fill(rows, partners)`` of the layouts ``layout(t)`` of the block's
+    members, made by the block's first call for ``key`` (a metric and
+    mode) and dropped before one for another key is made; i and j are the
+    two members' indices."""
+    forest = _memo_get(row, "forest")
+    if forest is None or id(col) not in forest.col:
+        return None
+    if forest.made is None or forest.made[0] != key:
+        forest.made = None  # dropped before another is made
+        forest.made = key, fill([layout(t) for t in forest.rows], [layout(t) for t in forest.partners])
+    return forest.made[1], forest.row[id(row)], forest.col[id(col)]
 
 
 def _walk(f1: _Flat, f2: _Flat | None, T, start):
@@ -927,19 +903,19 @@ def branch_mapping_distance(
     # refused before any layout: the table's (S1 + 1) x (S2 + 1) float64 values
     if tree1 is not None and tree2 is not None:
         _check_table("free-mode table" if fixed is None else "fixed-mode table", states[0] + 1, states[1] + 1, 8)
+    def layout(p):  # a block member's layout, held by its tree or, in fixed mode, its decomposition
+        return _states(p, None, metric, squared) if fixed is None else _states(p.tree, p, metric, squared)
+
+    def fill(rows, cols):
+        (a, rows), (b, cols) = _join(rows), _join(cols)
+        return rows, cols, _pair_table(a, b, dp_terms(metric, squared)[0])
+
     # a matrix block's forest is held by each row's tree, in fixed mode by the tree's decomposition
     held = trees if fixed is None else decs
-    forest = None if tree1 is None or tree2 is None else _memo_get(held[0], "forest")
-    if forest is not None and id(held[1]) in forest.col:
-        def layout(p):  # a member's layout, held by its tree or, in fixed mode, its decomposition
-            return _states(p, None, metric, squared) if fixed is None else _states(p.tree, p, metric, squared)
-
-        def make():
-            (a, rows), (b, cols) = (_join([layout(p) for p in side]) for side in (forest.rows, forest.partners))
-            return rows, cols, _pair_table(a, b, dp_terms(metric, squared)[0])
-
-        rows, cols, T = forest.table((metric.kind, squared), make)
-        f1, f2 = rows[forest.row[id(held[0])]], cols[forest.col[id(held[1])]]
+    hit = None if tree1 is None or tree2 is None else _block_entry(*held, (metric.kind, squared), layout, fill)
+    if hit is not None:
+        (rows, cols, T), i, j = hit
+        f1, f2 = rows[i], cols[j]
     else:
         f1, f2 = (None if t is None else _states(t, d, metric, squared) for t, d in zip(trees, decs))
         if f1 is not None and f2 is not None:

@@ -13,11 +13,12 @@ cost their many instances in batches through :func:`matching_costs`:
   runs an exact dynamic program over the sets of columns already matched;
   its tables depend on the column count only.
 
-Both sum every matching as :func:`brute_force_matching` does, the rows'
-terms in row order and then the free columns' insertions in column order,
-so up to ``WIDE`` columns every cost equals the exhaustive reference's bit
-for bit. Only instances of more than ``WIDE`` columns go, one by one, to the
-Hungarian method on the standard padded square matrix, whose sums may
+Both sum every matching in one order, the rows' terms in row order and
+then the free columns' insertions in column order, over the partial
+matchings that :func:`small_matching_patterns` enumerates, so up to
+``WIDE`` columns every cost equals an exhaustive search's bit for bit. Only
+instances of more than ``WIDE`` columns go, one by one, to the Hungarian
+method on the standard padded square matrix, whose sums may
 differ in the last bits; from 7 columns on the mask kernel is no faster
 than that even in batches. :func:`min_cost_matching` costs one instance
 through the same paths, so batched and single costs agree bit for bit, and
@@ -52,13 +53,15 @@ def min_cost_matching(P, dels, inss, want_pairs=False):
     A row may match a column at ``P[i][j]`` or stay unmatched at ``dels[i]``;
     unmatched columns cost ``inss[j]``. Returns ``(cost, matched pairs)``;
     the pair list is only populated when ``want_pairs`` is set or comes for
-    free. Up to ``WIDE`` columns the cost is :func:`brute_force_matching`'s
-    bit for bit, and the pairs sum to it in its order; wider instances go to
-    the Hungarian method.
+    free. Up to ``WIDE`` columns the cost is the cheapest matching summed in
+    :func:`small_matching_costs`' order, bit for bit, and the pairs sum to
+    it in that order; up to ``SMALL`` x ``SMALL`` they are the first
+    cheapest of :func:`small_matching_patterns`. Wider instances go to the
+    Hungarian method.
     """
     r, s = len(dels), len(inss)
     # added left to right, as the kernels add; from Python 3.12 on the
-    # builtin sum compensates, also in _search
+    # builtin sum compensates
     if r == 0:
         return float(reduce(add, inss, 0.0)), []
     if s == 0:
@@ -70,7 +73,8 @@ def min_cost_matching(P, dels, inss, want_pairs=False):
             return float(m), [(0, 0)]
         return float(d), []
     if r <= SMALL and s <= SMALL:
-        return brute_force_matching(P, dels, inss)
+        cost, k = small_matching_costs(P, dels, inss, first=True)
+        return float(cost), [(i, j) for i, j in enumerate(small_matching_patterns(r, s)[int(k)]) if j >= 0]
     if s <= WIDE:
         return _mask_matching(P, dels, inss, want_pairs)
     big = np.full((r + s, s + r), np.inf)
@@ -86,44 +90,11 @@ def min_cost_matching(P, dels, inss, want_pairs=False):
     return cost, pairs
 
 
-def brute_force_matching(P, dels, inss):
-    """Exhaustive reference over all injective partial matchings."""
-    best = [math.inf, []]
-    _search(P, dels, inss, 0, set(), 0.0, [], best)
-    return float(best[0]), best[1]
-
-
-def _search(P, dels, inss, i, used, acc, chosen, best):
-    """Depth-first step of :func:`brute_force_matching` at row ``i``.
-
-    Row i first stays unmatched, then takes each free column in turn;
-    branches already as expensive as ``best[0]`` are cut. ``best`` holds the
-    cheapest total found so far and its pairs.
-    """
-    if acc >= best[0]:
-        return
-    if i == len(dels):
-        total = acc + reduce(add, (inss[j] for j in range(len(inss)) if j not in used), 0.0)
-        if total < best[0]:
-            best[0] = total
-            best[1] = list(chosen)
-        return
-    _search(P, dels, inss, i + 1, used, acc + dels[i], chosen, best)
-    for j in range(len(inss)):
-        if j not in used:
-            used.add(j)
-            chosen.append((i, j))
-            _search(P, dels, inss, i + 1, used, acc + P[i][j], chosen, best)
-            chosen.pop()
-            used.remove(j)
-
-
 @cache
 def small_matching_patterns(r, s):
-    """Every partial matching of r rows into s columns, in the order
-    :func:`_search` visits them: ``m[i]`` is row i's column, -1 if
-    unmatched, and each row first stays unmatched, then takes each free
-    column in ascending order."""
+    """Every partial matching of r rows into s columns, in depth-first
+    order: ``m[i]`` is row i's column, -1 if unmatched, and each row first
+    stays unmatched, then takes each free column in ascending order."""
     patterns = [()]
     for _ in range(r):
         patterns = [m + (j,) for m in patterns for j in range(-1, s) if j < 0 or j not in m]
@@ -160,11 +131,10 @@ def small_matching_costs(P, dels, inss, first=False):
     ``first`` also, per instance, the index into
     :func:`small_matching_patterns` of the first cheapest pattern.
 
-    Every pattern is summed as :func:`_search` sums it, the rows' terms in
-    row order and then the free columns' insertions in column order, and
-    the first minimum wins. For non-negative costs this gives the costs of
-    :func:`min_cost_matching` and the pairs of :func:`brute_force_matching`
-    exactly: a branch ``_search`` cuts can never hold a strictly cheaper one.
+    Every pattern is summed with the rows' terms in row order and then the
+    free columns' insertions in column order, and the first minimum wins:
+    :func:`min_cost_matching` takes the cost and the pairs of a single
+    instance of this size from here.
     """
     P = np.asarray(P, dtype=np.float64)
     *lead, r, s = P.shape
@@ -253,7 +223,7 @@ def _mask_dp(X, I, keep=False):
     columns it leaves free, summed in column order, at ``[x, k]``; with
     ``keep`` also the list of the row sums after 0, 1, ... rows. Floating-
     point addition is monotone, so the minimum over x is the cheapest
-    matching summed as :func:`_search` sums it.
+    matching summed in :func:`small_matching_costs`' order.
     """
     r, w, n = X.shape
     s = w - 1
@@ -299,7 +269,8 @@ def mask_matching_costs(P, dels, inss):
 
     Shapes as in :func:`small_matching_costs`. An exact dynamic program goes
     through the rows in order; its state is the set of columns already
-    matched. The costs equal :func:`brute_force_matching`'s bit for bit.
+    matched. Every cost is the cheapest matching summed in
+    :func:`small_matching_costs`' order, bit for bit.
     """
     P = np.asarray(P, dtype=np.float64)
     *lead, r, s = P.shape

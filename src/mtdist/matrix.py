@@ -73,6 +73,8 @@ class DistanceMatrix:
         n = len(self.labels)
         if vals.shape != (n, n):
             raise MTDistError("matrix shape does not match the label count")
+        if not np.isfinite(vals).all():
+            raise MTDistError("distance matrix values must be finite")
         if (vals < 0).any():
             raise MTDistError("distance matrix must be non-negative")
         if np.abs(np.diagonal(vals)).max(initial=0.0) > 1e-9:
@@ -106,7 +108,9 @@ def _forest_rows(distance):
     holds tree t's forest in the distance call (the tree, its elder-rule
     decomposition in fixed mode, its labelled input under a baseline) and
     ``sizing`` the table's size and bytes per entry for
-    :func:`mapping._row_groups` (its defaults for the free table)."""
+    :func:`mapping._row_groups` (its defaults for the free table). On an
+    invalid tree ``source`` raises the ``InvalidTreeError`` of the distance
+    call, or, under ``branch``, leaves that call to raise it."""
     if distance == "branch":
         return (lambda t: t), ()
     if distance == "branch-fixed":
@@ -128,11 +132,10 @@ def _row_segments(trees, opts, segments):
     source, sizing = _forest_rows(opts.distance)
     rows = [(trees[i], [trees[j] for j in js]) for i, js in segments]
     for block in _row_groups(rows, *sizing):
-        firsts = [rows[k][0] for k, _ in block]
-        partners = list({id(rows[k][1][x]): rows[k][1][x] for k, group in block for x in group}.values())
-        if len(firsts) + len(partners) > 2:  # a table of several pairs, held by what its calls look it up by
-            firsts, partners = [source(t) for t in firsts], [source(u) for u in partners]
-        with _forest(firsts, partners):
+        # held by what the block's calls look it up by
+        firsts = [source(rows[k][0]) for k, _ in block]
+        partners = {id(u): u for k, group in block for u in (rows[k][1][x] for x in group)}
+        with _forest(firsts, [source(u) for u in partners.values()]):
             for k, group in block:
                 i, js = segments[k]
                 out += [(i, js[x], pairwise_distance(trees[i], trees[js[x]], opts)) for x in group]
@@ -150,17 +153,16 @@ def compute_matrix(
     """Symmetric matrix of pairwise distances over the upper triangle.
 
     The pairs run row by row: row i holds the pairs (i, j), j > i. Under
-    every distance consecutive rows form a block while the table of their
-    joined trees (their labelled inputs under a baseline) against the union
-    of their joined partners takes at most ``mapping._BLOCK_BYTES`` bytes,
-    8 per entry of a branch table and 48 per baseline entry. Each block is
-    filled once, and each pair reads its entry, or walks its mapping, from
-    its own rows and columns, which equal its own table's bit for bit. A
-    row that fits no block (an invalid tree, a tree object repeated in the
-    row or the block, or a table too large) is a block of one row, whose
-    partners are split into consecutive groups of at most ``8 *
-    mapping._FOREST_ENTRIES`` bytes. A pair whose own table is larger than
-    that bound runs alone, and every pair is still held to the table limit
+    every distance a pair joins the open block while the table of the
+    block's joined row trees (their labelled inputs under a baseline)
+    against its joined partners takes at most ``mapping._BLOCK_BYTES``
+    bytes, and never more than the table limit: 8 per entry of a branch
+    table and 48 per baseline entry. Else the pair opens the next block.
+    Each block is filled once, and each pair reads its entry, or walks its
+    mapping, from its own rows and columns, which equal its own table's bit
+    for bit. A row whose tree is already another row of the open block
+    opens the next block, a pair whose own table passes that bound runs
+    alone, and every pair is still held to the table limit
     (``SizeLimitError``).
 
     ``jobs`` > 1 fans the pairs out to a process pool in tasks of about

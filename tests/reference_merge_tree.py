@@ -1,11 +1,13 @@
 """The per-vertex union-find sweep that ``compute_merge_tree`` replaced.
 
 Kept verbatim as the reference of the equality property test in
-``test_fields.py``.
+``test_fields.py``, with an independent count of a field's local maxima,
+which a merge tree has as leaves.
 """
 
 import numpy as np
 
+from mtdist.errors import _choice
 from mtdist.fields import _EPS, ScalarField2D
 from mtdist.trees import MergeTree, require_valid
 
@@ -85,3 +87,19 @@ def reference_compute_merge_tree(f: ScalarField2D, direction: str = "max") -> Me
     # reindex so that ids are dense in creation order with the root last
     tree = MergeTree(values, parent)
     return require_valid(tree)
+
+
+def local_maximum_count(f: ScalarField2D, direction: str = "max") -> int:
+    """Independent count of strict local maxima under the sweep tie order."""
+    _choice("direction", direction, ("max", "min"))
+    work = f.values if direction == "max" else -f.values
+    count = 0
+    for idx in range(len(work)):
+        wins = True
+        for nb in f.neighbors(idx):
+            if (work[nb], -nb) > (work[idx], -idx):
+                wins = False
+                break
+        if wins:
+            count += 1
+    return count

@@ -28,7 +28,6 @@ from mtdist import (
     oracle_distance,
     simplify,
 )
-from mtdist.fields import local_maximum_count
 from mtdist.generators import EnsembleSpec
 from mtdist.metrics import finalize
 
@@ -50,7 +49,6 @@ REJECTIONS = {
     "mode option": lambda: DistanceOptions(mode="l3"),
     "labelled target": lambda: elder_labeled_inputs(TREE, "forest"),
     "sweep direction": lambda: compute_merge_tree(FIELD, direction="up"),
-    "local maximum direction": lambda: local_maximum_count(FIELD, "up"),
     "connectivity": lambda: ScalarField2D(rows=1, cols=3, values=np.zeros(3), connectivity=6),
     "oracle mode": lambda: oracle_distance(TREE, TREE, BP, "l3"),
     "one-sided oracle mode": lambda: oracle_distance(TREE, None, BP, "l3"),

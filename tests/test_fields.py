@@ -5,18 +5,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mtdist import InvalidTreeError, MTDistError, ParseError, validate_merge_tree
+from mtdist import (
+    InvalidTreeError,
+    MTDistError,
+    ParseError,
+    PreconditionError,
+    elder_rule_decomposition,
+    validate_merge_tree,
+)
 from mtdist.fields import (
     ScalarField2D,
     compute_merge_tree,
-    local_maximum_count,
     parse_scalar_field,
     read_scalar_field,
     simplify,
     write_scalar_field,
 )
 from mtdist.generators import generate_ensemble, outlier_spec
-from reference_merge_tree import reference_compute_merge_tree
+from reference_merge_tree import local_maximum_count, reference_compute_merge_tree
 
 
 def bump_field(rows=24, cols=24, centers=((6, 6), (17, 17)), sigma=2.5, amps=None):
@@ -185,6 +191,13 @@ def test_equal_to_reference_sweep(f):
             assert tree == want
 
 
+def test_local_maximum_count_rejects_an_unknown_direction():
+    # refused, not counted as the minima
+    f = ScalarField2D(rows=1, cols=3, values=np.array([1.0, 0.0, 2.0]))
+    with pytest.raises(PreconditionError, match="direction"):
+        local_maximum_count(f, "up")
+
+
 def test_equal_to_reference_sweep_on_noisy_256_field():
     f = generate_ensemble(outlier_spec(members=1, outlier_index=0, rows=256, cols=256, noise=0.01))[0]
     tree = compute_merge_tree(f)
@@ -268,12 +281,11 @@ class TestSimplify:
             last = len(s.leaves)
 
     def test_surviving_elder_persistence(self):
-        from mtdist.fields import elder_branch_persistences
-
         rng = np.random.default_rng(9)
         f = ScalarField2D(rows=12, cols=12, values=rng.uniform(0, 1, 144))
         t = simplify(compute_merge_tree(f), 0.25)
-        assert all(p >= 0.25 for p in elder_branch_persistences(t))
+        dec = elder_rule_decomposition(t)
+        assert all(b.persistence >= 0.25 for b in dec.branches if b != dec.main)
 
     def test_rejects_negative_threshold(self, two_peak_flat):
         with pytest.raises(ValueError):

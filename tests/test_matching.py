@@ -9,12 +9,12 @@ import mtdist.matching as matching_module
 from mtdist.matching import (
     SMALL,
     WIDE,
-    brute_force_matching,
     matching_costs,
     min_cost_matching,
     small_matching_costs,
     small_matching_patterns,
 )
+from reference_matching import brute_force_matching
 
 
 def matching_cost(P, dels, inss, pairs):
@@ -80,9 +80,10 @@ COSTS = st.sampled_from([
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
 @given(st.data(), st.integers(0, SMALL), st.integers(0, SMALL), st.integers(1, 6), COSTS)
 def test_small_kernel_equals_search(data, r, s, n, values):
-    """Costs equal both solvers bit for bit; the first cheapest pattern is
-    brute force's matching, ties included; padding a row or a column that
-    costs nothing unmatched and +inf matched leaves every cost as it is."""
+    """Costs equal brute force's bit for bit; the first cheapest pattern is
+    brute force's matching, ties included, and so are a single call's pairs
+    beyond 1 x 1; padding a row or a column that costs nothing unmatched and
+    +inf matched leaves every cost as it is."""
     batch = [_instance(data.draw, r, s, values) for _ in range(n)]
     P = np.array([b[0] for b in batch]).reshape(n, r, s)
     dels = np.array([b[1] for b in batch]).reshape(n, r)
@@ -91,7 +92,9 @@ def test_small_kernel_equals_search(data, r, s, n, values):
     patterns = small_matching_patterns(r, s)
     for k, (p, d, i) in enumerate(batch):
         brute, pairs = brute_force_matching(p, d, i)
-        assert costs[k] == brute == min_cost_matching(p, d, i)[0]
+        assert costs[k] == brute
+        if (r, s) != (1, 1):  # which matches on a tie
+            assert min_cost_matching(p, d, i) == (brute, pairs)  # a single instance, pairs included
         assert [(row, col) for row, col in enumerate(patterns[first[k]]) if col >= 0] == pairs
     assert np.array_equal(matching_costs(P, dels, inss), costs)
     padded = np.full((n, SMALL, SMALL), np.inf)

@@ -53,6 +53,9 @@ class TestDistanceMatrix:
             DistanceMatrix(labels=("a", "b"), values=np.array([[0.5, 1.0], [1.0, 0.0]]))
         with pytest.raises(MTDistError):
             DistanceMatrix(labels=("a", "b"), values=np.array([[0.0, -1.0], [-1.0, 0.0]]))
+        for bad in (np.nan, np.inf):  # each passes the checks above
+            with pytest.raises(MTDistError, match="finite"):
+                DistanceMatrix(labels=("a", "b"), values=np.array([[0.0, bad], [bad, 0.0]]))
 
     @pytest.mark.parametrize("distance", ["branch", "branch-fixed", "constrained", "one-degree"])
     def test_symmetry_and_zero_diagonal(self, distance):
@@ -356,9 +359,9 @@ class TestForestRows:
             monkeypatch, mapping_module, "_pair_table",
             lambda f1, f2, pair: tables.append((f2.children is None, (f1.S + 1) * (f2.S + 1))),
         )
-        default = mapping_module._FOREST_ENTRIES
+        default = mapping_module._BLOCK_BYTES
         for distance, states in BRANCH_STATES.items():
-            monkeypatch.setattr(mapping_module, "_FOREST_ENTRIES", default)
+            monkeypatch.setattr(mapping_module, "_BLOCK_BYTES", default)
             opts = DistanceOptions(distance, "euclidean", "l2")
             joined.clear()
             tables.clear()
@@ -367,14 +370,14 @@ class TestForestRows:
             joined.clear()
             tables.clear()
             bound = 60 * (states(trees[0]) + 1)
-            monkeypatch.setattr(mapping_module, "_FOREST_ENTRIES", bound)
+            monkeypatch.setattr(mapping_module, "_BLOCK_BYTES", 8 * bound)
             assert np.array_equal(compute_matrix(trees, "abcdefg", opts, jobs=1).values, want)
             assert len(tables) > 6 and joined and max(joined) < 6  # the rows were split
             assert all(entries <= bound for forest, entries in tables if forest)
 
     def test_each_group_table_dropped_when_its_group_ends(self, monkeypatch):
         trees = mixed_trees(66)
-        monkeypatch.setattr(mapping_module, "_FOREST_ENTRIES", 40 * (sum(trees[0].depths) + 1))
+        monkeypatch.setattr(mapping_module, "_BLOCK_BYTES", 8 * 40 * (sum(trees[0].depths) + 1))
         fill = mapping_module._pair_table
         alive = []
 
@@ -471,14 +474,14 @@ class TestBaselineForestRows:
         tables.clear()
         size = [len(baselines_module.elder_labeled_inputs(t, target)) for t in trees]
         budget = 48 * (size[0] + 1) * (sum(size[1:]) // 2)  # bytes, half of row 0
-        monkeypatch.setattr(mapping_module, "_FOREST_ENTRIES", budget // 8)
+        monkeypatch.setattr(mapping_module, "_BLOCK_BYTES", budget)
         assert np.array_equal(compute_matrix(trees, "abcdefg", opts, jobs=1).values, want)
         assert len(tables) > 6 and any(forest for forest, _ in tables)  # the rows were split
         assert all(48 * entries <= budget for forest, entries in tables if forest)
 
     def test_each_group_table_dropped_when_its_group_ends(self, monkeypatch):
         trees = mixed_trees(73)
-        monkeypatch.setattr(mapping_module, "_FOREST_ENTRIES", 8 * 40 * 40 // 8)
+        monkeypatch.setattr(mapping_module, "_BLOCK_BYTES", 8 * 40 * 40)
         fill = baselines_module._table
         alive = []
 
@@ -683,12 +686,16 @@ class TestForestBlocks:
         else:
             recorded(monkeypatch, baselines_module, "_table",
                      lambda a, b, pair, edits: tables.append((a.n + 1) * (b.n + 1)))
-        rows = []
-        recorded(monkeypatch, matrix_module, "_forest", lambda firsts, partners: rows.append(len(firsts)))
-        # rows 4 and 5 are a block, then row 0 meets the big tree
+        forests = []
+        recorded(monkeypatch, matrix_module, "_forest",
+                 lambda firsts, partners: forests.append((len(firsts), len(partners))))
+        # rows 4 and 5 are a block, and row 0's pairs join it while its table
+        # stays within the limit (the first under branch, none under the
+        # others) and then open the next; row 0 meets the big tree alone
         with trees_module._layout_memo(), pytest.raises(SizeLimitError, match="table of"):
             matrix_module._row_segments(trees, DistanceOptions(distance), [(4, [5, 6]), (5, [6]), (0, [1, 2, 3])])
-        assert rows[0] == 2 and len(tables) == 2  # the block's table and row 0's group before the big tree
+        assert forests == ([(3, 3), (1, 1)] if distance == "branch" else [(2, 2), (1, 2)]) + [(1, 1)]
+        assert len(tables) == len(forests) - 1  # each block's table, none for the big tree's pair
         assert all(per_entry * entries <= limit for entries in tables)
         tables.clear()
         with pytest.raises(SizeLimitError, match="table of"):
@@ -705,9 +712,35 @@ class TestForestBlocks:
         forests = []
         recorded(monkeypatch, matrix_module, "_forest", lambda firsts, partners: forests.append((firsts, partners)))
         assert np.array_equal(compute_matrix(trees, "abcdefg", opts, jobs=1).values, want)
-        # one row a table, against all its partners: a row group as before blocks
-        got = [(len(firsts), len(partners)) for firsts, partners in forests]
-        assert got == [(1, 6), (1, 5), (1, 4), (1, 3), (1, 2), (1, 1)]
+        # every pair fills its own table
+        assert [(len(firsts), len(partners)) for firsts, partners in forests] == [(1, 1)] * 21
+
+    def test_big_tree_row_splits_into_partner_groups(self, monkeypatch):
+        rng = np.random.default_rng(89)
+        big = grow_merge_tree(rng, 160, 0.02)
+        small = [grow_merge_tree(rng, 12, 0.1) for _ in range(12)]
+        trees = [big] + small
+        states = BRANCH_STATES["branch"]
+        budget = mapping_module._BLOCK_BYTES  # the default
+        # the big tree's row passes the bound, three of its pairs fit it
+        assert 8 * (states(big) + 1) * (sum(map(states, small)) + 1) > budget
+        assert 8 * (states(big) + 1) * (3 * max(map(states, small)) + 1) <= budget
+        rows = [(t, trees[i + 1:]) for i, t in enumerate(trees[:-1])]
+        blocks = mapping_module._row_groups(rows, states)
+        groups = [group for block in blocks for k, group in block if k == 0]
+        assert len(groups) >= 2 and [x for g in groups for x in g] == list(range(12))  # consecutive groups
+        for block in blocks:
+            firsts = {id(rows[k][0]): rows[k][0] for k, _ in block}
+            partners = {id(rows[k][1][x]): rows[k][1][x] for k, group in block for x in group}
+            assert 8 * (sum(map(states, firsts.values())) + 1) * (sum(map(states, partners.values())) + 1) <= budget
+        tables = []
+        recorded(monkeypatch, mapping_module, "_pair_table", lambda f1, f2, pair: tables.append((f1.S + 1) * (f2.S + 1)))
+        opts = DistanceOptions("branch", "euclidean", "l2")
+        m = compute_matrix(trees, [str(k) for k in range(13)], opts, jobs=1)
+        assert len(tables) == len(blocks) and all(8 * entries <= budget for entries in tables)
+        for i in range(13):
+            for j in range(i + 1, 13):
+                assert m.values[i, j] == pairwise_distance(trees[i], trees[j], opts)
 
 
 class TestMappingDispatch:
