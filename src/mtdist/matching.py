@@ -17,12 +17,15 @@ Both sum every matching in one order, the rows' terms in row order and
 then the free columns' insertions in column order, over the partial
 matchings that :func:`small_matching_patterns` enumerates, so up to
 ``WIDE`` columns every cost equals an exhaustive search's bit for bit. Only
-instances of more than ``WIDE`` columns go, one by one, to the Hungarian
-method on the standard padded square matrix, whose sums may
-differ in the last bits; from 7 columns on the mask kernel is no faster
-than that even in batches. :func:`min_cost_matching` costs one instance
-through the same paths, so batched and single costs agree bit for bit, and
-also gives its matched pairs.
+instances of more than ``WIDE`` columns go, one by one, to an exact
+shortest-augmenting-path solver (Jonker & Volgenant, Computing 1987) over
+the instance's smaller side; the cost of the matching it finds is summed
+in that same order, and may differ from an exhaustive search's in the last
+bits only where two matchings tie within rounding. From 7 columns on the
+mask kernel is no faster than that even in batches.
+:func:`min_cost_matching` costs one instance through the same paths, so
+batched and single costs agree bit for bit, and also gives its matched
+pairs.
 """
 
 from __future__ import annotations
@@ -38,15 +41,6 @@ WIDE = 6  # largest column count of the mask kernel
 _CHUNK_VALUES = 1 << 16
 
 
-def linear_sum_assignment(cost):
-    """scipy's Hungarian method, imported on first use: loading
-    ``scipy.optimize`` is most of the time of ``import mtdist``, and only
-    instances of more than ``WIDE`` columns need it."""
-    from scipy.optimize import linear_sum_assignment as solve
-
-    return solve(cost)
-
-
 def min_cost_matching(P, dels, inss, want_pairs=False):
     """Cheapest partial matching of r rows against s columns.
 
@@ -56,8 +50,10 @@ def min_cost_matching(P, dels, inss, want_pairs=False):
     free. Up to ``WIDE`` columns the cost is the cheapest matching summed in
     :func:`small_matching_costs`' order, bit for bit, and the pairs sum to
     it in that order; up to ``SMALL`` x ``SMALL`` they are the first
-    cheapest of :func:`small_matching_patterns`. Wider instances go to the
-    Hungarian method.
+    cheapest of :func:`small_matching_patterns`. Wider instances go to
+    :func:`_augmenting_matching`; the pairs it finds sum to the returned
+    cost in the same order. On every route a single row stays unmatched
+    where a match would cost the same.
     """
     r, s = len(dels), len(inss)
     # added left to right, as the kernels add; from Python 3.12 on the
@@ -69,7 +65,7 @@ def min_cost_matching(P, dels, inss, want_pairs=False):
     if r == 1 and s == 1:
         m = P[0][0]
         d = dels[0] + inss[0]
-        if m <= d:
+        if m < d:
             return float(m), [(0, 0)]
         return float(d), []
     if r <= SMALL and s <= SMALL:
@@ -77,17 +73,104 @@ def min_cost_matching(P, dels, inss, want_pairs=False):
         return float(cost), [(i, j) for i, j in enumerate(small_matching_patterns(r, s)[int(k)]) if j >= 0]
     if s <= WIDE:
         return _mask_matching(P, dels, inss, want_pairs)
-    big = np.full((r + s, s + r), np.inf)
-    big[:r, :s] = P
-    big[np.arange(r), s + np.arange(r)] = dels
-    big[r + np.arange(s), np.arange(s)] = inss
-    big[r:, s:] = 0.0
-    ri, ci = linear_sum_assignment(big)
-    cost = float(big[ri, ci].sum())
-    if not want_pairs:
-        return cost, []
-    pairs = [(int(i), int(j)) for i, j in zip(ri, ci) if i < r and j < s]
-    return cost, pairs
+    col = _augmenting_matching(P, dels, inss)
+    rows = 0.0
+    for i, j in enumerate(col):
+        rows += P[i][j] if j >= 0 else dels[i]
+    used, free = set(col), 0.0
+    for j in range(s):
+        if j not in used:
+            free += inss[j]
+    return float(rows + free), [(i, j) for i, j in enumerate(col) if j >= 0]
+
+
+def _augmenting_matching(P, dels, inss):
+    """A cheapest partial matching of :func:`min_cost_matching`'s instance,
+    as each row's column, -1 for unmatched; deletion and insertion costs
+    finite, match costs finite or +inf.
+
+    Shortest augmenting paths with potentials (Jonker & Volgenant) over the
+    smaller side: each of its items in turn is added to the matching along
+    a cheapest alternating path, which ends at a free column of the other
+    side, matched at ``P[i][j]`` minus that column's cost unmatched, or at
+    the item's own private "unmatched" column, at its cost unmatched. An
+    item can reach its private column only from itself, so once there it
+    never moves again, and that column needs no potential. One item takes
+    the first cheapest column if strictly cheaper than staying unmatched.
+    """
+    r, s = len(dels), len(inss)
+    if r <= s:
+        n, a, C = s, dels, [[p - b for p, b in zip(row, inss)] for row in P]
+    else:
+        n, a, C = r, inss, [[P[i][j] - dels[i] for i in range(r)] for j in range(s)]
+    if len(C) == 1:
+        m = min(C[0])
+        match = [C[0].index(m) if m < a[0] else -1]
+    else:
+        match = _shortest_paths(C, a, n)
+    if r <= s:
+        return match
+    col = [-1] * r
+    for j, i in enumerate(match):
+        if i >= 0:
+            col[i] = j
+    return col
+
+
+def _shortest_paths(C, a, n):
+    """The column of each of the k rows of costs ``C`` (k x n, k <= n),
+    -1 for its private column at ``a[i]``, in a cheapest assignment of every
+    row to a distinct column."""
+    inf = math.inf
+    u, v = [0.0] * len(C), [0.0] * n
+    owner = [-1] * n  # row holding each column
+    col = [-1] * len(C)  # column of each row, -1 while unmatched
+    for start in range(len(C)):
+        dist, prev = [inf] * n, [-1] * n
+        todo = list(range(n))  # columns not yet reached at their final distance
+        done = []  # (column, its distance), in the order reached
+        rows = [(start, 0.0)]  # rows reached, with their distances
+        i, di, end, best = start, 0.0, -1, inf  # best: to the cheapest private column, of row end
+        while True:
+            base = di - u[i]
+            Ci = C[i]
+            dj, j = inf, -1  # the nearest column not yet reached
+            for c in todo:
+                d = base + Ci[c] - v[c]
+                if d < dist[c]:
+                    dist[c], prev[c] = d, i
+                else:
+                    d = dist[c]
+                if d < dj:
+                    dj, j = d, c
+            d = base + a[i]
+            if d < best:
+                best, end = d, i
+            if best <= dj:
+                L, j = best, -1
+                break
+            todo.remove(j)
+            done.append((j, dj))
+            if owner[j] < 0:
+                L = dj
+                break
+            i, di = owner[j], dj
+            rows.append((i, di))
+        for i, d in rows:
+            u[i] += L - d
+        for c, d in done:
+            v[c] -= L - d
+        if j < 0:  # the path ends at row end's private column
+            j, col[end] = col[end], -1
+            if end == start:
+                continue
+        while True:  # each column on the path to the row that reached it
+            i = prev[j]
+            owner[j] = i
+            j, col[i] = col[i], j
+            if i == start:
+                break
+    return col
 
 
 @cache

@@ -184,9 +184,9 @@ def wide_tree(width, entry, shift):
 
 def test_degree_16_saddles_take_the_last_of_all_options():
     # 16 + 16 + 16 * 16 options per state, the last 256 matching 15 x 15
-    # children by the Hungarian method. The saddles sit at different heights,
-    # so the cheapest mapping pairs the two value-20 leaves on the main
-    # branches, through the last child slots, the last of all options.
+    # children by the augmenting-path solver. The saddles sit at different
+    # heights, so the cheapest mapping pairs the two value-20 leaves on the
+    # main branches, through the last child slots, the last of all options.
     t1, t2 = wide_tree(16, 1.0, 0), wide_tree(16, 3.0, 3)
     for mode in MODE_NAMES:
         assert_same_as_reference(t1, t2, BaseMetric("birth-persistence"), mode)

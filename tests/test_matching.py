@@ -1,4 +1,6 @@
 import math
+from functools import reduce
+from operator import add
 
 import numpy as np
 import pytest
@@ -26,7 +28,7 @@ def matching_cost(P, dels, inss, pairs):
     return total
 
 
-def test_hungarian_matches_brute_force():
+def test_single_call_matches_brute_force():
     rng = np.random.default_rng(13)
     for _ in range(300):
         r = int(rng.integers(0, 5))
@@ -51,6 +53,22 @@ def test_single_pair_prefers_cheaper_side():
     assert cost == 2.0 and pairs == []
     cost, pairs = min_cost_matching([[1.5]], [1.0], [1.0])
     assert cost == 1.5 and pairs == [(0, 0)]
+
+
+@pytest.mark.parametrize(
+    "P, dels, inss",
+    [
+        ([[2.0]], [1.0], [1.0]),  # 1 x 1
+        ([[2.0, 9.0], [9.0, 2.0]], [1.0, 1.0], [1.0, 1.0]),  # 2 x 2, enumeration kernel
+        ([[2.0] + [9.0] * (WIDE + 1)], [1.0], [1.0] + [0.0] * (WIDE + 1)),  # one row, solver
+        ([[1.0, 3.0, 1.0] + [9.0] * (WIDE - 1)], [5.0], [1.0] * (WIDE + 2)),  # two cheapest columns
+    ],
+    ids=["1x1", "2x2", "1xWIDE+2", "1xWIDE+2 two cheapest"],
+)
+def test_ties_leave_unmatched(P, dels, inss):
+    # A row stays unmatched where matching it costs the same, and one row
+    # takes the first of two equally cheap columns, as in the search.
+    assert min_cost_matching(P, dels, inss, want_pairs=True) == brute_force_matching(P, dels, inss)
 
 
 def test_large_instance_uses_solver():
@@ -93,8 +111,7 @@ def test_small_kernel_equals_search(data, r, s, n, values):
     for k, (p, d, i) in enumerate(batch):
         brute, pairs = brute_force_matching(p, d, i)
         assert costs[k] == brute
-        if (r, s) != (1, 1):  # which matches on a tie
-            assert min_cost_matching(p, d, i) == (brute, pairs)  # a single instance, pairs included
+        assert min_cost_matching(p, d, i) == (brute, pairs)  # a single instance, pairs included
         assert [(row, col) for row, col in enumerate(patterns[first[k]]) if col >= 0] == pairs
     assert np.array_equal(matching_costs(P, dels, inss), costs)
     padded = np.full((n, SMALL, SMALL), np.inf)
@@ -142,7 +159,52 @@ def search_order_sum(P, dels, inss, pairs):
     acc = 0.0
     for i, d in enumerate(dels):
         acc = acc + (P[i][col[i]] if i in col else d)
-    return acc + sum(inss[j] for j in range(len(inss)) if j not in col.values())
+    return acc + reduce(add, (inss[j] for j in range(len(inss)) if j not in col.values()), 0.0)
+
+
+def solver_matching(P, dels, inss):
+    """The augmenting-path solver's pairs, and their cost summed in the
+    search's order."""
+    pairs = [(i, j) for i, j in enumerate(matching_module._augmenting_matching(P, dels, inss)) if j >= 0]
+    return search_order_sum(P, dels, inss, pairs), pairs
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(st.data(), st.integers(0, 3), st.integers(0, 9), st.booleans(), COSTS)
+def test_solver_equals_search(data, short, long, tall, values):
+    """The augmenting-path solver against the exhaustive search, on shapes
+    up to 3 x 9 and 9 x 3 (a taller one runs transposed), empty sides
+    included: costs on multiples of 1/2 equal the search's bit for bit,
+    others agree within 1e-9; the pairs are injective. Beyond WIDE columns
+    a single call returns the solver's pairs and their cost."""
+    r, s = (long, short) if tall else (short, long)
+    P, dels, inss = _instance(data.draw, r, s, values)
+    cost, pairs = solver_matching(P, dels, inss)
+    brute = brute_force_matching(P, dels, inss)[0]
+    if all((2 * x).is_integer() for x in [*dels, *inss, *(x for row in P for x in row)]):
+        assert cost == brute
+    else:
+        assert abs(cost - brute) <= 1e-9
+    assert len({i for i, _ in pairs}) == len({j for _, j in pairs}) == len(pairs)
+    if s > WIDE:
+        assert min_cost_matching(P, dels, inss, want_pairs=True) == (cost, pairs)
+
+
+@pytest.mark.parametrize("shape", [(1, WIDE + 2), (2, WIDE + 1), (3, 9), (9, 3), (4, 4)], ids="{0[0]}x{0[1]}".format)
+def test_solver_with_infinite_match_costs(shape):
+    """+inf match costs, a whole row and a whole column of them included:
+    the solver's cost equals the search's, and it never matches at +inf."""
+    rng = np.random.default_rng(31)
+    r, s = shape
+    for _ in range(40):
+        P = rng.integers(0, 10, (r, s)).astype(float)
+        P[rng.random((r, s)) < 0.4] = np.inf
+        P[0] = np.inf
+        P[:, -1] = np.inf
+        P, dels, inss = P.tolist(), rng.integers(0, 10, r).astype(float).tolist(), rng.integers(0, 10, s).astype(float).tolist()
+        cost, pairs = solver_matching(P, dels, inss)
+        assert cost == brute_force_matching(P, dels, inss)[0]
+        assert all(P[i][j] < np.inf for i, j in pairs)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -171,15 +233,15 @@ def test_mask_kernel_equals_search(data, r, s, n, values):
     assert np.array_equal(matching_costs(padded, pad_dels, pad_inss), costs)
 
 
-def test_hungarian_only_beyond_wide(monkeypatch):
+def test_solver_only_beyond_wide(monkeypatch):
     calls = []
 
-    def counted(cost):
-        calls.append(cost.shape)
-        return linear_sum_assignment(cost)
+    def counted(P, dels, inss):
+        calls.append((len(dels), len(inss)))
+        return solve(P, dels, inss)
 
-    linear_sum_assignment = matching_module.linear_sum_assignment
-    monkeypatch.setattr(matching_module, "linear_sum_assignment", counted)
+    solve = matching_module._augmenting_matching
+    monkeypatch.setattr(matching_module, "_augmenting_matching", counted)
     rng = np.random.default_rng(9)
     for s in (WIDE, WIDE + 1):
         P = rng.uniform(0, 10, (3, 2, s))
@@ -191,13 +253,13 @@ def test_hungarian_only_beyond_wide(monkeypatch):
             assert costs[k] == cost
             assert abs(matching_cost(P[k], dels[k], inss[k], pairs) - cost) < 1e-9
     # three batched and three single instances of WIDE + 1 columns, none of WIDE
-    assert calls == [(WIDE + 3, WIDE + 3)] * 6
+    assert calls == [(2, WIDE + 1)] * 6
 
 
 def test_tall_instance_within_wide():
     """Two hundred rows of WIDE columns: the mask kernel's tables depend on
     the column count only, and its cost is the optimum, which integer costs
-    let the Hungarian method give exactly."""
+    let the augmenting-path solver, an independent method, give exactly."""
     rng = np.random.default_rng(11)
     r, s = 200, WIDE
     P = rng.integers(0, 50, (2, r, s)).astype(float)
@@ -207,13 +269,7 @@ def test_tall_instance_within_wide():
     for k in range(2):
         cost, pairs = min_cost_matching(P[k].tolist(), dels[k].tolist(), inss[k].tolist(), want_pairs=True)
         assert costs[k] == cost == matching_cost(P[k], dels[k], inss[k], pairs)
-        big = np.full((r + s, s + r), np.inf)
-        big[:r, :s] = P[k]
-        big[np.arange(r), s + np.arange(r)] = dels[k]
-        big[r + np.arange(s), np.arange(s)] = inss[k]
-        big[r:, s:] = 0.0
-        rows, cols = matching_module.linear_sum_assignment(big)
-        assert cost == big[rows, cols].sum()
+        assert cost == solver_matching(P[k].tolist(), dels[k].tolist(), inss[k].tolist())[0]
     assert matching_module._mask_tables.cache_info().currsize <= WIDE + 1
 
 
@@ -228,7 +284,7 @@ def test_batch_equals_each_sub_batch(seed, shape, kind):
     (x, y, i, j) batch, and its walk re-derives one pair's options from that
     pair's (x, y) sub-batch: the batch equals each sub-batch, and each single
     instance, bit for bit, on every route (1 x 1, enumeration, mask and
-    Hungarian)."""
+    augmenting-path solver)."""
     rng = np.random.default_rng(seed)
     r, s = shape
 

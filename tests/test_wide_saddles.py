@@ -2,8 +2,8 @@
 
 Matchings of at most ``WIDE`` columns are costed by the batched mask kernel
 in the fills and one at a time in the references; wider ones go to the
-Hungarian method in both. The trees here give instances on both sides of
-that boundary, and every result must still equal its reference exactly.
+augmenting-path solver in both. The trees here give instances on both sides
+of that boundary, and every result must still equal its reference exactly.
 """
 
 import numpy as np
@@ -58,8 +58,8 @@ def pairs():
 @pytest.fixture
 def columns(monkeypatch):
     """Column counts of the instances costed by the mask kernel and by the
-    Hungarian method, recorded as they happen."""
-    seen = {"mask": set(), "hungarian": set()}
+    augmenting-path solver, recorded as they happen."""
+    seen = {"mask": set(), "solver": set()}
     mask_dp, single = matching_module._mask_dp, matching_module.min_cost_matching
 
     def spy_mask_dp(X, I, keep=False):
@@ -68,7 +68,7 @@ def columns(monkeypatch):
 
     def spy_single(P, dels, inss, want_pairs=False):
         if len(inss) > WIDE:
-            seen["hungarian"].add(len(inss))
+            seen["solver"].add(len(inss))
         return single(P, dels, inss, want_pairs)
 
     monkeypatch.setattr(matching_module, "_mask_dp", spy_mask_dp)
@@ -79,7 +79,7 @@ def columns(monkeypatch):
 
 def assert_both_sides_of_wide(columns):
     assert WIDE in columns["mask"] and max(columns["mask"]) == WIDE
-    assert WIDE + 1 in columns["hungarian"]
+    assert WIDE + 1 in columns["solver"]
 
 
 @pytest.mark.parametrize("mode", MODE_NAMES)
