@@ -22,7 +22,7 @@ import numpy as np
 from .branches import _elder_of, build_bdt, elder_rule_decomposition
 from .errors import PreconditionError, _choice
 from .mapping import _block_entry, _check_table
-from .matching import SMALL, matching_costs, small_matching_costs
+from .matching import matching_costs
 from .metrics import MODE_NAMES, BaseMetric, dp_terms, finalize
 from .trees import MergeTree, _children, _layout_order, _memoized, _preorder, require_valid
 
@@ -95,23 +95,19 @@ class _Levels:
     of deleting the children's subtrees; ``null`` that of deleting the node
     alone, by the :func:`dp_terms` ``deletion`` the layout is built with;
     and ``label[:, k]`` its label. :meth:`_index` derives the rest from
-    these: ``levels[h]`` is ``(lo, mid, hi, small, top)``, where height h
-    takes the positions ``lo:hi``, of which ``lo:mid`` have at most
-    ``SMALL`` children and ``mid:hi`` more, and ``small`` and ``top`` are
-    the largest child counts of the two ranges; ``runs[h]`` lists the runs
-    ``(start, stop, count)`` of one child count above the leaves. As tree 2
-    of a pair, :func:`_fill` reads a :meth:`_group` per child count
-    (``groups``; ``wide`` those above ``SMALL``) and one of all inner nodes
-    with at most ``SMALL`` children (``small``), and per height above the
-    leaves the insert terms (``inserts``). :func:`_join` lays several
-    trees' layouts out as one, whose ``root`` is the tuple of the members'
-    roots. A driver's layout memo shares one layout between pairs, so its
-    sequences are tuples and its arrays read-only.
+    these: ``levels[h]`` is ``(lo, hi, top)``, where height h takes the
+    positions ``lo:hi`` and ``top`` is their largest child count;
+    ``runs[h]`` lists the runs ``(start, stop, count)`` of one child count
+    above the leaves. As tree 2 of a pair, :func:`_fill` reads a
+    :meth:`_group` per child count of its inner nodes (``groups``) and, per
+    height above the leaves, the insert terms (``inserts``). :func:`_join`
+    lays several trees' layouts out as one, whose ``root`` is the tuple of
+    the members' roots. A driver's layout memo shares one layout between
+    pairs, so its sequences are tuples and its arrays read-only.
     """
 
     __slots__ = (
-        "n", "root", "levels", "runs", "deg", "height", "kids", "sub", "rest", "null", "label", "groups",
-        "wide", "small", "inserts",
+        "n", "root", "levels", "runs", "deg", "height", "kids", "sub", "rest", "null", "label", "groups", "inserts",
     )
 
     def __init__(self, t: LabeledTree, null):
@@ -152,20 +148,13 @@ class _Levels:
         for (h, c), ks in groupby(range(n), key=lambda k: (height[k], deg[k])):
             ks = list(ks)
             runs[h].append((ks[0], ks[-1] + 1, c))
-        levels = []
-        for rs in runs:
-            lo, hi = rs[0][0], rs[-1][1]
-            mid = next((i0 for i0, _, c in rs if c > SMALL), hi)
-            levels.append((lo, mid, hi, deg[mid - 1] if mid > lo else 0, rs[-1][2]))
-        self.levels = tuple(levels)
+        self.levels = levels = tuple((rs[0][0], rs[-1][1], rs[-1][2]) for rs in runs)
         self.runs = ((),) + tuple(map(tuple, runs[1:]))  # the leaves match nothing
-        inner = range(levels[0][2], n)
+        inner = range(levels[0][1], n)
         counts = sorted({deg[j] for j in inner})
         self.groups = tuple(self._group([j for j in inner if deg[j] == d]) for d in counts)
-        self.wide = tuple(g for g in self.groups if g[0] > SMALL)
-        self.small = self._group([j for j in inner if deg[j] <= SMALL])
         inserts = []
-        for c0, _, c1, _, _ in levels[1:]:
+        for c0, c1, _ in levels[1:]:
             _, _, k2, sub2 = self._group(range(c0, c1))
             inserts.append((c0, c1, k2, sub2, self.rest[c0:c1, None], self.null[c0:c1]))
         self.inserts = tuple(inserts)
@@ -229,13 +218,12 @@ def _fill(t1: LabeledTree, t2: LabeledTree, metric: BaseMetric, mode: str, edits
     """The edit distance of ``t1`` and ``t2`` from the table of every node
     pair of :func:`_table`, read at the root pair.
 
-    While a driver holds a block that has ``t1`` as a row and ``t2`` as a
-    partner (:func:`mapping._forest`), the entry is read, through
+    While the calling thread's open block (:func:`mapping._forest`) has
+    ``t1`` as a row and ``t2`` as a partner, the entry is read, through
     :func:`mapping._block_entry`, from the one table of the block's joined
-    rows against their joined partners (:func:`_join`), made by the
-    block's first call and equal at the two
-    members' roots to the pair's own table, bit for bit; otherwise the pair
-    fills its own table.
+    rows against their joined partners (:func:`_join`), made by the block's
+    first call and equal at the two members' roots to the pair's own table,
+    bit for bit; otherwise the pair fills its own table.
     """
     _choice("aggregation mode", mode, MODE_NAMES)
     squared = mode == "l2"
@@ -272,30 +260,19 @@ def _table(a: _Levels, b: _Levels, pair, edits: bool):
     once, then the insert option one tree-2 height at a time, in increasing
     order.
 
-    The matchings of one height go in one :func:`small_matching_costs`
-    batch for all pairs with at most ``SMALL`` children on both sides,
-    padded to the widest: a padding child comes last, costs nothing to
-    leave unmatched and +inf to match, so every cost stays bit for bit that
-    of the unpadded instance. The other pairs of the height go in one
-    :func:`matching_costs` call per pair of child counts.
+    The matchings of one height go in one :func:`matching_costs` call per
+    pair of child counts: each tree-1 run of one child count against each
+    tree-2 group of one.
     """
     L = pair(a.label[:, :, None], b.label)
     n2 = b.n
     dist = np.full((a.n + 1, n2 + 1), np.inf)  # the last row and column pad missing children
     flat = dist.reshape(-1)
-    # all tree-2 groups if a tree-1 node has more than SMALL children
-    groups = b.groups if a.kids.shape[1] > SMALL else b.wide
-    _, small, k2, inss = b.small
-    k2x, Ls = k2[None, :, None, :], L.take(small, axis=1)
-    for h, (lo, mid, hi, cs, top) in enumerate(a.levels):
+    for h, (lo, hi, top) in enumerate(a.levels):
         best = L[lo:hi] + (b.rest if h == 0 else a.rest[lo:hi, None])
-        if h and cs and len(small):
-            k1 = a.kids[lo:mid, :cs]
-            P = flat.take((k1 * (n2 + 1))[:, None, :, None] + k2x)
-            best[:mid - lo, small] = Ls[lo:mid] + small_matching_costs(P, a.sub.take(k1)[:, None], inss)
-        for i0, i1, c in (r for r in a.runs[h] if b.wide or r[2] > SMALL):
+        for i0, i1, c in a.runs[h]:
             k1 = a.kids[i0:i1, :c]
-            for _, js, k2, sub2 in b.wide if c <= SMALL else groups:
+            for _, js, k2, sub2 in b.groups:
                 P = flat.take((k1 * (n2 + 1))[:, None, :, None] + k2[None, :, None, :])
                 best[i0 - lo:i1 - lo, js] = L[i0:i1, js] + matching_costs(P, a.sub.take(k1)[:, None], sub2)
         if edits and h:

@@ -49,7 +49,8 @@ from __future__ import annotations
 import os
 import queue
 import threading
-from contextlib import ExitStack, contextmanager
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import cache, partial
 
@@ -59,7 +60,7 @@ from .branches import Branch, BranchDecomposition
 from .errors import PreconditionError, SizeLimitError, _choice
 from .matching import matching_costs, min_cost_matching as _assignment
 from .metrics import MODE_NAMES, BaseMetric, aggregate, dp_terms, finalize
-from .trees import MergeTree, ValidationReport, _layout_order, _memo_entry, _memo_get, _memoized, require_valid
+from .trees import MergeTree, ValidationReport, _layout_order, _memoized, require_valid
 
 
 @dataclass(frozen=True)
@@ -698,10 +699,10 @@ def _pair_table(f1: _Flat, f2: _Flat, pair):
 # or height serves all of the block's pairs in one batch. Every pair still
 # runs its own call and reads its own entries (_block_entry): a branch
 # mapping is walked through two views that read the joined rows as their own
-# trees', a baseline reads its entry at its two members' roots. The table is
-# held in compute_matrix's layout memo, by each of the block's rows, while
-# the block's pairs run and dropped when the block ends. A forest is held by
-# what its calls receive: the tree under branch, its decomposition under
+# trees', a baseline reads its entry at its two members' roots. The block
+# is the calling thread's open block (_BLOCK) while its pairs run, and its
+# table is dropped when the block ends. A block's members are what its
+# calls receive: the tree under branch, its decomposition under
 # branch-fixed (so a member is found by its decomposition object), its
 # labelled input under a baseline.
 #
@@ -710,9 +711,9 @@ def _pair_table(f1: _Flat, f2: _Flat, pair):
 # charges them (8 per entry for the free and fixed tables, 48 for the
 # baselines); else it opens the next block. Larger blocks fill more entries
 # that no call reads (a later row against an earlier row's partners), and
-# measured no faster. A block holds each tree object once as a row, so a
-# member is found by the object that holds it: a row whose tree is already
-# another of the open block's rows opens the next block. A pair whose own
+# measured no faster. A block holds each tree object once as a row, so
+# that its table fills no row twice: a row whose tree is already another
+# of the open block's rows opens the next block. A pair whose own
 # table passes the bound is a block of its own, as no block can take it: it
 # fills its own table, and _check_table refuses a pair over the limit before
 # any table holding it is allocated. An invalid tree joins blocks as any
@@ -766,19 +767,24 @@ class _Forest:
         self.made = None
 
 
+# the calling thread's open block, a _Forest, while _forest is open
+_BLOCK: ContextVar[_Forest | None] = ContextVar("mtdist_forest_block", default=None)
+
+
 @contextmanager
 def _forest(rows, partners):
     """While open, a distance of one of ``rows`` against one of
-    ``partners`` reads its entries of their joined table; the table is
-    dropped when the block exits. A lone pair keeps its own table."""
+    ``partners`` on the calling thread reads its entries of their joined
+    table; the table is dropped when the block exits, also when it raises.
+    A lone pair keeps its own table."""
     if len(rows) + len(partners) < 3:
         yield
         return
-    forest = _Forest(rows, partners)
-    with ExitStack() as held:
-        for t in rows:
-            held.enter_context(_memo_entry(t, "forest", forest))
+    token = _BLOCK.set(_Forest(rows, partners))
+    try:
         yield
+    finally:
+        _BLOCK.reset(token)
 
 
 def _block_entry(row, col, key, layout, fill):
@@ -788,8 +794,8 @@ def _block_entry(row, col, key, layout, fill):
     members, made by the block's first call for ``key`` (a metric and
     mode) and dropped before one for another key is made; i and j are the
     two members' indices."""
-    forest = _memo_get(row, "forest")
-    if forest is None or id(col) not in forest.col:
+    forest = _BLOCK.get()
+    if forest is None or id(row) not in forest.row or id(col) not in forest.col:
         return None
     if forest.made is None or forest.made[0] != key:
         forest.made = None  # dropped before another is made
@@ -848,7 +854,7 @@ def _walk(f1: _Flat, f2: _Flat | None, T, start):
         if rest1 and rest2:
             t1, t2 = f1.tips(rest1), f2.tips(rest2)
             P = [[T[a, b] for b in t2] for a in t1]
-            _, matched = _assignment(P, [f1.D[a] for a in t1], [f2.D[b] for b in t2], want_pairs=True)
+            _, matched = _assignment(P, [f1.D[a] for a in t1], [f2.D[b] for b in t2])
             hit1, hit2 = {x for x, _ in matched}, {y for _, y in matched}
         for x, a in enumerate(rest1):
             if x not in hit1:
@@ -910,7 +916,7 @@ def branch_mapping_distance(
         (a, rows), (b, cols) = _join(rows), _join(cols)
         return rows, cols, _pair_table(a, b, dp_terms(metric, squared)[0])
 
-    # a matrix block's forest is held by each row's tree, in fixed mode by the tree's decomposition
+    # a matrix block's rows are trees, in fixed mode the trees' decompositions
     held = trees if fixed is None else decs
     hit = None if tree1 is None or tree2 is None else _block_entry(*held, (metric.kind, squared), layout, fill)
     if hit is not None:

@@ -41,13 +41,12 @@ WIDE = 6  # largest column count of the mask kernel
 _CHUNK_VALUES = 1 << 16
 
 
-def min_cost_matching(P, dels, inss, want_pairs=False):
+def min_cost_matching(P, dels, inss):
     """Cheapest partial matching of r rows against s columns.
 
     A row may match a column at ``P[i][j]`` or stay unmatched at ``dels[i]``;
-    unmatched columns cost ``inss[j]``. Returns ``(cost, matched pairs)``;
-    the pair list is only populated when ``want_pairs`` is set or comes for
-    free. Up to ``WIDE`` columns the cost is the cheapest matching summed in
+    unmatched columns cost ``inss[j]``. Returns ``(cost, matched pairs)``.
+    Up to ``WIDE`` columns the cost is the cheapest matching summed in
     :func:`small_matching_costs`' order, bit for bit, and the pairs sum to
     it in that order; up to ``SMALL`` x ``SMALL`` they are the first
     cheapest of :func:`small_matching_patterns`. Wider instances go to
@@ -72,7 +71,7 @@ def min_cost_matching(P, dels, inss, want_pairs=False):
         cost, k = small_matching_costs(P, dels, inss, first=True)
         return float(cost), [(i, j) for i, j in enumerate(small_matching_patterns(r, s)[int(k)]) if j >= 0]
     if s <= WIDE:
-        return _mask_matching(P, dels, inss, want_pairs)
+        return _mask_matching(P, dels, inss)
     col = _augmenting_matching(P, dels, inss)
     rows = 0.0
     for i, j in enumerate(col):
@@ -367,7 +366,7 @@ def mask_matching_costs(P, dels, inss):
     return costs.reshape(lead)
 
 
-def _mask_matching(P, dels, inss, want_pairs):
+def _mask_matching(P, dels, inss):
     """:func:`min_cost_matching` through the mask dynamic program.
 
     The pairs come from backtracking its rows: at each row, the first edge
@@ -376,8 +375,6 @@ def _mask_matching(P, dels, inss, want_pairs):
     r, s = len(dels), len(inss)
     total, rows = _mask_dp(*_mask_instances(np.asarray(P, dtype=np.float64), dels, inss), keep=True)
     x = int(total[:, 0].argmin())
-    if not want_pairs:
-        return float(total[x, 0]), []
     order, pos = _mask_order(s)
     m, pairs = order[x], []
     for i in range(r - 1, -1, -1):

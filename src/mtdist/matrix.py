@@ -105,10 +105,10 @@ def _init_worker(trees, opts):
 def _forest_rows(distance):
     """How :func:`compute_matrix` gathers rows and partners into blocks
     under ``distance``: ``(source, sizing)``, where ``source(t)`` is what
-    holds tree t's forest in the distance call (the tree, its elder-rule
-    decomposition in fixed mode, its labelled input under a baseline) and
-    ``sizing`` the table's size and bytes per entry for
-    :func:`mapping._row_groups` (its defaults for the free table). On an
+    stands for tree t in a block, as the distance call receives it (the
+    tree, its elder-rule decomposition in fixed mode, its labelled input
+    under a baseline) and ``sizing`` the table's size and bytes per entry
+    for :func:`mapping._row_groups` (its defaults for the free table). On an
     invalid tree ``source`` raises the ``InvalidTreeError`` of the distance
     call, or, under ``branch``, leaves that call to raise it."""
     if distance == "branch":
@@ -132,7 +132,7 @@ def _row_segments(trees, opts, segments):
     source, sizing = _forest_rows(opts.distance)
     rows = [(trees[i], [trees[j] for j in js]) for i, js in segments]
     for block in _row_groups(rows, *sizing):
-        # held by what the block's calls look it up by
+        # the block's members are what its calls receive
         firsts = [source(rows[k][0]) for k, _ in block]
         partners = {id(u): u for k, group in block for u in (rows[k][1][x] for x in group)}
         with _forest(firsts, [source(u) for u in partners.values()]):

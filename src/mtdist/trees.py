@@ -20,11 +20,6 @@ A driver that compares each tree many times, ``compute_matrix`` or
 length of its call only. The memo belongs to the calling thread (a context
 variable), not to the trees: nothing is stored on a tree, pickled with it,
 or kept after the driver returns, and other threads never see it.
-``compute_matrix`` also holds one block's joined table there, with
-:func:`_memo_entry`, while that block's pairs run, held by each of the
-block's rows: by the row's tree under ``branch``, its elder-rule
-decomposition under ``branch-fixed`` and its labelled input under a
-baseline.
 """
 
 from __future__ import annotations
@@ -282,28 +277,6 @@ def _memoized(source, key, build):
     if hit is None:
         hit = memo[slot] = (source, build())
     return hit[1]
-
-
-@contextmanager
-def _memo_entry(source, key, value):
-    """Hold ``value`` as ``source``'s ``key`` in the open memo until the
-    block exits, also when it raises; with no memo open, hold nothing."""
-    memo = _MEMO.get()
-    slot = (id(source), key)
-    if memo is not None:
-        memo[slot] = (source, value)
-    try:
-        yield
-    finally:
-        if memo is not None:
-            del memo[slot]
-
-
-def _memo_get(source, key):
-    """The value held as ``source``'s ``key`` in the open memo, else None."""
-    memo = _MEMO.get()
-    hit = None if memo is None else memo.get((id(source), key))
-    return None if hit is None else hit[1]
 
 
 # ---------------------------------------------------------------------------

@@ -171,9 +171,7 @@ def _fixed_reconstruct(f1, f2, F, K, metric):
             walk(v, d_main)
             return
         P = [[F[cc][dd] for dd in d_side] for cc in c_side]
-        _, matched = _assignment(
-            P, [f1.W[cc] for cc in c_side], [f2.W[dd] for dd in d_side], want_pairs=True
-        )
+        _, matched = _assignment(P, [f1.W[cc] for cc in c_side], [f2.W[dd] for dd in d_side])
         hit_c = set()
         hit_d = set()
         for ii, jj in matched:

@@ -215,7 +215,6 @@ def _free_reconstruct(s1, s2, T, K, D1, KD1, D2, KD2, metric):
             P,
             [D1[cc][-1] for cc in rest_c],
             [D2[dd][-1] for dd in rest_d],
-            want_pairs=True,
         )
         hit_c = set()
         hit_d = set()

@@ -36,7 +36,7 @@ def test_single_call_matches_brute_force():
         P = rng.uniform(0, 10, (r, s)).tolist()
         dels = rng.uniform(0, 10, r).tolist()
         inss = rng.uniform(0, 10, s).tolist()
-        fast, fast_pairs = min_cost_matching(P, dels, inss, want_pairs=True)
+        fast, fast_pairs = min_cost_matching(P, dels, inss)
         brute, _ = brute_force_matching(P, dels, inss)
         assert abs(fast - brute) < 1e-9
         # the reported matching realizes the reported cost
@@ -68,7 +68,7 @@ def test_single_pair_prefers_cheaper_side():
 def test_ties_leave_unmatched(P, dels, inss):
     # A row stays unmatched where matching it costs the same, and one row
     # takes the first of two equally cheap columns, as in the search.
-    assert min_cost_matching(P, dels, inss, want_pairs=True) == brute_force_matching(P, dels, inss)
+    assert min_cost_matching(P, dels, inss) == brute_force_matching(P, dels, inss)
 
 
 def test_large_instance_uses_solver():
@@ -77,7 +77,7 @@ def test_large_instance_uses_solver():
     P = rng.uniform(0, 10, (r, s)).tolist()
     dels = rng.uniform(0, 10, r).tolist()
     inss = rng.uniform(0, 10, s).tolist()
-    fast, pairs = min_cost_matching(P, dels, inss, want_pairs=True)
+    fast, pairs = min_cost_matching(P, dels, inss)
     brute, _ = brute_force_matching(P, dels, inss)
     assert abs(fast - brute) < 1e-9
 
@@ -187,7 +187,7 @@ def test_solver_equals_search(data, short, long, tall, values):
         assert abs(cost - brute) <= 1e-9
     assert len({i for i, _ in pairs}) == len({j for _, j in pairs}) == len(pairs)
     if s > WIDE:
-        assert min_cost_matching(P, dels, inss, want_pairs=True) == (cost, pairs)
+        assert min_cost_matching(P, dels, inss) == (cost, pairs)
 
 
 @pytest.mark.parametrize("shape", [(1, WIDE + 2), (2, WIDE + 1), (3, 9), (9, 3), (4, 4)], ids="{0[0]}x{0[1]}".format)
@@ -220,7 +220,7 @@ def test_mask_kernel_equals_search(data, r, s, n, values):
     inss = np.array([b[2] for b in batch]).reshape(n, s)
     costs = matching_costs(P, dels, inss)
     for k, (p, d, i) in enumerate(batch):
-        cost, pairs = min_cost_matching(p, d, i, want_pairs=True)
+        cost, pairs = min_cost_matching(p, d, i)
         assert costs[k] == cost == brute_force_matching(p, d, i)[0]
         if r and s:
             assert len({j for _, j in pairs}) == len(pairs)
@@ -249,7 +249,7 @@ def test_solver_only_beyond_wide(monkeypatch):
         inss = rng.uniform(0, 10, (3, s))
         costs = matching_costs(P, dels, inss)
         for k in range(3):
-            cost, pairs = min_cost_matching(P[k].tolist(), dels[k].tolist(), inss[k].tolist(), want_pairs=True)
+            cost, pairs = min_cost_matching(P[k].tolist(), dels[k].tolist(), inss[k].tolist())
             assert costs[k] == cost
             assert abs(matching_cost(P[k], dels[k], inss[k], pairs) - cost) < 1e-9
     # three batched and three single instances of WIDE + 1 columns, none of WIDE
@@ -267,7 +267,7 @@ def test_tall_instance_within_wide():
     inss = rng.integers(0, 50, (2, s)).astype(float)
     costs = matching_costs(P, dels, inss)
     for k in range(2):
-        cost, pairs = min_cost_matching(P[k].tolist(), dels[k].tolist(), inss[k].tolist(), want_pairs=True)
+        cost, pairs = min_cost_matching(P[k].tolist(), dels[k].tolist(), inss[k].tolist())
         assert costs[k] == cost == matching_cost(P[k], dels[k], inss[k], pairs)
         assert cost == solver_matching(P[k].tolist(), dels[k].tolist(), inss[k].tolist())[0]
     assert matching_module._mask_tables.cache_info().currsize <= WIDE + 1

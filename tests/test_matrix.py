@@ -208,6 +208,7 @@ class TestLayoutMemo:
         compute_matrix(trees, "abcd", DistanceOptions(), jobs=1)
         build_tracks(trees, DistanceOptions())
         assert trees_module._MEMO.get() is None
+        assert mapping_module._BLOCK.get() is None
         fill = mapping_module._pair_table
         calls, fail_at = [], [1]  # the matrix's one block, then the tracks' second step
 
@@ -221,11 +222,13 @@ class TestLayoutMemo:
         with pytest.raises(MTDistError, match="pair failed"):
             compute_matrix(trees, "abcd", DistanceOptions(), jobs=1)
         assert trees_module._MEMO.get() is None
+        assert mapping_module._BLOCK.get() is None
         calls.clear()
         fail_at[0] = 2
         with pytest.raises(MTDistError, match="pair failed"):
             build_tracks(trees, DistanceOptions())
         assert trees_module._MEMO.get() is None
+        assert mapping_module._BLOCK.get() is None
 
     def test_pickled_tree_carries_no_memo(self, monkeypatch):
         trees = make_trees(3, seed=14)
@@ -426,6 +429,7 @@ class TestForestRows:
             compute_matrix(trees, "abcde", DistanceOptions(), jobs=1)
         assert tables == [rows * (sum(small[1].depths) + sum(small[2].depths) + 1)]  # row 0's group before the big tree
         assert trees_module._MEMO.get() is None
+        assert mapping_module._BLOCK.get() is None
 
 
 BASELINES = [("constrained", "merge-tree"), ("one-degree", "bdt")]
@@ -456,8 +460,8 @@ class TestBaselineForestRows:
                     assert m.values[i, j] == pairwise_distance(trees[i], trees[j], opts)
         if jobs == 1:  # the pool's forests are joined in its workers
             assert len(forests) == 2 * 2  # one block a matrix: its rows and their partners joined
-            # the wide saddles reach both the <=3x3 batch and the wide groups
-            assert any(len(f.small[1]) and f.wide for f in forests)
+            # a forest holds groups of both at most and more than 3 children
+            assert any(f.groups[0][0] <= 3 < f.groups[-1][0] for f in forests)
 
     @pytest.mark.parametrize("distance, target", BASELINES)
     def test_small_byte_budget_splits_rows(self, monkeypatch, distance, target):
@@ -530,6 +534,7 @@ class TestBaselineForestRows:
             compute_matrix(trees, "abcde", opts, jobs=1)
         assert str(got.value) == str(want.value)
         assert trees_module._MEMO.get() is None
+        assert mapping_module._BLOCK.get() is None
 
     @pytest.mark.parametrize("distance, target", BASELINES)
     def test_pair_over_the_table_limit_refused_before_its_table(self, monkeypatch, distance, target):
@@ -547,6 +552,7 @@ class TestBaselineForestRows:
             compute_matrix(trees, "abcde", DistanceOptions(distance), jobs=1)
         assert tables == [(size[0], size[1] + size[2])]  # row 0's group before the big tree
         assert trees_module._MEMO.get() is None
+        assert mapping_module._BLOCK.get() is None
 
     def test_joined_layouts_are_read_only(self):
         trees = mixed_trees(77)[4:6]
@@ -564,7 +570,7 @@ class TestBaselineForestRows:
             assert not isinstance(value, (list, dict, set)), slot
             if isinstance(value, np.ndarray):
                 assert not value.flags.writeable, slot
-        for sub in (forest.groups, forest.wide, forest.inserts, (forest.small,)):
+        for sub in (forest.groups, forest.inserts):
             for group in sub:
                 for part in group:
                     if isinstance(part, np.ndarray):
@@ -667,6 +673,7 @@ class TestForestBlocks:
             compute_matrix(trees, "abcdefg", opts, jobs=1)
         assert str(got.value) == str(want.value)
         assert trees_module._MEMO.get() is None
+        assert mapping_module._BLOCK.get() is None
 
     @pytest.mark.parametrize("distance", DISTANCE_NAMES)
     def test_pair_over_the_table_limit_refused_before_any_table_holding_it(self, monkeypatch, distance):
@@ -702,6 +709,7 @@ class TestForestBlocks:
             compute_matrix(trees, "abcdefg", DistanceOptions(distance), jobs=1)
         assert tables and all(per_entry * entries <= limit for entries in tables)
         assert trees_module._MEMO.get() is None
+        assert mapping_module._BLOCK.get() is None
 
     @pytest.mark.parametrize("distance", DISTANCE_NAMES)
     def test_tiny_budget_gives_one_row_blocks(self, monkeypatch, distance):

@@ -66,10 +66,10 @@ def columns(monkeypatch):
         seen["mask"].add(X.shape[1] - 1)
         return mask_dp(X, I, keep)
 
-    def spy_single(P, dels, inss, want_pairs=False):
+    def spy_single(P, dels, inss):
         if len(inss) > WIDE:
             seen["solver"].add(len(inss))
-        return single(P, dels, inss, want_pairs)
+        return single(P, dels, inss)
 
     monkeypatch.setattr(matching_module, "_mask_dp", spy_mask_dp)
     monkeypatch.setattr(matching_module, "min_cost_matching", spy_single)
